@@ -92,7 +92,7 @@ def measure(binary, workload, seed, seconds, trace):
         fig13 = "0" if results else "1"
         lines = run_process(binary, args + [
             "--seconds", str(seconds / PROCESSES), "--trace", "0",
-            "--fig13", fig13, "--print-digests"])
+            "--fig13", fig13])
         results.append(json.loads(lines[-1]))
         digests.append([l for l in lines if l.startswith("digest-line ")])
 

@@ -129,10 +129,6 @@ parseOptions(const std::vector<std::string> &args)
     bool haveSeed = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
-        if (flag == "--print-digests") {
-            opt.printDigests = true;
-            continue;
-        }
         if (flag != "--workload" && flag != "--seed" &&
             flag != "--seconds" && flag != "--trace" && flag != "--fig13")
             throw std::invalid_argument("unknown argument '" + flag + "'");
@@ -364,12 +360,12 @@ void
 GapAttributor::visit(const pointacc::LayerWork &work)
 {
     const std::uint64_t now = clock();
-    close(work.mappingOps.empty() ? GapKind::None
-                                  : gapKindOf(work.mappingOps.front().kind),
-          now);
+    const GapKind kind = work.mappingOps.empty()
+                             ? GapKind::None
+                             : gapKindOf(work.mappingOps.front().kind);
+    close(kind, now);
     for (const auto &op : work.mappingOps)
-        workByKind[static_cast<std::size_t>(gapKindOf(op.kind))] +=
-            mappingWork(op);
+        workByKind[static_cast<std::size_t>(kind)] += mappingWork(op);
 }
 
 void

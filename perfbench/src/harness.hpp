@@ -61,18 +61,15 @@ struct Options
     /** Evaluate the Fig. 13 accuracy metrics (run.py turns this off in
      *  all but one of the processes a run is split into). */
     bool fig13 = true;
-    /** Print each repetition's operation digests (to regenerate
-     *  expected_digests.txt). */
-    bool printDigests = false;
 };
 
 /**
  * Parse `--workload <name> --seed <n> --seconds <s> --trace <0|1>`
- * (plus `--fig13 <0|1>` and `--print-digests`). --workload and
- * --seed are required. Throws std::invalid_argument naming the first
- * malformed argument: an unknown flag or workload, a missing value, a
- * seed that is not a non-negative 64-bit integer, a non-positive or
- * non-finite seconds value, or a 0/1 flag with another value.
+ * (plus `--fig13 <0|1>`). --workload and --seed are required. Throws
+ * std::invalid_argument naming the first malformed argument: an
+ * unknown flag or workload, a missing value, a seed that is not a
+ * non-negative 64-bit integer, a non-positive or non-finite seconds
+ * value, or a 0/1 flag with another value.
  */
 Options parseOptions(const std::vector<std::string> &args);
 
@@ -212,7 +209,16 @@ class TimedServiceModel : public pointacc::ServiceModel
 // Visitor-gap attribution                                            //
 // ------------------------------------------------------------------ //
 
-/** Attribution classes: a layer's first MappingOpKind, or None. */
+/**
+ * Attribution classes of executeNetwork layers, keyed by the layer's
+ * first MappingOpKind (None for a layer without mapping). Because the
+ * visitor sees a layer only after all its mapping ops ran, a class
+ * holds whole layers: Fps is a sampling set-abstraction layer (FPS,
+ * then its first-scale ball query or kNN), Quantize a strided sparse
+ * conv (quantize, then its kernel map), KernelMap a submanifold or
+ * transposed sparse conv, Knn and BallQuery a layer that only searches
+ * neighbours (feature propagation, edge conv, later MSG scales).
+ */
 enum class GapKind : std::size_t
 {
     Fps,
@@ -235,11 +241,12 @@ std::uint64_t mappingWork(const pointacc::MappingOpInfo &op);
 /**
  * Times the gaps between executeNetwork visitor calls. The gap that
  * ends at a visit is the work the executor did to produce that layer
- * (its mapping operations, then the emit), so it is attributed to the
- * layer's first MappingOpKind, or None for a layer without mapping.
- * The stretch after the last visit up to executeNetwork's return is
- * attributed to None. Gaps telescope: their sum is exactly finish()
- * minus start(), the executeNetwork wall time.
+ * (its mapping operations, then the emit), so it goes to the layer's
+ * class (see GapKind), and so does the mapping work of every op of the
+ * layer: time and work follow one rule, so ns / work compares like
+ * with like. The stretch after the last visit up to executeNetwork's
+ * return is attributed to None. Gaps telescope: their sum is exactly
+ * finish() minus start(), the executeNetwork wall time.
  */
 class GapAttributor
 {
@@ -264,8 +271,8 @@ class GapAttributor
     {
         return nsByKind[static_cast<std::size_t>(kind)];
     }
-    /** Mapping work of the ops whose kind is `kind` (per op, not per
-     *  layer: a ball-query layer's FPS work counts under Fps). */
+    /** Mapping work of every op of the layers of class `kind` (an
+     *  Fps layer's ball-query work counts under Fps). */
     std::uint64_t work(GapKind kind) const
     {
         return workByKind[static_cast<std::size_t>(kind)];

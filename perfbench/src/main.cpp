@@ -4,12 +4,13 @@
  *
  *   perfbench --workload <serve_overload|serve_stream|infer_zoo>
  *             --seed <n> [--seconds <s>] [--trace <0|1>] [--fig13 <0|1>]
- *             [--print-digests]
  *
  * It sets the workload up at least once, more while set-ups fit in a
  * quarter second (setup_s is their median), repeats the measured
  * section for --seconds, checks every operation's output and prints
- * each metric with its unit. The last stdout line is one JSON object:
+ * each metric with its unit. A `digest-line` gives the first
+ * repetition's operation digests in expected_digests.txt's format. The
+ * last stdout line is one JSON object:
  * {"correct", "attempted", "failed", "metrics"}. --fig13 0 leaves the
  * two accuracy metrics out. run.py splits a --trace 0 run over several
  * such processes and combines them.
@@ -285,7 +286,7 @@ runBenchmark(const Options &opt)
     if (plain.empty())
         tally.failed += 1; // nothing to compare a traced run against
 
-    if (opt.printDigests && !plain.empty()) {
+    if (!plain.empty()) {
         std::string line = name + " " + std::to_string(opt.seed) + " ";
         for (std::size_t i = 0; i < plain.front().digests.size(); ++i)
             line += (i ? "," : "") + hex64(plain.front().digests[i]);
@@ -359,8 +360,19 @@ runBenchmark(const Options &opt)
             finite = false;
             value = 0.0;
         }
-        std::printf("%-36s %22s %s\n", defs[i].name.c_str(),
-                    formatNumber(value).c_str(), defs[i].unit.c_str());
+        // A host time below 0 is a remainder (scheduler.self,
+        // sim.pricing) whose parts outlasted the whole: no measurement.
+        // The JSON gets 0, the table says so.
+        if (value < 0.0 && defs[i].unit == "ns") {
+            std::printf("%-36s %22s %s (not measured: parts exceed the "
+                        "whole by %s ns)\n",
+                        defs[i].name.c_str(), "0", defs[i].unit.c_str(),
+                        formatNumber(-value).c_str());
+            value = 0.0;
+        } else {
+            std::printf("%-36s %22s %s\n", defs[i].name.c_str(),
+                        formatNumber(value).c_str(), defs[i].unit.c_str());
+        }
         json += (i ? ", \"" : "\"") + defs[i].name + "\": {\"value\": " +
                 formatNumber(value) + ", \"unit\": \"" + defs[i].unit + "\"}";
     }
@@ -392,8 +404,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "perfbench: %s\nusage: perfbench --workload "
                      "<serve_overload|serve_stream|infer_zoo> --seed <n> "
-                     "[--seconds <s>] [--trace <0|1>] [--fig13 <0|1>] "
-                     "[--print-digests]\n",
+                     "[--seconds <s>] [--trace <0|1>] [--fig13 <0|1>]\n",
                      e.what());
         return 2;
     }

@@ -202,7 +202,7 @@ layerWith(std::vector<MappingOpKind> kinds)
 
 } // namespace
 
-TEST(GapAttribution, GapsGoToTheLayersFirstMappingKind)
+TEST(GapAttribution, TimeAndWorkGoToTheLayersFirstMappingKind)
 {
     fakeNow = 1'000;
     GapAttributor gaps(fakeClock);
@@ -214,19 +214,26 @@ TEST(GapAttribution, GapsGoToTheLayersFirstMappingKind)
     gaps.visit(layerWith({}));
     fakeStep = 50;
     gaps.visit(layerWith({MappingOpKind::KernelMap}));
+    fakeStep = 20;
+    gaps.visit(layerWith({MappingOpKind::Quantize, MappingOpKind::KernelMap}));
     fakeStep = 5;
     gaps.finish();
 
     EXPECT_EQ(gaps.ns(GapKind::Fps), 30u);
     EXPECT_EQ(gaps.ns(GapKind::BallQuery), 0u);
     EXPECT_EQ(gaps.ns(GapKind::KernelMap), 50u);
+    EXPECT_EQ(gaps.ns(GapKind::Quantize), 20u);
     EXPECT_EQ(gaps.ns(GapKind::None), 12u); // the dense layer + the tail
-    EXPECT_EQ(gaps.wallNs(), 92u);
-    ASSERT_EQ(gaps.gaps().size(), 4u);
-    // Work is counted per op, so the ball query's work is not lost.
-    EXPECT_EQ(gaps.work(GapKind::Fps), 40u);
-    EXPECT_EQ(gaps.work(GapKind::BallQuery), 40u);
+    EXPECT_EQ(gaps.wallNs(), 112u);
+    ASSERT_EQ(gaps.gaps().size(), 5u);
+    // Work follows the time: the FPS layer's ball query (40) counts
+    // under Fps with the FPS (40), the strided conv's kernel map (14)
+    // under Quantize with the quantize (10).
+    EXPECT_EQ(gaps.work(GapKind::Fps), 80u);
+    EXPECT_EQ(gaps.work(GapKind::BallQuery), 0u);
     EXPECT_EQ(gaps.work(GapKind::KernelMap), 14u);
+    EXPECT_EQ(gaps.work(GapKind::Quantize), 24u);
+    EXPECT_EQ(gaps.work(GapKind::None), 0u);
 }
 
 TEST(GapAttribution, SumsToExecuteNetworkWallTime)
@@ -266,15 +273,18 @@ TEST(GapAttribution, WorkMatchesSummarizeWorkload)
         executeNetwork(net, cloud,
                        [&gaps](const LayerWork &w) { gaps.visit(w); });
         gaps.finish();
+        // Point-based layers hold FPS and neighbour search, sparse
+        // convs quantize and kernel maps; neither mixes with the other.
         const WorkloadSummary s = summarizeWorkload(net, cloud);
-        EXPECT_EQ(gaps.work(GapKind::Fps), s.fpsWork) << net.notation;
-        EXPECT_EQ(gaps.work(GapKind::Knn) + gaps.work(GapKind::BallQuery),
-                  s.neighborWork)
+        EXPECT_EQ(gaps.work(GapKind::Fps) + gaps.work(GapKind::Knn) +
+                      gaps.work(GapKind::BallQuery),
+                  s.fpsWork + s.neighborWork)
             << net.notation;
         EXPECT_EQ(gaps.work(GapKind::KernelMap) +
                       gaps.work(GapKind::Quantize),
                   s.kernelMapWork)
             << net.notation;
+        EXPECT_EQ(gaps.work(GapKind::None), 0u) << net.notation;
     }
 }
 
@@ -329,6 +339,7 @@ TEST(Options, RejectsMalformedWorkloadSpecs)
         {"--workload", "infer_zoo", "--seed", "1", "--trace", "2"},
         {"--workload", "infer_zoo", "--seed", "1", "--fig13", "yes"},
         {"--workload", "infer_zoo", "--seed", "1", "--threads", "4"},
+        {"--workload", "infer_zoo", "--seed", "1", "--print-digests"},
     };
     for (const auto &args : bad)
         EXPECT_THROW(parse(args), std::invalid_argument)
