@@ -90,51 +90,46 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 "${BUILD_DIR}/bench_simperf" --quick --threads 4 \
     --json "${BUILD_DIR}/BENCH_simperf.json"
 
-# Capacity-planner gate: on a quick grid the planner's pick must equal
-# the exhaustive-search optimum while spending strictly fewer probes
-# (within the probe budget). Opt-in sweep, so it gets its own
-# invocation and its own JSON. --threads 4 turns on speculative
-# probing, and the bench's differential gate re-plans serially and
-# requires byte-identical plan JSON.
-"${BUILD_DIR}/bench_serving" --sweep plan --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_plan.json"
+# Opt-in bench_serving sweeps. One list drives every tree: the
+# Release tree gates each sweep on a quick grid and writes its own
+# BENCH_serving_<sweep>.json; the ASan+UBSan tree re-runs each as a
+# --smoke structural pass; the TSan tree runs the threaded subset.
+#
+#   plan      capacity planner: the pick must equal the exhaustive
+#             optimum with strictly fewer probes (within the budget);
+#             speculative probing must serialize byte-identically to
+#             a serial re-plan.
+#   hetero    watt-budgeted server + edge composition: the budget must
+#             bind, the lattice pick must equal the exhaustive lattice
+#             optimum with fewer probes, and a mixed-class fleet at
+#             uniform 1 GHz must serve byte-identically to the frozen
+#             cycle-domain reference engine.
+#   traffic   flash-crowd program: the static plan must hold the SLO;
+#             the autoscaler must scale, converge, conserve requests
+#             and save instance-cycles. Runs serially in Release.
+#   faults    crash / straggler / MTBF / hedge scenarios: empty-program
+#             byte-identity with the reference engine, extended
+#             conservation on every row, and an availability plan
+#             whose spare rides out a crash the nominal fleet fails.
+#   runahead  cost-aware hold-vs-dispatch must dominate pure-eager and
+#             pure-hold at the knee, the k=1/2/4 run-ahead ladder must
+#             be monotone, and depth 1 with pricing off must serve
+#             byte-identically to the reference engine.
+SWEEPS="plan hetero traffic faults runahead"
+# Under TSan: the sweeps whose concurrent probes share the profiling
+# memo (two accelerator classes plus an overclocked variant; the
+# staged cascade and the priced hold path).
+TSAN_SWEEPS="hetero runahead"
 
-# Heterogeneous-lattice gate: plan a watt-budgeted server + edge
-# composition under the watts objective. The budget must actually
-# bind, the lattice pick must equal the exhaustive lattice optimum
-# with strictly fewer probes, a --threads 4 plan must serialize
-# byte-identically to a serial re-plan, and a mixed-class fleet at
-# uniform 1 GHz must serve byte-identically to the frozen
-# cycle-domain reference engine (the ns-axis identity gate).
-"${BUILD_DIR}/bench_serving" --sweep hetero --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_hetero.json"
-
-# Closed-loop traffic gate: plan a static fleet for a flash-crowd
-# traffic program, then serve the same program reactively with the
-# autoscaler. The static fleet must hold the SLO through the spike;
-# the autoscaler must actually scale, converge after the crowd passes,
-# conserve requests, and save instance-cycles vs static provisioning.
-"${BUILD_DIR}/bench_serving" --sweep traffic --quick \
-    --json "${BUILD_DIR}/BENCH_serving_traffic.json"
-
-# Fault-injection gate: crash / straggler / MTBF / hedged scenarios
-# with retries, the empty-program byte-identity check against the
-# frozen reference engine, extended conservation (admitted =
-# completed + failed + leftover, goodput <= throughput) on every row,
-# and the availability plan: replanning with a mid-horizon crash in
-# the search space must pay for a spare, the nominal fleet must miss
-# the SLO under that crash, and the availability fleet must hold it.
-"${BUILD_DIR}/bench_serving" --sweep faults --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_faults.json"
-
-# Run-ahead gate: the cost-aware hold-vs-dispatch policy must dominate
-# both blind endpoints of the hold spectrum (pure-eager and pure-hold)
-# at the capacity knee, the k=1/2/4 mapped-output-buffer ladder must
-# be monotone (throughput never drops, p99 never rises), and depth 1
-# with pricing off must serve byte-identically to the frozen reference
-# engine.
-"${BUILD_DIR}/bench_serving" --sweep runahead --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_runahead.json"
+for sweep in ${SWEEPS}; do
+    threads="--threads 4"
+    if [ "${sweep}" = traffic ]; then
+        threads=""
+    fi
+    # shellcheck disable=SC2086 # ${threads} is zero or two words
+    "${BUILD_DIR}/bench_serving" --sweep "${sweep}" --quick ${threads} \
+        --json "${BUILD_DIR}/BENCH_serving_${sweep}.json"
+done
 
 # Schema-doc check: every JSON key writeServingJson and writePlanJson
 # emit must be documented (in backticks) in docs/SERVING_JSON.md, so
@@ -184,39 +179,12 @@ ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
 # (a sanitized floor would measure the sanitizer, not the simulator).
 "${SAN_BUILD_DIR}/bench_simperf" --smoke --no-json
 
-# Sanitized 2-probe smoke of the capacity planner: a 1-combo, 2-size
-# exhaustive micro-grid through the full plan/probe/JSON path under
-# ASan+UBSan (the unsanitized plan gate above already enforced search
-# quality).
-"${SAN_BUILD_DIR}/bench_serving" --sweep plan --smoke --no-json
-
-# Sanitized smoke of the heterogeneous lattice: a tiny two-kind
-# composition grid through the exhaustive lattice search, the
-# composition JSON and the mixed-fleet 1 GHz identity check under
-# ASan+UBSan (the unsanitized hetero gate above enforced search
-# quality and the probe budget).
-"${SAN_BUILD_DIR}/bench_serving" --sweep hetero --smoke --no-json
-
-# Sanitized smoke of the traffic/autoscaler closed loop: a short
-# flash-crowd program through planning, the piecewise-rate stream,
-# scaling events and graceful drain under ASan+UBSan (structural
-# checks only; the unsanitized traffic gate above enforced the SLO
-# and savings acceptance).
-"${SAN_BUILD_DIR}/bench_serving" --sweep traffic --smoke --no-json
-
-# Sanitized smoke of fault injection: short-horizon crash / straggler
-# / MTBF / hedge scenarios through the kill/retry/hedge event paths,
-# the busy-counter give-backs and the fault JSON block under
-# ASan+UBSan (structural plan checks only; the unsanitized faults
-# gate above enforced the availability outcome).
-"${SAN_BUILD_DIR}/bench_serving" --sweep faults --smoke --no-json
-
-# Sanitized smoke of run-ahead + cost-aware dispatch: short-horizon
-# trio and depth-ladder rows through the staged-buffer cascade, the
-# priced hold path and the reference byte-identity check under
-# ASan+UBSan (structural checks only; the unsanitized runahead gate
-# above enforced dominance).
-"${SAN_BUILD_DIR}/bench_serving" --sweep runahead --smoke --no-json
+# Sanitized smokes of every opt-in sweep: short horizons through the
+# same paths under ASan+UBSan (structural checks only; the Release
+# gates above enforced the outcomes).
+for sweep in ${SWEEPS}; do
+    "${SAN_BUILD_DIR}/bench_serving" --sweep "${sweep}" --smoke --no-json
+done
 
 # TSan pass over the threaded paths: the executor unit suite (steal
 # races, exception propagation, nested get, destructor drain), the
@@ -245,11 +213,7 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
 
 "${TSAN_BUILD_DIR}/test_runtime_properties" --threads 4
 
-"${TSAN_BUILD_DIR}/bench_serving" --sweep hetero --smoke --threads 4 \
-    --no-json
-
-# Threaded run-ahead smoke under TSan: the trio and depth-ladder rows
-# run as pool tasks, so concurrent schedulers exercise the staged
-# cascade and the priced hold path against the shared profiling memo.
-"${TSAN_BUILD_DIR}/bench_serving" --sweep runahead --smoke --threads 4 \
-    --no-json
+for sweep in ${TSAN_SWEEPS}; do
+    "${TSAN_BUILD_DIR}/bench_serving" --sweep "${sweep}" --smoke \
+        --threads 4 --no-json
+done

@@ -180,24 +180,9 @@ Batcher::costAwareHold(
     return decision;
 }
 
-BatchHold
-Batcher::holdFor(const AdmissionQueue &queue, QueuePolicy policy,
-                 std::uint64_t now) const
-{
-    simAssert(!queue.empty(), "holdFor needs a non-empty queue");
-    return holdForHead(queue, queue.peek(policy), now);
-}
-
-Batch
-Batcher::form(AdmissionQueue &queue, QueuePolicy policy) const
-{
-    simAssert(!queue.empty(), "cannot form a batch from an empty queue");
-    return formLedBy(queue, queue.peek(policy), policy, nullptr);
-}
-
 Batch
 Batcher::formLedBy(
-    AdmissionQueue &queue, const Request &head, QueuePolicy policy,
+    AdmissionQueue &queue, const Request &head,
     const std::function<bool(const Request &)> &excluded) const
 {
     Batch batch;
@@ -206,8 +191,8 @@ Batcher::formLedBy(
     // Followers can only come from the head's network's
     // size-compatible class sub-queues; the extra rule (hit/miss
     // purity) is the one per-item predicate left to evaluate there.
-    batch.requests = queue.popLedByBuckets(
-        head, policy, allowedBuckets(head), extraRule, limit, excluded);
+    batch.requests = queue.popLedByBuckets(head, allowedBuckets(head),
+                                           extraRule, limit, excluded);
     return batch;
 }
 

@@ -210,16 +210,6 @@ class Batcher
                             const std::function<bool(const Request &)>
                                 &excluded = nullptr) const;
 
-    /** holdForHead anchored at the queue's policy head (non-empty). */
-    BatchHold holdFor(const AdmissionQueue &queue, QueuePolicy policy,
-                      std::uint64_t now) const;
-
-    /**
-     * Form the next batch from `queue` under `policy`. The queue must
-     * be non-empty. With batching disabled, returns a singleton batch.
-     */
-    Batch form(AdmissionQueue &queue, QueuePolicy policy) const;
-
     /**
      * Form a batch led by `head` (which must be queued): the head
      * plus the best-ranked compatible followers not rejected by
@@ -228,7 +218,6 @@ class Batcher
      * With batching disabled, returns just the head.
      */
     Batch formLedBy(AdmissionQueue &queue, const Request &head,
-                    QueuePolicy policy,
                     const std::function<bool(const Request &)> &excluded)
         const;
 

@@ -69,36 +69,35 @@ struct RankLess
 };
 
 /**
- * Policy-ranked index over queued entries, in one of two shapes:
+ * Rank-ordered index over one class's queued entries, in the shape the
+ * policy fixes:
  *
  *  - ring (FIFO): a rank-sorted deque with lazy tombstones. On the
  *    scheduler's path pushes arrive in nondecreasing (arrival, id)
- *    order, so insertion is an O(1) append and the head is the front;
- *    mid-queue removals (batch followers) just die in the live table
- *    and are skipped — and periodically compacted away — when the
- *    front reaches them. Out-of-order pushes (unit tests) fall back to
- *    a sorted insert.
+ *    order, so insertion is an O(1) append; removals just die in the
+ *    live table and are skipped — pruned off the front when a merge
+ *    opens the ring, compacted away on push — afterwards. Out-of-order
+ *    pushes (a crash retry re-entering with its original arrival) fall
+ *    back to a sorted insert.
  *  - tree (SJF/EDF): an ordered set keyed (policy key, arrival, id)
  *    with O(log depth) insert/erase and eager deletion (no
- *    tombstones). Chosen over a d-ary heap because batch formation
- *    and eligibility must traverse entries *in rank order under
- *    per-item predicates* — a heap only exposes its top.
+ *    tombstones). Chosen over a d-ary heap because selection must
+ *    traverse entries *in rank order under per-item predicates* — a
+ *    heap only exposes its top.
  */
 struct OrderIndex
 {
-    bool treeMode = false;
     std::deque<Entry> ring;
     std::set<Entry, RankLess> tree;
     std::size_t liveCount = 0;
+};
 
-    void
-    reset(bool tree_mode)
-    {
-        treeMode = tree_mode;
-        ring.clear();
-        tree.clear();
-        liveCount = 0;
-    }
+/** What a merge visitor does with the entry it is shown. */
+enum class Step
+{
+    Skip, ///< leave it queued and continue
+    Take, ///< remove it from the queue and continue
+    Stop, ///< end the merge
 };
 
 } // namespace
@@ -110,110 +109,55 @@ struct AdmissionQueue::Impl
         Request r;
         std::uint64_t seq = 0;
     };
+    using LiveMap = std::unordered_map<std::uint64_t, Stored>;
 
-    std::unordered_map<std::uint64_t, Stored> live;
-    QueuePolicy indexedPolicy = QueuePolicy::Fifo;
-    std::uint64_t seqCounter = 0;
-
-    OrderIndex global;
-    std::map<std::pair<std::uint32_t, std::uint32_t>, OrderIndex> classes;
-
-    bool
-    alive(const Entry &e) const
+    /** One open class index inside a merge, positioned on its next
+     *  live entry `at` (nullptr once exhausted). A ring cursor also
+     *  keeps that entry's live-table slot, which its liveness check
+     *  already found. */
+    struct Cursor
     {
-        const auto it = live.find(e.id);
-        return it != live.end() && it->second.seq == e.seq;
+        OrderIndex *ix = nullptr;
+        std::set<Entry, RankLess>::iterator ti;
+        std::size_t ri = 0;
+        const Entry *at = nullptr;
+        LiveMap::iterator item;
+    };
+
+    explicit Impl(QueuePolicy p)
+        : policy(p), treeMode(p != QueuePolicy::Fifo)
+    {
     }
+
+    const QueuePolicy policy;
+    const bool treeMode;
+    LiveMap live;
+    std::uint64_t seqCounter = 0;
+    std::map<std::pair<std::uint32_t, std::uint32_t>, OrderIndex> classes;
+    /** Cursor storage reused across merges (no allocation per pick). */
+    std::vector<Cursor> cursors;
 
     Entry
     entryOf(const Stored &s) const
     {
-        return Entry{policyKey(indexedPolicy, s.r), s.r.arrivalCycle,
-                     s.r.id, s.seq};
+        return Entry{policyKey(policy, s.r), s.r.arrivalCycle, s.r.id,
+                     s.seq};
+    }
+
+    /** Live-table slot of `e`, or live.end() for a ring tombstone (the
+     *  id left, or was re-enqueued under a newer sequence number). */
+    LiveMap::iterator
+    find(const Entry &e)
+    {
+        const auto it = live.find(e.id);
+        return it != live.end() && it->second.seq == e.seq ? it
+                                                           : live.end();
     }
 
     OrderIndex &
     classOf(const Request &r)
     {
-        auto it = classes.find({r.networkId, r.sizeBucket});
-        if (it == classes.end())
-            it = classes
-                     .emplace(std::make_pair(r.networkId, r.sizeBucket),
-                              OrderIndex{})
-                     .first;
-        if (it->second.ring.empty() && it->second.tree.empty())
-            it->second.treeMode = global.treeMode;
-        return it->second;
-    }
-
-    void
-    indexInsert(OrderIndex &ix, const Entry &e)
-    {
-        if (ix.treeMode) {
-            ix.tree.insert(e);
-        } else {
-            if (ix.ring.empty() || !(e.rank() < ix.ring.back().rank())) {
-                ix.ring.push_back(e);
-            } else {
-                // Out-of-order push (tests): sorted insert keeps the
-                // ring a valid rank order at O(depth) for this push.
-                const auto pos = std::lower_bound(
-                    ix.ring.begin(), ix.ring.end(), e, RankLess{});
-                ix.ring.insert(pos, e);
-            }
-        }
-        ix.liveCount += 1;
-        maybeCompact(ix);
-    }
-
-    /** Remove one live entry from an index. Ring mode is lazy: the
-     *  entry dies in the live table and is skipped/compacted later. */
-    void
-    indexErase(OrderIndex &ix, const Entry &e)
-    {
-        if (ix.treeMode)
-            ix.tree.erase(e);
-        simAssert(ix.liveCount > 0, "index liveCount underflow");
-        ix.liveCount -= 1;
-    }
-
-    /** Bound tombstone buildup: rebuild a ring once more than half of
-     *  it is dead. Runs only from push paths, never while a traversal
-     *  holds ring positions. */
-    void
-    maybeCompact(OrderIndex &ix)
-    {
-        if (ix.treeMode || ix.ring.size() < 2 * ix.liveCount + 64)
-            return;
-        std::deque<Entry> keep;
-        for (const auto &e : ix.ring)
-            if (alive(e))
-                keep.push_back(e);
-        ix.ring.swap(keep);
-    }
-
-    /** Drop the index keys and rebuild under a new policy. Only unit
-     *  tests mix policies on one queue; the scheduler's single policy
-     *  never triggers this after the first call. */
-    void
-    ensureIndexed(QueuePolicy policy)
-    {
-        if (policy == indexedPolicy && ranked)
-            return;
-        indexedPolicy = policy;
-        ranked = true;
-        const bool tree_mode = policy != QueuePolicy::Fifo;
-        global.reset(tree_mode);
-        classes.clear();
-        std::vector<Entry> entries;
-        entries.reserve(live.size());
-        for (const auto &kv : live)
-            entries.push_back(entryOf(kv.second));
-        std::sort(entries.begin(), entries.end(), RankLess{});
-        for (const Entry &e : entries) {
-            indexInsert(global, e);
-            indexInsert(classOf(live.at(e.id).r), e);
-        }
+        return classes[{r.networkId, r.sizeBucket}];
     }
 
     void
@@ -224,63 +168,131 @@ struct AdmissionQueue::Impl
         simAssert(ins.second,
                   "admission queue requires unique request ids");
         const Entry e = entryOf(ins.first->second);
-        indexInsert(global, e);
-        indexInsert(classOf(r), e);
+        OrderIndex &ix = classOf(r);
+        if (treeMode) {
+            ix.tree.insert(e);
+        } else if (ix.ring.empty() || !(e.rank() < ix.ring.back().rank())) {
+            ix.ring.push_back(e);
+        } else {
+            // Out-of-order push: sorted insert keeps the ring a valid
+            // rank order at O(depth) for this push.
+            ix.ring.insert(std::lower_bound(ix.ring.begin(), ix.ring.end(),
+                                            e, RankLess{}),
+                           e);
+        }
+        ix.liveCount += 1;
+        // Bound tombstone buildup: rebuild a ring once more than half
+        // of it is dead. Push never runs inside a merge, so no cursor
+        // holds ring positions here.
+        if (!treeMode && ix.ring.size() >= 2 * ix.liveCount + 64) {
+            std::deque<Entry> keep;
+            for (const auto &k : ix.ring)
+                if (find(k) != live.end())
+                    keep.push_back(k);
+            ix.ring.swap(keep);
+        }
     }
 
-    /** Full removal (live table + both indexes) by id. */
+    /** Remove a queued request by id (ring mode leaves a tombstone). */
     void
     removeById(std::uint64_t id)
     {
         const auto it = live.find(id);
         simAssert(it != live.end(), "removal of unqueued request");
-        const Entry e = entryOf(it->second);
-        indexErase(global, e);
-        indexErase(classOf(it->second.r), e);
+        OrderIndex &ix = classOf(it->second.r);
+        if (treeMode)
+            ix.tree.erase(entryOf(it->second));
+        ix.liveCount -= 1;
         live.erase(it);
     }
 
-    /** Physically drop dead entries at a ring's front so the head
-     *  stays an O(1) read (every FIFO pop tombstones the front; batch
-     *  followers leave interior tombstones for compaction). */
-    static void
-    pruneFront(OrderIndex &ix, const Impl &impl)
+    /** Add `ix` to the next merge. An index with nothing live is
+     *  skipped (its ring emptied outright); otherwise the ring's dead
+     *  prefix is dropped so the cursor starts on a live entry. */
+    void
+    open(OrderIndex &ix)
     {
-        if (ix.treeMode)
+        if (ix.liveCount == 0) {
+            ix.ring.clear();
             return;
-        while (!ix.ring.empty() && !impl.alive(ix.ring.front()))
-            ix.ring.pop_front();
+        }
+        Cursor c;
+        c.ix = &ix;
+        c.ti = ix.tree.begin();
+        if (treeMode) {
+            settle(c);
+        } else {
+            while ((c.item = find(ix.ring.front())) == live.end())
+                ix.ring.pop_front();
+            c.at = &ix.ring.front();
+        }
+        cursors.push_back(c);
     }
 
-    /** First live entry in global rank order passing `pass`, or
-     *  nullptr. Interior ring tombstones are skipped in place. */
-    const Request *
-    firstEligible(const std::function<bool(const Request &)> &pass)
+    /** Move `c` onto its next live entry at or after its position. */
+    void
+    settle(Cursor &c)
     {
-        if (global.treeMode) {
-            for (const Entry &e : global.tree) {
-                const Request &r = live.at(e.id).r;
-                if (!pass || pass(r))
-                    return &r;
+        c.at = nullptr;
+        if (treeMode) {
+            if (c.ti != c.ix->tree.end())
+                c.at = &*c.ti;
+            return;
+        }
+        for (; c.ri < c.ix->ring.size(); ++c.ri) {
+            c.item = find(c.ix->ring[c.ri]);
+            if (c.item != live.end()) {
+                c.at = &c.ix->ring[c.ri];
+                return;
             }
-            return nullptr;
         }
-        pruneFront(global, *this);
-        for (const Entry &e : global.ring) {
-            if (!alive(e))
-                continue;
-            const Request &r = live.at(e.id).r;
-            if (!pass || pass(r))
-                return &r;
-        }
-        return nullptr;
     }
 
-    bool ranked = false; ///< indexes valid for indexedPolicy
+    /**
+     * The one traversal: show `visit` the live entries of the opened
+     * indexes in rank order, merged across indexes, acting on each
+     * Step. Each index is sorted by the total rank (key, arrival, id),
+     * so the merged sequence is exactly the queue's global rank order.
+     * Predicates are fixed for the duration of a merge, so a skipped
+     * entry never needs a second look. Consumes the opened cursors.
+     */
+    template <class Visit>
+    void
+    merge(Visit &&visit)
+    {
+        for (;;) {
+            Cursor *best = nullptr;
+            for (Cursor &c : cursors)
+                if (c.at != nullptr &&
+                    (best == nullptr || c.at->rank() < best->at->rank()))
+                    best = &c;
+            if (best == nullptr)
+                break;
+            const auto item =
+                treeMode ? live.find(best->at->id) : best->item;
+            const Step step = visit(item->second.r);
+            if (step == Step::Stop)
+                break;
+            if (step == Step::Take) {
+                best->ix->liveCount -= 1;
+                live.erase(item);
+                if (treeMode)
+                    best->ti = best->ix->tree.erase(best->ti);
+                else
+                    best->ri += 1;
+            } else if (treeMode) {
+                ++best->ti;
+            } else {
+                best->ri += 1;
+            }
+            settle(*best);
+        }
+        cursors.clear();
+    }
 };
 
-AdmissionQueue::AdmissionQueue(std::size_t max_depth)
-    : impl(std::make_unique<Impl>()), maxDepth(max_depth)
+AdmissionQueue::AdmissionQueue(std::size_t max_depth, QueuePolicy policy)
+    : impl(std::make_unique<Impl>(policy)), maxDepth(max_depth)
 {
 }
 
@@ -302,8 +314,6 @@ AdmissionQueue::push(const Request &r)
         numDropped += 1;
         return false;
     }
-    if (!impl->ranked)
-        impl->ensureIndexed(impl->indexedPolicy);
     impl->insertItem(r);
     numAdmitted += 1;
     return true;
@@ -314,124 +324,35 @@ AdmissionQueue::pushUncounted(const Request &r)
 {
     if (impl->live.size() >= maxDepth)
         return false; // shed, but never a second `dropped`
-    if (!impl->ranked)
-        impl->ensureIndexed(impl->indexedPolicy);
     impl->insertItem(r);
     return true;
 }
 
-const Request &
-AdmissionQueue::peek(QueuePolicy policy) const
-{
-    impl->ensureIndexed(policy);
-    const Request *r = impl->firstEligible(nullptr);
-    simAssert(r != nullptr, "peek on empty queue");
-    return *r;
-}
-
 const Request *
 AdmissionQueue::peekEligible(
-    QueuePolicy policy,
     const std::function<bool(const Request &)> &excluded) const
 {
-    impl->ensureIndexed(policy);
-    if (!excluded)
-        return impl->firstEligible(nullptr);
-    return impl->firstEligible(
-        [&](const Request &r) { return !excluded(r); });
-}
-
-Request
-AdmissionQueue::pop(QueuePolicy policy)
-{
-    impl->ensureIndexed(policy);
-    const Request *r = impl->firstEligible(nullptr);
-    simAssert(r != nullptr, "pop on empty queue");
-    const Request out = *r;
-    impl->removeById(out.id);
-    return out;
-}
-
-std::vector<Request>
-AdmissionQueue::popCompatible(
-    QueuePolicy policy,
-    const std::function<bool(const Request &, const Request &)> &compatible,
-    std::size_t max_count)
-{
-    simAssert(!empty(), "popCompatible on empty queue");
-    return popLedBy(peek(policy), policy, compatible, max_count, nullptr);
-}
-
-std::vector<Request>
-AdmissionQueue::popLedBy(
-    const Request &head, QueuePolicy policy,
-    const std::function<bool(const Request &, const Request &)> &compatible,
-    std::size_t max_count,
-    const std::function<bool(const Request &)> &excluded)
-{
-    simAssert(max_count >= 1, "popLedBy needs max_count >= 1");
-    impl->ensureIndexed(policy);
-    const Request lead = head; // copy: `head` may point into the queue
-    const auto stored = impl->live.find(lead.id);
-    simAssert(stored != impl->live.end(), "popLedBy head is not queued");
-
-    std::vector<Request> out;
-    out.reserve(std::min<std::size_t>(max_count, impl->live.size()));
-    out.push_back(stored->second.r);
-    impl->removeById(lead.id);
-
-    // Followers in global rank order. Predicates are fixed for the
-    // duration of the call, so one ordered pass taking the first
-    // max_count - 1 passers selects exactly what the seed's repeated
-    // best-of-scan did.
-    const auto wanted = [&](const Request &r) {
-        return compatible(lead, r) && !(excluded && excluded(r));
-    };
-    if (impl->global.treeMode) {
-        auto it = impl->global.tree.begin();
-        while (it != impl->global.tree.end() && out.size() < max_count) {
-            const Request &r = impl->live.at(it->id).r;
-            if (wanted(r)) {
-                const Entry e = *it;
-                out.push_back(r);
-                it = impl->global.tree.erase(it);
-                impl->global.liveCount -= 1;
-                impl->indexErase(impl->classOf(out.back()), e);
-                impl->live.erase(e.id);
-            } else {
-                ++it;
-            }
-        }
-    } else {
-        Impl::pruneFront(impl->global, *impl);
-        for (const Entry &e : impl->global.ring) {
-            if (out.size() >= max_count)
-                break;
-            if (!impl->alive(e))
-                continue;
-            const Request &r = impl->live.at(e.id).r;
-            if (!wanted(r))
-                continue;
-            out.push_back(r);
-            impl->global.liveCount -= 1;
-            impl->indexErase(impl->classOf(out.back()), e);
-            impl->live.erase(e.id);
-        }
-    }
-    return out;
+    for (auto &kv : impl->classes)
+        impl->open(kv.second);
+    const Request *found = nullptr;
+    impl->merge([&](const Request &r) {
+        if (excluded && excluded(r))
+            return Step::Skip;
+        found = &r;
+        return Step::Stop;
+    });
+    return found;
 }
 
 std::vector<Request>
 AdmissionQueue::popLedByBuckets(
-    const Request &head, QueuePolicy policy,
-    const std::vector<std::uint32_t> &buckets,
+    const Request &head, const std::vector<std::uint32_t> &buckets,
     const std::function<bool(const Request &, const Request &)> &extra,
     std::size_t max_count,
     const std::function<bool(const Request &)> &excluded)
 {
     simAssert(max_count >= 1, "popLedByBuckets needs max_count >= 1");
-    impl->ensureIndexed(policy);
-    const Request lead = head;
+    const Request lead = head; // copy: `head` may point into the queue
     const auto stored = impl->live.find(lead.id);
     simAssert(stored != impl->live.end(),
               "popLedByBuckets head is not queued");
@@ -440,92 +361,26 @@ AdmissionQueue::popLedByBuckets(
     out.reserve(max_count);
     out.push_back(stored->second.r);
     impl->removeById(lead.id);
+    if (max_count == 1)
+        return out;
 
-    const auto wanted = [&](const Request &r) {
-        return (!extra || extra(lead, r)) &&
-               !(excluded && excluded(r));
-    };
-
-    // Candidate class sub-queues: (lead's network) x allowed buckets.
-    // Deduplicated — two cursors over one sub-queue would invalidate
-    // each other's iterators on erase.
-    std::vector<OrderIndex *> cand;
-    for (const std::uint32_t b : buckets) {
-        const auto it = impl->classes.find({lead.networkId, b});
-        if (it == impl->classes.end())
-            continue;
-        if (std::find(cand.begin(), cand.end(), &it->second) ==
-            cand.end())
-            cand.push_back(&it->second);
+    // Candidate class sub-queues: (lead's network) x allowed buckets,
+    // each opened once — two cursors over one index would invalidate
+    // each other on erase.
+    for (auto b = buckets.begin(); b != buckets.end(); ++b) {
+        const auto it = impl->classes.find({lead.networkId, *b});
+        if (it != impl->classes.end() &&
+            std::find(buckets.begin(), b, *b) == b)
+            impl->open(it->second);
     }
-
-    // K-way merge across the candidate classes in rank order. A
-    // cursor only moves forward: entries it passes are dead, already
-    // taken, or predicate-rejected — and predicates are fixed for the
-    // call, so a rejected entry never becomes eligible again.
-    struct Cursor
-    {
-        OrderIndex *ix;
-        std::set<Entry, RankLess>::iterator ti;
-        std::size_t ri = 0;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(cand.size());
-    for (OrderIndex *ix : cand)
-        cursors.push_back(Cursor{ix, ix->tree.begin(), 0});
-
-    while (out.size() < max_count) {
-        Cursor *best = nullptr;
-        for (auto &c : cursors) {
-            // Advance to the cursor's next live entry.
-            if (c.ix->treeMode) {
-                if (c.ti == c.ix->tree.end())
-                    continue;
-            } else {
-                while (c.ri < c.ix->ring.size() &&
-                       !impl->alive(c.ix->ring[c.ri]))
-                    c.ri += 1;
-                if (c.ri >= c.ix->ring.size())
-                    continue;
-            }
-            const Entry &e =
-                c.ix->treeMode ? *c.ti : c.ix->ring[c.ri];
-            if (best == nullptr) {
-                best = &c;
-                continue;
-            }
-            const Entry &b = best->ix->treeMode
-                                 ? *best->ti
-                                 : best->ix->ring[best->ri];
-            if (e.rank() < b.rank())
-                best = &c;
-        }
-        if (best == nullptr)
-            break;
-        const Entry e =
-            best->ix->treeMode ? *best->ti : best->ix->ring[best->ri];
-        const Request &r = impl->live.at(e.id).r;
-        if (!wanted(r)) {
-            if (best->ix->treeMode)
-                ++best->ti;
-            else
-                best->ri += 1;
-            continue;
-        }
+    impl->merge([&](const Request &r) {
+        if (out.size() >= max_count)
+            return Step::Stop;
+        if ((extra && !extra(lead, r)) || (excluded && excluded(r)))
+            return Step::Skip;
         out.push_back(r);
-        if (best->ix->treeMode) {
-            best->ti = best->ix->tree.erase(best->ti);
-            best->ix->liveCount -= 1;
-        } else {
-            best->ix->liveCount -= 1;
-            best->ri += 1;
-        }
-        // Global index: eager erase in tree mode, tombstone in ring.
-        if (impl->global.treeMode)
-            impl->global.tree.erase(e);
-        impl->global.liveCount -= 1;
-        impl->live.erase(e.id);
-    }
+        return Step::Take;
+    });
     return out;
 }
 
@@ -534,25 +389,13 @@ AdmissionQueue::visitClass(
     std::uint32_t network_id, std::uint32_t bucket,
     const std::function<bool(const Request &)> &fn) const
 {
-    if (!impl->ranked)
-        impl->ensureIndexed(impl->indexedPolicy);
     const auto it = impl->classes.find({network_id, bucket});
     if (it == impl->classes.end())
         return;
-    OrderIndex &ix = it->second;
-    Impl::pruneFront(ix, *impl);
-    if (ix.treeMode) {
-        for (const Entry &e : ix.tree)
-            if (!fn(impl->live.at(e.id).r))
-                return;
-    } else {
-        for (const Entry &e : ix.ring) {
-            if (!impl->alive(e))
-                continue;
-            if (!fn(impl->live.at(e.id).r))
-                return;
-        }
-    }
+    impl->open(it->second);
+    impl->merge([&](const Request &r) {
+        return fn(r) ? Step::Skip : Step::Stop;
+    });
 }
 
 } // namespace pointacc

@@ -18,21 +18,26 @@
  *
  * The seed implementation scanned a flat vector per selection —
  * O(depth) per pop with O(depth) mid-vector erases, which dominated
- * million-request simulations. Selection now runs over policy-ranked
- * indexes (see queue.cpp):
+ * million-request simulations. The policy is fixed at
+ * construction, and each queued request is held by exactly one order
+ * index: the sub-queue of its (networkId, sizeBucket) class, sorted by
+ * the policy's rank (see queue.cpp). A class index is either
  *
- *  - a FIFO ring buffer (rank-ordered deque with lazy tombstones —
- *    pushes arrive in rank order on the scheduler's path, so admission
- *    is an O(1) append and pop is an O(1) front read);
- *  - SJF/EDF ordered indexes keyed (policy key, arrival, id) with
- *    O(log depth) insert/erase;
- *  - per-(networkId, sizeBucket) class sub-queues in the same rank
- *    order, so batch formation (popLedBy via Batcher) and wait-for-K
- *    group counting visit only candidate classes instead of scanning
- *    the whole queue.
+ *  - a ring (FIFO): a rank-ordered deque with lazy tombstones — pushes
+ *    arrive in rank order on the scheduler's path, so admission is an
+ *    O(1) append — or
+ *  - a tree (SJF/EDF): an ordered set with O(log depth) insert/erase.
+ *
+ * Selection is one rank-order merge over class indexes: the head pick
+ * (peekEligible) merges every class, batch formation (popLedByBuckets)
+ * merges only the head's network x allowed buckets, and the wait-for-K
+ * probe (visitClass) walks a single class. The merge drops the dead
+ * prefix of every ring it opens, so the FIFO head stays an O(classes)
+ * read however many requests have left the queue.
  *
  * Every ranking is the total order (policy key, arrival cycle, id) the
- * seed used, so pop order — including every tie-break — is unchanged;
+ * seed used, and each class index is sorted by it, so the merge visits
+ * entries in exactly the seed's pop order — including every tie-break;
  * tests/test_runtime_properties.cpp fuzzes pop-for-pop equivalence
  * against the preserved seed queue (runtime/reference.hpp).
  *
@@ -41,10 +46,9 @@
  * dropped() counts every push exactly once, so the serving report's
  * conservation identity (generated = admitted + dropped) holds; every
  * policy's ranking is total and deterministic (ties always break on
- * arrival cycle, then id), so equal seeds replay byte-identically;
- * peek/pop/peekEligible agree on the same single ranking. Request ids
- * must be unique among queued items (the workload generator's ids are;
- * enqueuing a duplicate id asserts).
+ * arrival cycle, then id), so equal seeds replay byte-identically.
+ * Request ids must be unique among queued items (the workload
+ * generator's ids are; enqueuing a duplicate id asserts).
  */
 
 #ifndef POINTACC_RUNTIME_QUEUE_HPP
@@ -74,7 +78,8 @@ std::string toString(QueuePolicy policy);
 class AdmissionQueue
 {
   public:
-    explicit AdmissionQueue(std::size_t max_depth);
+    /** `policy` ranks every selection for the queue's lifetime. */
+    AdmissionQueue(std::size_t max_depth, QueuePolicy policy);
     ~AdmissionQueue();
 
     AdmissionQueue(AdmissionQueue &&) noexcept;
@@ -99,53 +104,31 @@ class AdmissionQueue
     std::size_t size() const;
     std::size_t depthLimit() const { return maxDepth; }
 
-    /** Next request under `policy` (queue must be non-empty). */
-    const Request &peek(QueuePolicy policy) const;
-
     /**
-     * Best-ranked request under `policy` that `excluded` does not
+     * Best-ranked request that `excluded` (empty = none) does not
      * reject, or nullptr when every queued request is excluded. The
      * scheduler uses this to skip over wait-for-K held groups so a
-     * held head never blocks dispatchable traffic behind it.
+     * held head never blocks dispatchable traffic behind it. The
+     * pointer is valid until the queue is next modified.
      */
     const Request *
-    peekEligible(QueuePolicy policy,
-                 const std::function<bool(const Request &)> &excluded)
+    peekEligible(const std::function<bool(const Request &)> &excluded)
         const;
 
-    /** Remove and return the next request under `policy`. */
-    Request pop(QueuePolicy policy);
-
     /**
-     * Pop the request with `head`'s id plus up to `max_count - 1`
-     * further requests satisfying `compatible(head, other)` and not
-     * rejected by `excluded` (empty = no filter), in policy order.
-     * `head` must be queued. This is popCompatible anchored at an
-     * explicit leader instead of the policy head. The predicate is
-     * arbitrary, so selection traverses the global rank order; the
-     * batcher's structured path (popLedByBuckets) narrows the
-     * traversal to candidate classes instead.
-     */
-    std::vector<Request>
-    popLedBy(const Request &head, QueuePolicy policy,
-             const std::function<bool(const Request &, const Request &)>
-                 &compatible,
-             std::size_t max_count,
-             const std::function<bool(const Request &)> &excluded);
-
-    /**
-     * Batch formation over class sub-queues: pop `head` plus up to
-     * `max_count - 1` followers drawn only from the (head.networkId,
-     * bucket) sub-queues for the listed `buckets`, in policy order
-     * across those classes, accepting a follower r only when
-     * `extra(head, r)` (empty = always) holds and `excluded(r)` (empty
-     * = never) does not. With `buckets` = every bucket whose size
-     * ratio the batcher allows, this selects exactly the requests the
-     * generic popLedBy would — without visiting other networks'
+     * Batch formation over class sub-queues: pop `head` (which must be
+     * queued) plus up to `max_count - 1` followers drawn only from the
+     * (head.networkId, bucket) sub-queues for the listed `buckets`, in
+     * rank order across those classes, accepting a follower r only
+     * when `extra(head, r)` (empty = always) holds and `excluded(r)`
+     * (empty = never) does not. With `buckets` = every bucket whose
+     * size ratio the batcher allows, this selects exactly the
+     * followers a scan of the whole queue under the batcher's
+     * compatibility rule would — without visiting other networks'
      * entries.
      */
     std::vector<Request>
-    popLedByBuckets(const Request &head, QueuePolicy policy,
+    popLedByBuckets(const Request &head,
                     const std::vector<std::uint32_t> &buckets,
                     const std::function<bool(const Request &,
                                              const Request &)> &extra,
@@ -153,24 +136,9 @@ class AdmissionQueue
                     const std::function<bool(const Request &)> &excluded);
 
     /**
-     * Pop the policy's head request plus up to `max_count - 1` further
-     * requests satisfying `compatible(head, other)`, in policy order.
-     * This is the batcher's access path: the head anchors the batch so
-     * policy ordering decides *which* batch forms, and compatibility
-     * decides who may join it.
-     */
-    std::vector<Request>
-    popCompatible(QueuePolicy policy,
-                  const std::function<bool(const Request &, const Request &)>
-                      &compatible,
-                  std::size_t max_count);
-
-    /**
      * Visit every queued request of class (networkId, sizeBucket) in
-     * the rank order of the most recently used policy; `fn` returns
-     * false to stop early. The batcher's wait-for-K probe counts group
-     * members this way — the probe's outcome is order-independent, so
-     * any visit order matches the seed's full-queue scan.
+     * rank order; `fn` returns false to stop early. The batcher's
+     * wait-for-K probe counts group members this way.
      */
     void visitClass(std::uint32_t network_id, std::uint32_t bucket,
                     const std::function<bool(const Request &)> &fn) const;

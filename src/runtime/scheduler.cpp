@@ -471,7 +471,7 @@ FleetScheduler::run(RequestSource &source) const
     report.runAheadDepth = cfg.runAheadDepth;
     report.costAware = cfg.batcher.costAware;
 
-    AdmissionQueue queue(cfg.queueDepth);
+    AdmissionQueue queue(cfg.queueDepth, cfg.policy);
     Batcher batcher(cfg.batcher, bucketScales);
 
     // Cross-request kernel-map cache. Keys memoize the per-network
@@ -600,29 +600,37 @@ FleetScheduler::run(RequestSource &source) const
         }
     }
 
-    // SJF/EDF estimates are priced against the lead accelerator, in ns
-    // on the event axis; on a heterogeneous fleet relative job
-    // ordering is what matters, and network cost ratios are stable
-    // across classes.
-    const AcceleratorConfig &reference = fleet.front();
-    // Admission estimate per (network, bucket): the profile call is
-    // deterministic, so memoizing it against the reference instance
+    // Reference prices per (network, bucket), against the lead
+    // accelerator in ns on the event axis: the SJF/EDF admission
+    // estimate and the cost-aware weight-reload and mapping prices.
+    // On a heterogeneous fleet relative job ordering and cost
+    // magnitudes are what matter, and network cost ratios are stable
+    // across classes. The profile call is deterministic, so one memo
     // keeps per-arrival admission O(log classes).
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-        estCache;
-    const auto estimateOf = [&](const Request &r) {
+    const AcceleratorConfig &reference = fleet.front();
+    struct ClassPrice
+    {
+        std::uint64_t estimateNs = 0;
+        std::uint64_t weightLoadNs = 0;
+        std::uint64_t mapNs = 0;
+    };
+    std::map<std::pair<std::uint32_t, std::uint32_t>, ClassPrice>
+        priceCache;
+    const auto priceOf = [&](const Request &r) -> const ClassPrice & {
         const auto key = std::make_pair(r.networkId, r.sizeBucket);
-        auto it = estCache.find(key);
-        if (it == estCache.end())
-            it = estCache
+        auto it = priceCache.find(key);
+        if (it == priceCache.end()) {
+            const auto p =
+                model.profile(reference, r.networkId, r.sizeBucket);
+            const double f = reference.freqGHz;
+            it = priceCache
                      .emplace(key,
-                              cyclesToNs(model
-                                             .profile(reference,
-                                                      r.networkId,
-                                                      r.sizeBucket)
-                                             .totalCycles,
-                                         reference.freqGHz))
+                              ClassPrice{
+                                  cyclesToNs(p.totalCycles, f),
+                                  cyclesToNs(p.weightLoadCycles, f),
+                                  cyclesToNs(p.phases().mapCycles, f)})
                      .first;
+        }
         return it->second;
     };
 
@@ -659,34 +667,6 @@ FleetScheduler::run(RequestSource &source) const
         return (it->second.lastNs - it->second.firstNs) /
                (it->second.count - 1);
     };
-    // Weight-reload and mapping prices per (network, bucket), against
-    // the reference instance like the SJF/EDF estimates — the decision
-    // compares magnitudes, and cost ratios are stable across classes.
-    struct ClassPrice
-    {
-        std::uint64_t weightLoadNs = 0;
-        std::uint64_t mapNs = 0;
-    };
-    std::map<std::pair<std::uint32_t, std::uint32_t>, ClassPrice>
-        priceCache;
-    const auto priceOf = [&](const Request &r) {
-        const auto key = std::make_pair(r.networkId, r.sizeBucket);
-        auto it = priceCache.find(key);
-        if (it == priceCache.end()) {
-            const auto p =
-                model.profile(reference, r.networkId, r.sizeBucket);
-            it = priceCache
-                     .emplace(key,
-                              ClassPrice{
-                                  cyclesToNs(p.weightLoadCycles,
-                                             reference.freqGHz),
-                                  cyclesToNs(p.phases().mapCycles,
-                                             reference.freqGHz)})
-                     .first;
-        }
-        return it->second;
-    };
-
     // The global event heap (arrivals, map-done, run-done, batch-hold
     // timer) with lazy invalidation; see Event above. Replaces the
     // seed loop's per-iteration rescan of every instance.
@@ -1071,8 +1051,7 @@ FleetScheduler::run(RequestSource &source) const
             if (!anyAccept)
                 return;
 
-            const Request *head =
-                queue.peekEligible(cfg.policy, inHeldGroup);
+            const Request *head = queue.peekEligible(inHeldGroup);
             if (head == nullptr)
                 return; // everything queued belongs to a held group
 
@@ -1103,8 +1082,7 @@ FleetScheduler::run(RequestSource &source) const
                 continue; // other groups may still dispatch
             }
 
-            Batch batch =
-                batcher.formLedBy(queue, *head, cfg.policy, inHeldGroup);
+            Batch batch = batcher.formLedBy(queue, *head, inHeldGroup);
             // Hold episodes end at dispatch: dropping the members'
             // ids keeps the dedup set bounded by queue depth however
             // long the trace runs (a re-queued id later starts a
@@ -1589,7 +1567,7 @@ FleetScheduler::run(RequestSource &source) const
                source.peek()->arrivalCycle <= clock) {
             Request r = source.take();
             report.generated += 1;
-            r.estimatedCycles = estimateOf(r);
+            r.estimatedCycles = priceOf(r).estimateNs;
             // The cadence tracks the offered arrival process (drops
             // included; retries and hedges are re-admissions, not
             // arrivals, and never pass through here).

@@ -102,165 +102,34 @@ diurnalProgram(const WorkloadSpec &base, std::uint64_t period_cycles,
     return program;
 }
 
+namespace {
+
+const TrafficProgram &
+validated(const TrafficProgram &program)
+{
+    validateTrafficProgram(program);
+    return program;
+}
+
+} // namespace
+
 TrafficStream::TrafficStream(const TrafficProgram &program)
-    : prog(program), rng(program.base.seed)
+    : WorkloadStream(validated(program).base, program.phases,
+                     program.churn.intervalCycles)
 {
-    validateTrafficProgram(prog);
-    for (const auto &cls : prog.base.mix)
-        totalWeight += cls.weight;
-    // Resolve the rate schedule into segments. The event process
-    // (bursty thinning) and meanGap use the stationary stream's exact
-    // expressions per segment, so a phase-free program draws the
-    // byte-identical gap sequence WorkloadStream draws.
-    const bool bursty = prog.base.arrivals == ArrivalProcess::Bursty;
-    const double perEvent =
-        bursty ? static_cast<double>(prog.base.meanBurstSize) : 1.0;
-    auto segmentOf = [&](std::uint64_t start, double rate) {
-        Segment s;
-        s.startCycle = static_cast<double>(start);
-        s.ratePerMCycle = rate;
-        s.meanGap = 1.0 / (rate / 1e6 / perEvent);
-        return s;
-    };
-    segments.push_back(segmentOf(0, prog.base.requestsPerMCycle));
-    for (const auto &ph : prog.phases) {
-        if (ph.startCycle == 0)
-            segments.back() = segmentOf(0, ph.requestsPerMCycle);
-        else
-            segments.push_back(
-                segmentOf(ph.startCycle, ph.requestsPerMCycle));
-    }
-    clock = drawNextEventTime(0.0);
-    nextEventCycle = static_cast<std::uint64_t>(clock);
-    exhausted = nextEventCycle >= prog.base.horizonCycles;
-}
-
-double
-TrafficStream::drawNextEventTime(double from)
-{
-    // Piecewise-exponential simulation: draw a gap at the current
-    // segment's mean; a draw that crosses the next rate boundary is
-    // discarded and restarted *at* the boundary under the new rate —
-    // exact for a piecewise-constant-rate Poisson process by
-    // memorylessness. With one segment this is a single draw, the
-    // stationary stream's sequence.
-    double t = from;
-    std::size_t seg = segments.size() - 1;
-    while (seg > 0 && t < segments[seg].startCycle)
-        --seg;
-    for (;;) {
-        const double gap =
-            detail::exponentialDraw(rng, segments[seg].meanGap);
-        if (seg + 1 == segments.size())
-            return t + gap;
-        const double boundary = segments[seg + 1].startCycle;
-        if (t + gap < boundary)
-            return t + gap;
-        t = boundary;
-        ++seg;
-    }
-}
-
-void
-TrafficStream::refill()
-{
-    const bool bursty = prog.base.arrivals == ArrivalProcess::Bursty;
-    const std::uint64_t churnInterval = prog.churn.intervalCycles;
-
-    // Same release rule as WorkloadStream::refill: the heap top is
-    // safe once no unmaterialized event can rank before it.
-    while (!exhausted &&
-           (pending.empty() ||
-            pending.top().arrivalCycle > nextEventCycle)) {
-        const std::uint64_t cycle = nextEventCycle;
-
-        // Stream churn: crossing an interval boundary retires every
-        // stream's frame history, so the next frame of each stream is
-        // fresh geometry with a new cloudId (map-cache cold misses),
-        // the way a rotated client population looks to the fleet.
-        if (churnInterval > 0) {
-            const std::uint64_t epoch = cycle / churnInterval;
-            if (epoch > churnEpoch) {
-                churnEvents += epoch - churnEpoch;
-                churnEpoch = epoch;
-                lastFrame.clear();
-            }
-        }
-
-        std::uint64_t count = 1;
-        if (bursty && prog.base.meanBurstSize > 1)
-            count = 1 + rng.range(2 * prog.base.meanBurstSize - 1);
-        const auto &cls = prog.base.mix[detail::pickWeightedClass(
-            rng, prog.base.mix, totalWeight)];
-        for (std::uint64_t i = 0; i < count; ++i) {
-            Request r;
-            r.id = nextId++;
-            r.networkId = cls.networkId;
-            r.sizeBucket = cls.sizeBucket;
-            const auto last = lastFrame.find(cls.streamId);
-            const bool repeat = cls.mapReuseProb > 0.0 &&
-                                last != lastFrame.end() &&
-                                rng.uniform() < cls.mapReuseProb;
-            r.cloudId = repeat ? last->second : nextCloudId++;
-            lastFrame[cls.streamId] = r.cloudId;
-            r.arrivalCycle = cycle + i;
-            if (cls.deadlineCycles > 0)
-                r.deadlineCycle = r.arrivalCycle + cls.deadlineCycles;
-            pending.push(r);
-        }
-        peak = std::max(peak,
-                        pending.size() + (lookahead.has_value() ? 1 : 0));
-
-        clock = drawNextEventTime(clock);
-        const auto next = static_cast<std::uint64_t>(clock);
-        if (next >= prog.base.horizonCycles)
-            exhausted = true;
-        else
-            nextEventCycle = next;
-    }
-}
-
-std::optional<Request>
-TrafficStream::nextInternal()
-{
-    refill();
-    if (pending.empty())
-        return std::nullopt;
-    Request r = pending.top();
-    pending.pop();
-    numEmitted += 1;
-    return r;
-}
-
-const Request *
-TrafficStream::peek()
-{
-    if (!lookahead)
-        lookahead = nextInternal();
-    return lookahead ? &*lookahead : nullptr;
-}
-
-Request
-TrafficStream::take()
-{
-    if (!lookahead)
-        lookahead = nextInternal();
-    Request r = *lookahead;
-    lookahead.reset();
-    return r;
+    shape.present = true;
+    shape.program = program.name;
+    shape.segments = segmentCount();
+    shape.basePerMCycle = program.base.requestsPerMCycle;
+    shape.peakPerMCycle = program.peakRequestsPerMCycle();
+    shape.churnIntervalCycles = program.churn.intervalCycles;
 }
 
 TrafficTelemetry
 TrafficStream::telemetry() const
 {
-    TrafficTelemetry t;
-    t.present = true;
-    t.program = prog.name;
-    t.segments = segments.size();
-    t.basePerMCycle = prog.base.requestsPerMCycle;
-    t.peakPerMCycle = prog.peakRequestsPerMCycle();
-    t.churnIntervalCycles = prog.churn.intervalCycles;
-    t.churnEvents = churnEvents;
+    TrafficTelemetry t = shape;
+    t.churnEvents = churnEventCount();
     return t;
 }
 

@@ -28,12 +28,13 @@
  *
  * TrafficStream emits a program lazily behind the same RequestSource
  * interface the scheduler already consumes, so the event loop is
- * untouched. Rate changes use the exact piecewise-exponential
+ * untouched; it is WorkloadStream's engine run with the program's rate
+ * schedule and churn. Rate changes use the exact piecewise-exponential
  * construction (draw a gap at the current segment's rate; if it
  * crosses the next boundary, restart the draw *at* the boundary under
  * the new rate — valid by memorylessness), and every per-event draw
  * (gap, burst size, class pick, per-member reuse) happens in the
- * WorkloadStream's exact order. A program with no phases and no churn
+ * stationary stream's order. A program with no phases and no churn
  * is therefore byte-identical to the stationary stream with the same
  * spec — the anchor property test that pins this layer to the seed
  * generator's contract.
@@ -52,26 +53,13 @@
 
 #include <cstdint>
 #include <istream>
-#include <map>
-#include <optional>
 #include <ostream>
-#include <queue>
 #include <string>
 #include <vector>
 
-#include "core/rng.hpp"
 #include "runtime/workload.hpp"
 
 namespace pointacc {
-
-/** One piecewise-rate segment boundary: from startCycle on, arrivals
- *  run at requestsPerMCycle (until the next phase, or forever). The
- *  span before the first phase runs at the base spec's rate. */
-struct RatePhase
-{
-    std::uint64_t startCycle = 0;
-    double requestsPerMCycle = 1.0;
-};
 
 /** Stream-churn knob: every intervalCycles the per-stream frame
  *  history resets, so each stream's next frame is fresh geometry with
@@ -141,70 +129,24 @@ struct TrafficTelemetry
 };
 
 /**
- * Lazy arrival stream over a TrafficProgram: WorkloadStream's
- * streaming contract (O(in-flight + classes) memory, bounded reorder
- * heap, arrivalOrderBefore emission order) generalized to a
- * piecewise rate schedule plus stream churn. See the file header for
- * the draw-order guarantee.
+ * Lazy arrival stream over a TrafficProgram: WorkloadStream's engine
+ * (O(in-flight + classes) memory, bounded reorder heap,
+ * arrivalOrderBefore emission order) run with the program's rate
+ * schedule and stream churn. See the file header for the draw-order
+ * guarantee.
  */
-class TrafficStream : public RequestSource
+class TrafficStream : public WorkloadStream
 {
   public:
     /** Validates the program (std::invalid_argument on violation). */
     explicit TrafficStream(const TrafficProgram &program);
 
-    const Request *peek() override;
-    Request take() override;
-
     /** Telemetry snapshot (program shape + churn events so far);
      *  meaningful after the stream has been drained. */
     TrafficTelemetry telemetry() const;
 
-    std::uint64_t emitted() const { return numEmitted; }
-    std::size_t peakBuffered() const { return peak; }
-
   private:
-    /** One resolved piecewise-rate segment. */
-    struct Segment
-    {
-        double startCycle = 0.0;
-        double meanGap = 1.0; ///< mean inter-event gap at this rate
-        double ratePerMCycle = 0.0;
-    };
-
-    struct LaterArrival
-    {
-        bool
-        operator()(const Request &a, const Request &b) const
-        {
-            return arrivalOrderBefore(b, a);
-        }
-    };
-
-    /** Next event time after `from`: piecewise-exponential draw with
-     *  restart-at-boundary (memorylessness). */
-    double drawNextEventTime(double from);
-
-    void refill();
-    std::optional<Request> nextInternal();
-
-    TrafficProgram prog;
-    std::vector<Segment> segments;
-    Rng rng;
-    double totalWeight = 0.0;
-    double clock = 0.0;
-    std::uint64_t nextEventCycle = 0;
-    bool exhausted = false;
-    std::uint64_t nextId = 0;
-    std::uint64_t nextCloudId = 1;
-    std::map<std::uint32_t, std::uint64_t> lastFrame;
-    std::priority_queue<Request, std::vector<Request>, LaterArrival>
-        pending;
-    std::optional<Request> lookahead;
-    std::size_t peak = 0;
-    std::uint64_t numEmitted = 0;
-    std::uint64_t churnEpoch = 0;
-    std::uint64_t churnEvents = 0;
+    TrafficTelemetry shape; ///< everything but churnEvents
 };
 
 /** Drain a program into a sorted trace (ids dense from 0). When

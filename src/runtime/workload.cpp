@@ -78,7 +78,14 @@ pickWeightedClass(Rng &rng, const std::vector<RequestClass> &mix,
 } // namespace detail
 
 WorkloadStream::WorkloadStream(const WorkloadSpec &spec)
-    : wspec(spec), rng(spec.seed)
+    : WorkloadStream(spec, {}, 0)
+{
+}
+
+WorkloadStream::WorkloadStream(const WorkloadSpec &spec,
+                               const std::vector<RatePhase> &phases,
+                               std::uint64_t churn_interval)
+    : wspec(spec), churnInterval(churn_interval), rng(spec.seed)
 {
     validateWorkloadSpec(wspec);
     for (const auto &cls : wspec.mix)
@@ -91,13 +98,48 @@ WorkloadStream::WorkloadStream(const WorkloadSpec &spec)
     const bool bursty = wspec.arrivals == ArrivalProcess::Bursty;
     const double perEvent =
         bursty ? static_cast<double>(wspec.meanBurstSize) : 1.0;
-    const double eventRatePerCycle =
-        wspec.requestsPerMCycle / 1e6 / perEvent;
-    meanGap = 1.0 / eventRatePerCycle;
+    const auto segmentOf = [&](std::uint64_t start, double rate) {
+        return Segment{static_cast<double>(start),
+                       1.0 / (rate / 1e6 / perEvent)};
+    };
+    segments.push_back(segmentOf(0, wspec.requestsPerMCycle));
+    for (const auto &ph : phases) {
+        if (ph.startCycle == 0)
+            segments.back() = segmentOf(0, ph.requestsPerMCycle);
+        else
+            segments.push_back(
+                segmentOf(ph.startCycle, ph.requestsPerMCycle));
+    }
     // First inter-event gap (the seed loop's first draw).
-    clock = detail::exponentialDraw(rng, meanGap);
+    clock = drawNextEventTime(0.0);
     nextEventCycle = static_cast<std::uint64_t>(clock);
     exhausted = nextEventCycle >= wspec.horizonCycles;
+}
+
+double
+WorkloadStream::drawNextEventTime(double from)
+{
+    // Piecewise-exponential simulation: draw a gap at the current
+    // segment's mean; a draw that crosses the next rate boundary is
+    // discarded and restarted *at* the boundary under the new rate —
+    // exact for a piecewise-constant-rate Poisson process by
+    // memorylessness. With one segment this is a single draw, the
+    // seed generator's sequence.
+    double t = from;
+    std::size_t seg = segments.size() - 1;
+    while (seg > 0 && t < segments[seg].startCycle)
+        --seg;
+    for (;;) {
+        const double gap =
+            detail::exponentialDraw(rng, segments[seg].meanGap);
+        if (seg + 1 == segments.size())
+            return t + gap;
+        const double boundary = segments[seg + 1].startCycle;
+        if (t + gap < boundary)
+            return t + gap;
+        t = boundary;
+        ++seg;
+    }
 }
 
 void
@@ -114,6 +156,19 @@ WorkloadStream::refill()
            (pending.empty() ||
             pending.top().arrivalCycle > nextEventCycle)) {
         const std::uint64_t cycle = nextEventCycle;
+
+        // Stream churn: crossing an interval boundary retires every
+        // stream's frame history, so the next frame of each stream is
+        // fresh geometry with a new cloudId (map-cache cold misses),
+        // the way a rotated client population looks to the fleet.
+        if (churnInterval > 0) {
+            const std::uint64_t epoch = cycle / churnInterval;
+            if (epoch > churnEpoch) {
+                churnEvents += epoch - churnEpoch;
+                churnEpoch = epoch;
+                lastFrame.clear();
+            }
+        }
 
         // One event = one burst; the whole burst shares one class (a
         // client uploads several clouds of the same kind in a row).
@@ -151,7 +206,7 @@ WorkloadStream::refill()
         // Draw the next event's gap now: its cycle is the release
         // threshold for everything buffered so far. Same position in
         // the RNG sequence as the seed loop's next iteration.
-        clock += detail::exponentialDraw(rng, meanGap);
+        clock = drawNextEventTime(clock);
         const auto next = static_cast<std::uint64_t>(clock);
         if (next >= wspec.horizonCycles)
             exhausted = true;

@@ -218,10 +218,23 @@ class VectorRequestSource : public RequestSource
     std::size_t next = 0;
 };
 
+/** One piecewise-rate segment boundary: from startCycle on, arrivals
+ *  run at requestsPerMCycle (until the next phase, or forever). The
+ *  span before the first phase runs at the base spec's rate. */
+struct RatePhase
+{
+    std::uint64_t startCycle = 0;
+    double requestsPerMCycle = 1.0;
+};
+
 /**
  * Lazy arrival stream (see the file header): the seed generator's
  * exact RNG draw sequence, emitted in sorted order through a bounded
- * reorder heap instead of a materialize-then-sort pass.
+ * reorder heap instead of a materialize-then-sort pass. This is the
+ * one arrival engine: the protected constructor adds a piecewise rate
+ * schedule and stream churn, which TrafficStream (runtime/traffic)
+ * exposes for traffic programs. Without phases or churn it is the
+ * stationary stream.
  */
 class WorkloadStream : public RequestSource
 {
@@ -240,6 +253,20 @@ class WorkloadStream : public RequestSource
     /** Requests emitted so far. */
     std::uint64_t emitted() const { return numEmitted; }
 
+  protected:
+    /** `spec`'s arrivals under the rate schedule `phases` (strictly
+     *  increasing startCycle, positive rates; a phase at cycle 0
+     *  replaces the base rate), with every stream's frame history
+     *  reset each `churn_interval` cycles (0 = never). */
+    WorkloadStream(const WorkloadSpec &spec,
+                   const std::vector<RatePhase> &phases,
+                   std::uint64_t churn_interval);
+
+    /** Piecewise-rate segments (>= 1). */
+    std::size_t segmentCount() const { return segments.size(); }
+    /** Churn boundaries crossed so far. */
+    std::uint64_t churnEventCount() const { return churnEvents; }
+
   private:
     struct LaterArrival
     {
@@ -250,6 +277,17 @@ class WorkloadStream : public RequestSource
         }
     };
 
+    /** One resolved piecewise-rate segment. */
+    struct Segment
+    {
+        double startCycle = 0.0;
+        double meanGap = 1.0; ///< mean inter-event gap in cycles
+    };
+
+    /** Next event time after `from`: piecewise-exponential draw with
+     *  restart-at-boundary (memorylessness). */
+    double drawNextEventTime(double from);
+
     /** Materialize events until the reorder heap's top is safe to
      *  release (no future event can rank before it) or the horizon is
      *  reached. */
@@ -258,9 +296,10 @@ class WorkloadStream : public RequestSource
     std::optional<Request> nextInternal();
 
     WorkloadSpec wspec;
+    std::vector<Segment> segments;
+    std::uint64_t churnInterval = 0;
     Rng rng;
     double totalWeight = 0.0;
-    double meanGap = 1.0;        ///< mean inter-event gap in cycles
     double clock = 0.0;          ///< continuous arrival-process time
     std::uint64_t nextEventCycle = 0; ///< next unmaterialized event
     bool exhausted = false;      ///< horizon reached; drain the heap
@@ -273,6 +312,8 @@ class WorkloadStream : public RequestSource
     std::optional<Request> lookahead;
     std::size_t peak = 0;
     std::uint64_t numEmitted = 0;
+    std::uint64_t churnEpoch = 0;
+    std::uint64_t churnEvents = 0;
 };
 
 /**

@@ -164,42 +164,54 @@ makeRequest(std::uint64_t id, std::uint64_t arrival,
     return r;
 }
 
+/** Pop the queue's head alone: a one-request batch led by it. */
+Request
+popHead(AdmissionQueue &q)
+{
+    const Request *head = q.peekEligible(nullptr);
+    if (head == nullptr) {
+        ADD_FAILURE() << "popHead on an empty queue";
+        return Request{};
+    }
+    return q.popLedByBuckets(*head, {}, nullptr, 1, nullptr).front();
+}
+
 TEST(AdmissionQueue, FifoPreservesArrivalOrder)
 {
-    AdmissionQueue q(8);
+    AdmissionQueue q(8, QueuePolicy::Fifo);
     q.push(makeRequest(0, 30));
     q.push(makeRequest(1, 10));
     q.push(makeRequest(2, 20));
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 1u);
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 2u);
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 0u);
+    EXPECT_EQ(popHead(q).id, 1u);
+    EXPECT_EQ(popHead(q).id, 2u);
+    EXPECT_EQ(popHead(q).id, 0u);
 }
 
 TEST(AdmissionQueue, SjfPicksShortestEstimate)
 {
-    AdmissionQueue q(8);
+    AdmissionQueue q(8, QueuePolicy::Sjf);
     q.push(makeRequest(0, 0, 900));
     q.push(makeRequest(1, 1, 100));
     q.push(makeRequest(2, 2, 500));
-    EXPECT_EQ(q.pop(QueuePolicy::Sjf).id, 1u);
-    EXPECT_EQ(q.pop(QueuePolicy::Sjf).id, 2u);
-    EXPECT_EQ(q.pop(QueuePolicy::Sjf).id, 0u);
+    EXPECT_EQ(popHead(q).id, 1u);
+    EXPECT_EQ(popHead(q).id, 2u);
+    EXPECT_EQ(popHead(q).id, 0u);
 }
 
 TEST(AdmissionQueue, EdfPicksEarliestDeadlineBestEffortLast)
 {
-    AdmissionQueue q(8);
+    AdmissionQueue q(8, QueuePolicy::Edf);
     q.push(makeRequest(0, 0, 0, 0));    // best-effort
     q.push(makeRequest(1, 1, 0, 5000));
     q.push(makeRequest(2, 2, 0, 1000));
-    EXPECT_EQ(q.pop(QueuePolicy::Edf).id, 2u);
-    EXPECT_EQ(q.pop(QueuePolicy::Edf).id, 1u);
-    EXPECT_EQ(q.pop(QueuePolicy::Edf).id, 0u);
+    EXPECT_EQ(popHead(q).id, 2u);
+    EXPECT_EQ(popHead(q).id, 1u);
+    EXPECT_EQ(popHead(q).id, 0u);
 }
 
 TEST(AdmissionQueue, BoundedDepthDropsAndCounts)
 {
-    AdmissionQueue q(2);
+    AdmissionQueue q(2, QueuePolicy::Fifo);
     EXPECT_TRUE(q.push(makeRequest(0, 0)));
     EXPECT_TRUE(q.push(makeRequest(1, 1)));
     EXPECT_FALSE(q.push(makeRequest(2, 2)));
@@ -214,7 +226,7 @@ TEST(AdmissionQueue, PushUncountedNeverTouchesDropAccounting)
     // admitted at its first push must not inflate `admitted` when it
     // re-enters, and a shed retry must not become a second `dropped` —
     // the conservation identities count each request exactly once.
-    AdmissionQueue q(2);
+    AdmissionQueue q(2, QueuePolicy::Fifo);
     EXPECT_TRUE(q.push(makeRequest(0, 0)));
     EXPECT_TRUE(q.pushUncounted(makeRequest(1, 1)));
     EXPECT_EQ(q.admitted(), 1u);
@@ -232,8 +244,8 @@ TEST(AdmissionQueue, PushUncountedNeverTouchesDropAccounting)
     EXPECT_EQ(q.dropped(), 1u);
 
     // Re-admitted requests drain through the policies like any other.
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 0u);
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 1u);
+    EXPECT_EQ(popHead(q).id, 0u);
+    EXPECT_EQ(popHead(q).id, 1u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -404,18 +416,17 @@ TEST(FaultValidation, MaterializeIsDeterministicAndFleetBounded)
     EXPECT_TRUE(materializeFaultEvents(off, 4).empty());
 }
 
-TEST(AdmissionQueue, PopCompatibleHonorsPredicateAndBound)
+TEST(AdmissionQueue, PopLedByBucketsStaysInNetworkAndBound)
 {
-    AdmissionQueue q(8);
+    AdmissionQueue q(8, QueuePolicy::Fifo);
     for (std::uint64_t i = 0; i < 6; ++i) {
         auto r = makeRequest(i, i);
         r.networkId = i % 2; // alternate two networks
         q.push(r);
     }
-    const auto same = [](const Request &a, const Request &b) {
-        return a.networkId == b.networkId;
-    };
-    const auto batch = q.popCompatible(QueuePolicy::Fifo, same, 2);
+    const Request *head = q.peekEligible(nullptr);
+    ASSERT_NE(head, nullptr);
+    const auto batch = q.popLedByBuckets(*head, {0u}, nullptr, 2, nullptr);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].id, 0u);
     EXPECT_EQ(batch[1].id, 2u); // next same-network, not id 1
@@ -424,7 +435,7 @@ TEST(AdmissionQueue, PopCompatibleHonorsPredicateAndBound)
 
 TEST(AdmissionQueue, VisitClassWalksExactlyThatClass)
 {
-    AdmissionQueue q(16);
+    AdmissionQueue q(16, QueuePolicy::Fifo);
     for (std::uint64_t i = 0; i < 8; ++i) {
         auto r = makeRequest(i, i);
         r.networkId = static_cast<std::uint32_t>(i % 2);
@@ -459,7 +470,7 @@ TEST(AdmissionQueue, VisitClassWalksExactlyThatClass)
 
 TEST(AdmissionQueue, PopLedByBucketsMergesClassesInPolicyOrder)
 {
-    AdmissionQueue q(16);
+    AdmissionQueue q(16, QueuePolicy::Fifo);
     // Network 0 requests across buckets 0/1/2, interleaved arrivals;
     // one network-1 request that must never join.
     const auto add = [&](std::uint64_t id, std::uint64_t arrival,
@@ -475,12 +486,12 @@ TEST(AdmissionQueue, PopLedByBucketsMergesClassesInPolicyOrder)
     add(3, 3, 0, 2);
     add(4, 4, 0, 1);
 
-    const Request head = q.peek(QueuePolicy::Fifo); // id 1, arrival 1
+    const Request head = *q.peekEligible(nullptr); // id 1, arrival 1
     ASSERT_EQ(head.id, 1u);
     // Buckets 0 and 1 are allowed; bucket 2 (id 3) is not. The merge
     // must interleave the two class sub-queues by arrival order.
-    const auto batch = q.popLedByBuckets(head, QueuePolicy::Fifo,
-                                         {0u, 1u}, nullptr, 8, nullptr);
+    const auto batch =
+        q.popLedByBuckets(head, {0u, 1u}, nullptr, 8, nullptr);
     ASSERT_EQ(batch.size(), 3u);
     EXPECT_EQ(batch[0].id, 1u);
     EXPECT_EQ(batch[1].id, 4u); // arrival 4, bucket 1
@@ -489,13 +500,13 @@ TEST(AdmissionQueue, PopLedByBucketsMergesClassesInPolicyOrder)
 
     // The per-item extra rule filters followers but never the head,
     // and only the head's network's classes are visited.
-    EXPECT_EQ(q.pop(QueuePolicy::Fifo).id, 2u); // clear network 1
+    EXPECT_EQ(popHead(q).id, 2u); // clear network 1
     add(5, 6, 0, 0);
     add(6, 7, 0, 0);
-    const Request head2 = q.peek(QueuePolicy::Fifo);
+    const Request head2 = *q.peekEligible(nullptr);
     ASSERT_EQ(head2.id, 3u); // network 0, bucket 2
     const auto filtered = q.popLedByBuckets(
-        head2, QueuePolicy::Fifo, {0u},
+        head2, {0u},
         [](const Request &, const Request &r) { return r.id % 2 == 0; },
         8, nullptr);
     ASSERT_EQ(filtered.size(), 2u); // head 3 (odd!) + id 6; id 5 odd
@@ -529,23 +540,23 @@ TEST(Batcher, CompatibilityRules)
     EXPECT_FALSE(batcher.compatible(a, b));
 }
 
-TEST(Batcher, FormRespectsMaxSizeAndDisabledMode)
+TEST(Batcher, FormLedByRespectsMaxSizeAndDisabledMode)
 {
     BatcherConfig bcfg;
     bcfg.maxBatchSize = 3;
     const Batcher batcher(bcfg, {1.0});
 
-    AdmissionQueue q(16);
+    AdmissionQueue q(16, QueuePolicy::Fifo);
     for (std::uint64_t i = 0; i < 5; ++i)
         q.push(makeRequest(i, i));
-    const auto batch = batcher.form(q, QueuePolicy::Fifo);
+    const auto batch = batcher.formLedBy(q, *q.peekEligible(nullptr), nullptr);
     EXPECT_EQ(batch.size(), 3u);
     EXPECT_EQ(q.size(), 2u);
 
     BatcherConfig off = bcfg;
     off.enabled = false;
     const Batcher single(off, {1.0});
-    const auto lone = single.form(q, QueuePolicy::Fifo);
+    const auto lone = single.formLedBy(q, *q.peekEligible(nullptr), nullptr);
     EXPECT_EQ(lone.size(), 1u);
 }
 
@@ -1023,24 +1034,24 @@ TEST(ServiceModelPhases, BatchPhasesPartitionTheBatchPrice)
 //                     Wait-for-K batching                           //
 // ---------------------------------------------------------------- //
 
-TEST(Batcher, HoldForWaitsUntilKOrTimeout)
+TEST(Batcher, HoldForHeadWaitsUntilKOrTimeout)
 {
     BatcherConfig bcfg;
     bcfg.targetK = 3;
     bcfg.maxWaitCycles = 100;
     const Batcher batcher(bcfg, {1.0});
 
-    AdmissionQueue q(16);
+    AdmissionQueue q(16, QueuePolicy::Fifo);
     auto r0 = makeRequest(0, 10);
     q.push(r0);
 
     // One of three wanted, inside the window: hold until arrival+wait.
-    auto hold = batcher.holdFor(q, QueuePolicy::Fifo, 20);
+    auto hold = batcher.holdForHead(q, *q.peekEligible(nullptr), 20);
     EXPECT_TRUE(hold.hold);
     EXPECT_EQ(hold.until, 110u);
 
     // Window expired: dispatch undersized.
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 110);
+    hold = batcher.holdForHead(q, *q.peekEligible(nullptr), 110);
     EXPECT_FALSE(hold.hold);
 
     // Incompatible requests do not count toward K.
@@ -1050,26 +1061,26 @@ TEST(Batcher, HoldForWaitsUntilKOrTimeout)
     auto third = makeRequest(2, 16);
     third.networkId = 7;
     q.push(third);
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 30);
+    hold = batcher.holdForHead(q, *q.peekEligible(nullptr), 30);
     EXPECT_TRUE(hold.hold);
 
     // K compatible requests queued: dispatch immediately.
     q.push(makeRequest(3, 17));
     q.push(makeRequest(4, 18));
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 30);
+    hold = batcher.holdForHead(q, *q.peekEligible(nullptr), 30);
     EXPECT_FALSE(hold.hold);
 
     // Excluded requests (members of other held groups) never count
     // toward K: with one of the three compatibles masked out, the
     // head must keep waiting.
     const auto maskId3 = [](const Request &r) { return r.id == 3; };
-    hold = batcher.holdForHead(q, q.peek(QueuePolicy::Fifo), 30, maskId3);
+    hold = batcher.holdForHead(q, *q.peekEligible(nullptr), 30, maskId3);
     EXPECT_TRUE(hold.hold);
 
     // Immediate-mode batcher (targetK == 1) never holds.
     BatcherConfig immediate;
     const Batcher eager(immediate, {1.0});
-    EXPECT_FALSE(eager.holdFor(q, QueuePolicy::Fifo, 0).hold);
+    EXPECT_FALSE(eager.holdForHead(q, *q.peekEligible(nullptr), 0).hold);
 }
 
 TEST(Batcher, HoldDeadlineAnchorsAtOldestGroupMember)
@@ -1082,17 +1093,18 @@ TEST(Batcher, HoldDeadlineAnchorsAtOldestGroupMember)
     bcfg.maxWaitCycles = 100;
     const Batcher batcher(bcfg, {1.0});
 
-    AdmissionQueue q(8);
+    AdmissionQueue q(8, QueuePolicy::Sjf);
     q.push(makeRequest(0, 0, 900));  // long job, arrived first
     q.push(makeRequest(1, 90, 100)); // short job, now the SJF head
-    ASSERT_EQ(q.peek(QueuePolicy::Sjf).id, 1u);
+    const Request &head = *q.peekEligible(nullptr);
+    ASSERT_EQ(head.id, 1u);
 
-    const auto hold = batcher.holdFor(q, QueuePolicy::Sjf, 95);
+    const auto hold = batcher.holdForHead(q, head, 95);
     EXPECT_TRUE(hold.hold);
     EXPECT_EQ(hold.until, 100u); // oldest arrival 0 + 100, not 190
 
     // Past the oldest member's deadline: dispatch undersized.
-    EXPECT_FALSE(batcher.holdFor(q, QueuePolicy::Sjf, 100).hold);
+    EXPECT_FALSE(batcher.holdForHead(q, head, 100).hold);
 }
 
 TEST(FleetScheduler, WaitForKCoalescesSpreadArrivals)

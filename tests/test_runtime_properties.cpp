@@ -984,77 +984,159 @@ TEST(RuntimeEquivalence, StreamingGeneratorMatchesSeedDrawForDraw)
     }
 }
 
+/** One input shape for the queue differential below. */
+struct QueueFuzzInput
+{
+    std::size_t depth = 48;
+    int ops = 400;
+    /** Arrivals drawn from [0, 4) in any order (heavy ties and sorted
+     *  ring inserts) instead of a nondecreasing clock (the scheduler's
+     *  in-order append path). */
+    bool shuffledArrivals = true;
+    /** Operations (out of 10) that push a new request; of the rest,
+     *  one re-pushes, one pops, one peeks and the others form batches. */
+    std::uint64_t pushWeight = 5;
+    /** Every other run of this many operations (0 = never), network
+     *  0's cloud-0 requests are held: they sit at the front of their
+     *  class rings while followers behind them leave, which is what
+     *  piles up interior tombstones. Head pops then go through the
+     *  held-aware batch path. */
+    int holdPhaseOps = 0;
+};
+
+/**
+ * Drive an indexed queue and the seed's linear queue under one policy
+ * through a random mix of pushes, crash-retry re-pushes (an old id
+ * with its original arrival), head pops, excluded head peeks and
+ * batch formations, asserting pop-for-pop agreement. Batch formation
+ * goes through the scheduler's sequence: peekEligible under a held
+ * set, then popLedByBuckets with that set as `excluded`, against the
+ * linear queue's popLedBy under the equivalent pairwise rule (same
+ * network, allowed bucket, extra rule).
+ */
+void
+fuzzQueuePair(QueuePolicy policy, std::uint64_t seed,
+              const QueueFuzzInput &in)
+{
+    Rng rng(seed * 0x2545f491ULL + static_cast<std::uint64_t>(policy));
+    AdmissionQueue indexed(in.depth, policy);
+    LinearRequestQueue linear(in.depth);
+    std::uint64_t nextId = 0;
+    std::uint64_t clock = 0;
+    std::vector<Request> left; // popped requests a retry may re-push
+
+    const auto push = [&](const Request &r) {
+        ASSERT_EQ(indexed.push(r), linear.push(r));
+    };
+    // A varying held set (members stay excluded for one operation
+    // only, so nothing is starved) plus, during hold phases, a sticky
+    // group that is excluded for the whole phase.
+    bool holding = false;
+    const auto heldSet = [&]() {
+        const std::uint64_t salt = rng.range(3);
+        return [salt, sticky = holding](const Request &r) {
+            return (r.id + salt) % 3 == 0 ||
+                   (sticky && r.networkId == 0 && r.cloudId == 0);
+        };
+    };
+
+    for (int op = 0; op < in.ops; ++op) {
+        SCOPED_TRACE(::testing::Message()
+                     << toString(policy) << " seed " << seed << " op "
+                     << op);
+        holding = in.holdPhaseOps > 0 && (op / in.holdPhaseOps) % 2 == 1;
+        const std::uint64_t kind = rng.range(10);
+        if (kind < in.pushWeight || linear.empty()) {
+            Request r;
+            r.id = nextId++;
+            clock += rng.range(2);
+            r.arrivalCycle = in.shuffledArrivals ? rng.range(4) : clock;
+            r.estimatedCycles = 100 * rng.range(3);
+            r.deadlineCycle = rng.range(3) == 0 ? 0 : rng.range(3);
+            r.networkId = static_cast<std::uint32_t>(rng.range(2));
+            r.sizeBucket = static_cast<std::uint32_t>(rng.range(3));
+            r.cloudId = rng.range(4);
+            push(r);
+        } else if (kind == in.pushWeight && !left.empty()) {
+            const std::size_t i = rng.range(left.size());
+            push(left[i]);
+            left.erase(left.begin() + static_cast<std::ptrdiff_t>(i));
+        } else if (kind == in.pushWeight + 1 && !holding) {
+            const Request *head = indexed.peekEligible(nullptr);
+            ASSERT_NE(head, nullptr);
+            const Request a =
+                indexed.popLedByBuckets(*head, {}, nullptr, 1, nullptr)
+                    .front();
+            const Request b = linear.pop(policy);
+            ASSERT_TRUE(sameRequest(a, b)) << "pop diverged";
+            left.push_back(a);
+        } else if (kind == in.pushWeight + 2) {
+            const auto held = heldSet();
+            const Request *a = indexed.peekEligible(held);
+            const Request *b = linear.peekEligible(policy, held);
+            ASSERT_EQ(a == nullptr, b == nullptr);
+            if (a != nullptr)
+                ASSERT_TRUE(sameRequest(*a, *b)) << "peek diverged";
+        } else {
+            const auto held = heldSet();
+            const Request *a = indexed.peekEligible(held);
+            const Request *b = linear.peekEligible(policy, held);
+            ASSERT_EQ(a == nullptr, b == nullptr);
+            if (a == nullptr)
+                continue;
+            ASSERT_TRUE(sameRequest(*a, *b)) << "batch head diverged";
+            const Request head = *a;
+            std::vector<std::uint32_t> buckets = {head.sizeBucket};
+            for (std::uint32_t k = 0; k < 3; ++k)
+                if (k != head.sizeBucket && rng.range(2) == 0)
+                    buckets.push_back(k);
+            const auto extra = [](const Request &x, const Request &y) {
+                return x.cloudId == y.cloudId;
+            };
+            const auto compatible = [&](const Request &x,
+                                        const Request &y) {
+                return x.networkId == y.networkId &&
+                       std::find(buckets.begin(), buckets.end(),
+                                 y.sizeBucket) != buckets.end() &&
+                       extra(x, y);
+            };
+            const std::size_t maxCount = 1 + rng.range(8);
+            const auto got = indexed.popLedByBuckets(head, buckets, extra,
+                                                     maxCount, held);
+            const auto want =
+                linear.popLedBy(head, policy, compatible, maxCount, held);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_TRUE(sameRequest(got[i], want[i]))
+                    << "batch diverged at index " << i;
+            left.insert(left.end(), got.begin(), got.end());
+        }
+        ASSERT_EQ(indexed.size(), linear.size());
+        ASSERT_EQ(indexed.admitted(), linear.admitted());
+        ASSERT_EQ(indexed.dropped(), linear.dropped());
+    }
+}
+
 TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
 {
-    // Fuzz the queue pair through mixed operation sequences designed
-    // to tie on every primary key (tiny arrival/estimate/deadline
-    // ranges), across all three policies — including switching the
-    // policy per call, which forces the indexed queue to rebuild.
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        Rng rng(seed * 0x2545f491ULL);
-        AdmissionQueue indexed(48);
-        LinearRequestQueue linear(48);
-        std::uint64_t nextId = 0;
-
-        const auto somePolicy = [&]() {
-            const std::uint64_t p = rng.range(3);
-            return p == 0   ? QueuePolicy::Fifo
-                   : p == 1 ? QueuePolicy::Sjf
-                            : QueuePolicy::Edf;
-        };
-
-        for (int op = 0; op < 400; ++op) {
-            const std::uint64_t kind = rng.range(10);
-            if (kind < 5 || linear.empty()) {
-                Request r;
-                r.id = nextId++;
-                r.arrivalCycle = rng.range(4); // heavy ties
-                r.estimatedCycles = 100 * rng.range(3);
-                r.deadlineCycle = rng.range(3) == 0 ? 0 : rng.range(3);
-                r.networkId = static_cast<std::uint32_t>(rng.range(2));
-                r.sizeBucket = static_cast<std::uint32_t>(rng.range(2));
-                ASSERT_EQ(indexed.push(r), linear.push(r));
-            } else if (kind < 7) {
-                const auto policy = somePolicy();
-                const Request a = indexed.pop(policy);
-                const Request b = linear.pop(policy);
-                ASSERT_TRUE(sameRequest(a, b))
-                    << "pop diverged, seed " << seed << " op " << op;
-            } else if (kind == 7) {
-                const auto policy = somePolicy();
-                const auto excluded = [&](const Request &r) {
-                    return r.id % 3 == 0;
-                };
-                const Request *a = indexed.peekEligible(policy, excluded);
-                const Request *b = linear.peekEligible(policy, excluded);
-                ASSERT_EQ(a == nullptr, b == nullptr);
-                if (a != nullptr)
-                    ASSERT_TRUE(sameRequest(*a, *b));
-            } else {
-                const auto policy = somePolicy();
-                const auto compatible = [](const Request &x,
-                                           const Request &y) {
-                    return x.networkId == y.networkId;
-                };
-                const auto excluded = [&](const Request &r) {
-                    return r.sizeBucket == 1 && r.id % 2 == 0;
-                };
-                const Request head = linear.peek(policy);
-                const std::size_t maxCount = 1 + rng.range(4);
-                const auto a = indexed.popLedBy(head, policy, compatible,
-                                                maxCount, excluded);
-                const auto b = linear.popLedBy(head, policy, compatible,
-                                               maxCount, excluded);
-                ASSERT_EQ(a.size(), b.size());
-                for (std::size_t i = 0; i < a.size(); ++i)
-                    ASSERT_TRUE(sameRequest(a[i], b[i]))
-                        << "popLedBy diverged, seed " << seed << " op "
-                        << op << " index " << i;
-            }
-            ASSERT_EQ(indexed.size(), linear.size());
-            ASSERT_EQ(indexed.admitted(), linear.admitted());
-            ASSERT_EQ(indexed.dropped(), linear.dropped());
-        }
+    // Shallow input: tiny arrival/estimate/deadline ranges tie on
+    // every primary key and arrive out of order. Deep input: in-order
+    // arrivals into a queue held near its 512 limit, long enough that
+    // the FIFO class rings pass their compaction threshold (2 x live
+    // + 64) with interior tombstones left by excluded followers.
+    QueueFuzzInput shallow;
+    QueueFuzzInput deep;
+    deep.depth = 512;
+    deep.ops = 12000;
+    deep.shuffledArrivals = false;
+    deep.pushWeight = 6;
+    deep.holdPhaseOps = 2000;
+    for (const QueuePolicy policy :
+         {QueuePolicy::Fifo, QueuePolicy::Sjf, QueuePolicy::Edf}) {
+        for (std::uint64_t seed = 1; seed <= 40; ++seed)
+            fuzzQueuePair(policy, seed, shallow);
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            fuzzQueuePair(policy, seed, deep);
     }
 }
 
