@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build + test, with warnings-as-errors on
 # the serving-runtime subsystem (src/runtime/ is new code held to a
-# stricter bar than the seed sources), the Release-only scale tier and
+# stricter bar than the seed sources), the perfbench infer_zoo digest
+# gate (a short run of the repository benchmark must match its stored
+# output digests) with perfbench's unit tests, the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
@@ -63,6 +65,25 @@ cmake -B "${BUILD_DIR}" -S . \
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
+
+# End-to-end order gate: perfbench's stored digest table pins every
+# modelled cycle and byte of the paper networks, including everything
+# the order of the functional maps drives. One short infer_zoo run must
+# report "correct": true with 0 failed operations, and perfbench's own
+# unit tests must pass in the same build tree.
+echo "== perfbench infer_zoo digest gate =="
+PERFBENCH_DIR="${BUILD_DIR}/perfbench"
+result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
+    --workload infer_zoo --seed 0 --seconds 5 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"${result}" ||
+   ! grep -q '"failed": 0[,}]' <<<"${result}"; then
+    echo "error: perfbench infer_zoo digests do not match: ${result}"
+    exit 1
+fi
+echo "perfbench infer_zoo: correct, 0 failed"
+cmake --build "${PERFBENCH_DIR}" --target perfbench_tests -j "${JOBS}"
+ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
+    -R perfbench
 
 # Serving-runtime acceptance: p99 latency must not increase with fleet
 # size, the two-stage pipeline must beat monolithic occupancy at equal

@@ -177,13 +177,40 @@ struct Coord3Hash
     }
 };
 
+/** Smallest and largest per-axis value packCoord represents exactly. */
+inline constexpr std::int32_t kPackedCoordMin = -(1 << 20);
+inline constexpr std::int32_t kPackedCoordMax = (1 << 20) - 1;
+
+/**
+ * True when the box [lo, hi], widened by `margin` on both sides of every
+ * axis, lies inside [kPackedCoordMin, kPackedCoordMax]^3.
+ *
+ * This is the validity range of packed keys: a kernel map over a cloud
+ * with bounding box [lo, hi] packs every c - delta with |delta| <=
+ * margin per axis, and a value outside the range would alias another
+ * coordinate instead of failing.
+ */
+constexpr bool
+fitsPackedKey(const Coord3 &lo, const Coord3 &hi, std::int32_t margin)
+{
+    const std::int64_t m = margin;
+    const auto fits = [m](std::int32_t a, std::int32_t b) {
+        return a - m >= kPackedCoordMin && b + m <= kPackedCoordMax;
+    };
+    return fits(lo.x, hi.x) && fits(lo.y, hi.y) && fits(lo.z, hi.z);
+}
+
 /**
  * Pack a coordinate into a single 64-bit sort key (21 bits per axis,
  * offset binary so negative coordinates order correctly).
  *
  * The packed key preserves lexicographic (x, y, z) order, which lets the
  * hardware comparator models compare one 64-bit word per element exactly
- * as a real 63-bit comparator tree would.
+ * as a real 63-bit comparator tree would. Only coordinates inside
+ * [kPackedCoordMin, kPackedCoordMax] pack exactly (see fitsPackedKey);
+ * others wrap into the 21-bit field. Inside the range the packing is
+ * linear field by field, so packCoord(c - d) == packCoord(c) -
+ * (packCoord(d) - packCoord({0, 0, 0})) whenever c, d and c - d all fit.
  */
 inline std::uint64_t
 packCoord(const Coord3 &c)

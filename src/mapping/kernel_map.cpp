@@ -1,6 +1,7 @@
 #include "mapping/kernel_map.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <unordered_map>
 
 #include "core/logging.hpp"
@@ -39,41 +40,97 @@ hashKernelMap(const PointCloud &input, const PointCloud &output,
     return maps;
 }
 
+namespace {
+
+/** Packed keys of a cloud's coordinates, in point order. */
+std::vector<std::uint64_t>
+packedKeys(const PointCloud &cloud)
+{
+    std::vector<std::uint64_t> keys(cloud.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i] = packCoord(cloud.coord(static_cast<PointIndex>(i)));
+    return keys;
+}
+
+} // namespace
+
+bool
+kernelMapKeysFit(const PointCloud &input, const PointCloud &output,
+                 const KernelMapConfig &cfg)
+{
+    std::int32_t reach = 0;
+    for (const auto &d : kernelOffsets(cfg.kernelSize, cfg.inStride))
+        reach = std::max({reach, std::abs(d.x), std::abs(d.y),
+                          std::abs(d.z)});
+    const BoundingBox in = input.boundingBox();
+    const BoundingBox out = output.boundingBox();
+    return fitsPackedKey(in.lo, in.hi, reach) &&
+           fitsPackedKey(out.lo, out.hi, 0);
+}
+
 MapSet
 sortKernelMap(const PointCloud &input, const PointCloud &output,
               const KernelMapConfig &cfg)
 {
-    simAssert(input.isSorted(), "sortKernelMap requires sorted input");
-    simAssert(output.isSorted(), "sortKernelMap requires sorted output");
+    simAssert(kernelMapKeysFit(input, output, cfg),
+              "sortKernelMap: coordinates outside the packed-key range");
+    // Inside the packed range key order is coordinate order.
+    const std::vector<std::uint64_t> inKeys = packedKeys(input);
+    const std::vector<std::uint64_t> outKeys = packedKeys(output);
+    simAssert(std::is_sorted(inKeys.begin(), inKeys.end()),
+              "sortKernelMap requires sorted input");
+    simAssert(std::is_sorted(outKeys.begin(), outKeys.end()),
+              "sortKernelMap requires sorted output");
 
     const auto offsets = kernelOffsets(cfg.kernelSize, cfg.inStride);
-    MapSet maps(static_cast<std::int32_t>(offsets.size()));
-    maps.reservePerWeight(
-        std::min(input.size(), output.size()) / 8 + 8);
+    const std::int32_t volume = static_cast<std::int32_t>(offsets.size());
+    MapSet maps(volume);
 
-    // For each weight: shift input by -delta, then walk both sorted
-    // sequences simultaneously (the software analogue of the hardware
-    // mergesort + intersection detection, Fig. 9). Because shifting by
-    // a constant preserves lexicographic order, no re-sort is needed in
-    // the functional model; the hardware model pays the merge cycles.
-    for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
-        const Coord3 &delta = offsets[w];
-        std::size_t i = 0, q = 0;
-        while (i < input.size() && q < output.size()) {
-            const Coord3 shifted =
-                input.coord(static_cast<PointIndex>(i)) - delta;
-            const Coord3 &qc = output.coord(static_cast<PointIndex>(q));
-            if (shifted == qc) {
-                maps.add(Map{static_cast<PointIndex>(i),
-                             static_cast<PointIndex>(q), w});
-                ++i;
-                ++q;
-            } else if (shifted < qc) {
-                ++i;
-            } else {
-                ++q;
-            }
+    // Shifting by a constant preserves lexicographic order, so both key
+    // streams stay sorted for every offset and no re-sort is needed in
+    // the functional model (the hardware model pays the merge cycles).
+    // Inside the packed range the shift is one subtraction per key.
+    const std::uint64_t origin = packCoord({0, 0, 0});
+
+    // Submanifold conv (odd kernel, same coordinates on both sides):
+    // the centre offset matches every point with itself, and offset
+    // -delta (weight volume-1-w) matches exactly the pairs of offset
+    // delta with in and out swapped, in the same ascending order. Only
+    // the offsets before the centre need a merge.
+    const bool mirrored = cfg.kernelSize % 2 == 1 && inKeys == outKeys;
+    const std::int32_t merged = mirrored ? volume / 2 : volume;
+
+    // Matches of one offset; one spare slot for the unconditional
+    // store of the branch-free merge below.
+    const std::size_t cap = std::min(inKeys.size(), outKeys.size()) + 1;
+    std::vector<PointIndex> ins(cap), outs(cap);
+    const std::size_t ni = inKeys.size(), nq = outKeys.size();
+
+    for (std::int32_t w = 0; w < merged; ++w) {
+        const std::uint64_t shift = packCoord(offsets[w]) - origin;
+        // Walk the shifted input and the output together (the software
+        // analogue of the hardware mergesort + intersection detection,
+        // Fig. 9): equal keys emit a map and advance both sides,
+        // otherwise the smaller side advances. Matches come out in
+        // ascending input and output index.
+        std::size_t i = 0, q = 0, n = 0;
+        while (i < ni && q < nq) {
+            const std::uint64_t a = inKeys[i] - shift;
+            const std::uint64_t b = outKeys[q];
+            ins[n] = static_cast<PointIndex>(i);
+            outs[n] = static_cast<PointIndex>(q);
+            n += a == b;
+            i += a <= b;
+            q += a >= b;
         }
+        maps.addGroup(w, ins.data(), outs.data(), n);
+        if (mirrored)
+            maps.addGroup(volume - 1 - w, outs.data(), ins.data(), n);
+    }
+    if (mirrored) {
+        for (std::size_t i = 0; i < ni; ++i)
+            ins[i] = static_cast<PointIndex>(i);
+        maps.addGroup(volume / 2, ins.data(), ins.data(), ni);
     }
     return maps;
 }

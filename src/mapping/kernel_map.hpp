@@ -11,10 +11,22 @@
  *    q + delta for every output q and offset delta.
  *  - sortKernelMap:  PointAcc's approach (Fig. 9): shift the input
  *    cloud by -delta, mergesort it with the output cloud, and detect
- *    coordinate intersections between adjacent elements.
+ *    coordinate intersections between adjacent elements. Both clouds
+ *    are packed once into 64-bit keys (packCoord), so the shift is one
+ *    subtraction and each merge step one compare of two words, exactly
+ *    the hardware's 63-bit comparator key. Packed keys are only valid
+ *    inside the range kernelMapKeysFit checks; both this function and
+ *    the MPU model assert it. When the kernel is odd and both clouds
+ *    hold the same coordinates (every submanifold conv), only the
+ *    offsets before the centre are merged: the centre group is the
+ *    identity (i, i), and group volume-1-w (offset -delta) is group w
+ *    with in and out swapped, the centro-symmetry transposeMaps uses.
  *
  * Both must produce identical MapSets; tests enforce this, and the MPU
- * hardware model is checked against sortKernelMap.
+ * hardware model is checked against sortKernelMap. The order inside
+ * each weight group is part of the result, because the memory and flow
+ * models consume maps in that order: both emit each group in ascending
+ * output index.
  */
 
 #ifndef POINTACC_MAPPING_KERNEL_MAP_HPP
@@ -32,6 +44,15 @@ struct KernelMapConfig
     int inStride = 1;    ///< input tensor stride
     int outStride = 1;   ///< output tensor stride (= inStride, or 2x)
 };
+
+/**
+ * True when every key a mergesort kernel map of these clouds packs lies
+ * inside the packed-key range (fitsPackedKey): each input coordinate
+ * shifted by any kernel offset, and each output coordinate. Both
+ * sortKernelMap and the MPU model assert it.
+ */
+bool kernelMapKeysFit(const PointCloud &input, const PointCloud &output,
+                      const KernelMapConfig &cfg);
 
 /** Hash-table-based kernel mapping (software baseline). */
 MapSet hashKernelMap(const PointCloud &input, const PointCloud &output,

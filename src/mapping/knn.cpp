@@ -1,6 +1,7 @@
 #include "mapping/knn.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/logging.hpp"
 
@@ -9,25 +10,63 @@ namespace pointacc {
 namespace {
 
 /**
- * Select the k smallest (distance, index) pairs with stable tie-break
- * on index. Partial sort keeps this O(n log k).
+ * The k nearest `input` points of every query among those within
+ * squared radius `radius2`.
+ *
+ * Points stream past in index order into a sorted top-k buffer: a point
+ * enters only if it is strictly closer than the current k-th, and it is
+ * placed after every kept point at the same distance. Ties therefore
+ * keep the lower index, which is the first k of the (distance, index)
+ * order.
  */
-NeighborList
-selectK(std::vector<std::pair<std::int64_t, PointIndex>> &cands,
-        std::size_t k)
+std::vector<NeighborList>
+nearestWithin(const PointCloud &input, const PointCloud &queries,
+              std::size_t k, std::int64_t radius2)
 {
-    k = std::min(k, cands.size());
-    std::partial_sort(cands.begin(),
-                      cands.begin() + static_cast<std::ptrdiff_t>(k),
-                      cands.end());
-    NeighborList list;
-    list.indices.reserve(k);
-    list.distances2.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        list.distances2.push_back(cands[i].first);
-        list.indices.push_back(cands[i].second);
+    const std::size_t n = input.size();
+    k = std::min(k, n); // no list holds more than the whole input
+    std::vector<std::int32_t> xs(n), ys(n), zs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Coord3 &c = input.coord(static_cast<PointIndex>(i));
+        xs[i] = c.x;
+        ys[i] = c.y;
+        zs[i] = c.z;
     }
-    return list;
+
+    std::vector<NeighborList> result(queries.size());
+    std::vector<std::int64_t> topD(k);
+    std::vector<PointIndex> topI(k);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
+        std::size_t m = 0;
+        std::uint64_t candidates = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::int64_t dx = std::int64_t{xs[i]} - qc.x;
+            const std::int64_t dy = std::int64_t{ys[i]} - qc.y;
+            const std::int64_t dz = std::int64_t{zs[i]} - qc.z;
+            const std::int64_t d = dx * dx + dy * dy + dz * dz;
+            if (d > radius2)
+                continue;
+            ++candidates;
+            if (m == k) {
+                if (d >= topD[k - 1])
+                    continue;
+                --m; // the current k-th falls out
+            }
+            std::size_t j = m++;
+            for (; j > 0 && topD[j - 1] > d; --j) {
+                topD[j] = topD[j - 1];
+                topI[j] = topI[j - 1];
+            }
+            topD[j] = d;
+            topI[j] = static_cast<PointIndex>(i);
+        }
+        NeighborList &list = result[q];
+        list.distances2.assign(topD.begin(), topD.begin() + m);
+        list.indices.assign(topI.begin(), topI.begin() + m);
+        list.candidates = candidates;
+    }
+    return result;
 }
 
 } // namespace
@@ -36,24 +75,8 @@ std::vector<NeighborList>
 kNearestNeighbors(const PointCloud &input, const PointCloud &queries, int k)
 {
     simAssert(k >= 1, "kNN requires k >= 1");
-    std::vector<NeighborList> result;
-    result.reserve(queries.size());
-
-    std::vector<std::pair<std::int64_t, PointIndex>> cands;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
-        cands.clear();
-        cands.reserve(input.size());
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            cands.emplace_back(
-                input.coord(static_cast<PointIndex>(i)).distance2(qc),
-                static_cast<PointIndex>(i));
-        }
-        auto list = selectK(cands, static_cast<std::size_t>(k));
-        list.candidates = cands.size();
-        result.push_back(std::move(list));
-    }
-    return result;
+    return nearestWithin(input, queries, static_cast<std::size_t>(k),
+                         std::numeric_limits<std::int64_t>::max());
 }
 
 std::vector<NeighborList>
@@ -61,24 +84,8 @@ ballQuery(const PointCloud &input, const PointCloud &queries, int k,
           std::int64_t radius2)
 {
     simAssert(k >= 1, "ball query requires k >= 1");
-    std::vector<NeighborList> result;
-    result.reserve(queries.size());
-
-    std::vector<std::pair<std::int64_t, PointIndex>> cands;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
-        cands.clear();
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            const auto d = input.coord(static_cast<PointIndex>(i))
-                               .distance2(qc);
-            if (d <= radius2)
-                cands.emplace_back(d, static_cast<PointIndex>(i));
-        }
-        auto list = selectK(cands, static_cast<std::size_t>(k));
-        list.candidates = cands.size();
-        result.push_back(std::move(list));
-    }
-    return result;
+    return nearestWithin(input, queries, static_cast<std::size_t>(k),
+                         radius2);
 }
 
 MapSet

@@ -71,6 +71,19 @@ class MapSet
         count += 1;
     }
 
+    /** Append the n maps (in[j], out[j], w), in order, to weight w's
+     *  group, growing it exactly once. */
+    void
+    addGroup(std::int32_t w, const PointIndex *in, const PointIndex *out,
+             std::size_t n)
+    {
+        auto &g = groups[w];
+        g.reserve(g.size() + n);
+        for (std::size_t j = 0; j < n; ++j)
+            g.push_back(Map{in[j], out[j], w});
+        count += n;
+    }
+
     /** Pre-size every weight group. Producers that know an upper-ish
      *  bound on matches per offset (kernel mapping: at most
      *  min(|input|, |output|)) use this to avoid the per-group

@@ -30,6 +30,8 @@ MappingUnit::kernelMap(const PointCloud &input, const PointCloud &output,
 {
     simAssert(input.isSorted(), "MPU kernel map requires sorted input");
     simAssert(output.isSorted(), "MPU kernel map requires sorted output");
+    simAssert(kernelMapKeysFit(input, output, kcfg),
+              "MPU kernel map: coordinates outside the packed-key range");
 
     const auto offsets = kernelOffsets(kcfg.kernelSize, kcfg.inStride);
     KernelMapResult result;

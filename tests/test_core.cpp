@@ -74,6 +74,50 @@ TEST(Coord3, PackUnpackRoundTrip)
     }
 }
 
+TEST(Coord3, PackedKeyRangeBoundary)
+{
+    const Coord3 lo{kPackedCoordMin, kPackedCoordMin, kPackedCoordMin};
+    const Coord3 hi{kPackedCoordMax, kPackedCoordMax, kPackedCoordMax};
+    EXPECT_EQ(kPackedCoordMin, -(1 << 20));
+    EXPECT_EQ(kPackedCoordMax, (1 << 20) - 1);
+
+    // The full field fits only without a margin.
+    EXPECT_TRUE(fitsPackedKey(lo, hi, 0));
+    EXPECT_FALSE(fitsPackedKey(lo, hi, 1));
+    // A margin of m needs m cells of room on both sides of every axis.
+    const Coord3 in1 = lo + Coord3{2, 2, 2};
+    const Coord3 in2 = hi - Coord3{2, 2, 2};
+    EXPECT_TRUE(fitsPackedKey(in1, in2, 2));
+    EXPECT_FALSE(fitsPackedKey(in1, in2, 3));
+    EXPECT_FALSE(fitsPackedKey(in1, in2 + Coord3{0, 0, 1}, 2));
+    EXPECT_FALSE(fitsPackedKey(in1 - Coord3{0, 1, 0}, in2, 2));
+    // Just past either end fails on any one axis.
+    EXPECT_FALSE(fitsPackedKey({kPackedCoordMin - 1, 0, 0}, {0, 0, 0}, 0));
+    EXPECT_FALSE(fitsPackedKey({0, 0, 0}, {0, kPackedCoordMax + 1, 0}, 0));
+    EXPECT_FALSE(fitsPackedKey({0, 0, kPackedCoordMin - 1}, {0, 0, 0}, 0));
+
+    // Why the predicate exists: outside the range packCoord wraps, and
+    // 2^20 aliases -2^20.
+    EXPECT_EQ(packCoord({kPackedCoordMax + 1, 0, 0}),
+              packCoord({kPackedCoordMin, 0, 0}));
+    EXPECT_EQ(unpackCoord(packCoord(hi)), hi);
+    EXPECT_EQ(unpackCoord(packCoord(lo)), lo);
+
+    // Inside the range a shift is one key subtraction, up to the edges.
+    const std::uint64_t origin = packCoord({0, 0, 0});
+    const Coord3 d{1, -1, 1};
+    const Coord3 touchesEdges{kPackedCoordMin + 1, kPackedCoordMax - 1,
+                              kPackedCoordMin + 1};
+    for (const Coord3 &c : {touchesEdges, Coord3{kPackedCoordMax,
+                                                 kPackedCoordMin,
+                                                 kPackedCoordMax},
+                            Coord3{5, -7, 9}}) {
+        ASSERT_TRUE(fitsPackedKey(c - d, c - d, 0)) << c;
+        EXPECT_EQ(packCoord(c - d), packCoord(c) - (packCoord(d) - origin))
+            << c;
+    }
+}
+
 TEST(Coord3, HashSpreadsValues)
 {
     std::unordered_set<std::size_t> hashes;

@@ -3,13 +3,19 @@
  * Tests for the functional mapping operations. The central property:
  * hash-based and mergesort-based kernel mapping are interchangeable —
  * they must produce identical MapSets on every cloud (this is the
- * correctness claim behind PointAcc's ranking-based Mapping Unit).
+ * correctness claim behind PointAcc's ranking-based Mapping Unit), in
+ * the same order inside every weight group, since the memory and flow
+ * models consume maps in that order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
+#include "core/rng.hpp"
 #include "datasets/synthetic.hpp"
 #include "mapping/fps.hpp"
 #include "mapping/kernel_map.hpp"
@@ -140,6 +146,138 @@ TEST(GatherPoints, CarriesFeatures)
     EXPECT_EQ(out.coord(0), Coord3(3, 0, 0));
     EXPECT_FLOAT_EQ(out.feature(0, 0), 3.5f);
     EXPECT_FLOAT_EQ(out.feature(1, 0), 1.5f);
+}
+
+/**
+ * Brute-force neighbour search: every (distance, index) pair within
+ * radius2, then the k smallest by partial sort. This is the selection
+ * kNearestNeighbors and ballQuery are checked against.
+ */
+std::vector<NeighborList>
+bruteForceNeighbors(const PointCloud &input, const PointCloud &queries,
+                    int k, std::int64_t radius2)
+{
+    std::vector<NeighborList> result;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+        const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
+        std::vector<std::pair<std::int64_t, PointIndex>> cands;
+        for (std::size_t i = 0; i < input.size(); ++i) {
+            const auto d =
+                input.coord(static_cast<PointIndex>(i)).distance2(qc);
+            if (d <= radius2)
+                cands.emplace_back(d, static_cast<PointIndex>(i));
+        }
+        const std::size_t keep =
+            std::min(static_cast<std::size_t>(k), cands.size());
+        std::partial_sort(cands.begin(),
+                          cands.begin() + static_cast<std::ptrdiff_t>(keep),
+                          cands.end());
+        NeighborList list;
+        for (std::size_t i = 0; i < keep; ++i) {
+            list.distances2.push_back(cands[i].first);
+            list.indices.push_back(cands[i].second);
+        }
+        list.candidates = cands.size();
+        result.push_back(std::move(list));
+    }
+    return result;
+}
+
+constexpr std::int64_t kNoRadius = std::numeric_limits<std::int64_t>::max();
+
+void
+expectSameNeighbors(const std::vector<NeighborList> &got,
+                    const std::vector<NeighborList> &want,
+                    const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t q = 0; q < want.size(); ++q) {
+        EXPECT_EQ(got[q].indices, want[q].indices) << what << " query " << q;
+        EXPECT_EQ(got[q].distances2, want[q].distances2)
+            << what << " query " << q;
+        EXPECT_EQ(got[q].candidates, want[q].candidates)
+            << what << " query " << q;
+    }
+}
+
+/** kNN and ball query of `input` around `queries` vs the oracle. */
+void
+expectMatchesOracle(const PointCloud &input, const PointCloud &queries,
+                    int k, std::int64_t radius2, const std::string &what)
+{
+    expectSameNeighbors(kNearestNeighbors(input, queries, k),
+                        bruteForceNeighbors(input, queries, k, kNoRadius),
+                        what + " knn k=" + std::to_string(k));
+    expectSameNeighbors(ballQuery(input, queries, k, radius2),
+                        bruteForceNeighbors(input, queries, k, radius2),
+                        what + " ball k=" + std::to_string(k) +
+                            " r2=" + std::to_string(radius2));
+}
+
+TEST(NeighborSearch, MatchesBruteForceOnRandomClouds)
+{
+    // Small grid extents put many points at equal distances, so the
+    // index tie-break decides most of the lists.
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        Rng rng(seed);
+        const auto extent = static_cast<std::int32_t>(8 + rng.range(56));
+        const auto input =
+            makeObjectCloud(seed, 40 + rng.range(400), extent);
+        const auto queries =
+            makeObjectCloud(seed + 1000, 1 + rng.range(40), extent);
+        const int k = 1 + static_cast<int>(rng.range(40));
+        const auto r2 = static_cast<std::int64_t>(rng.range(200));
+        expectMatchesOracle(input, queries, k, r2,
+                            "seed " + std::to_string(seed));
+    }
+}
+
+TEST(NeighborSearch, MatchesBruteForceOnGridWithTies)
+{
+    // A full 5x5x5 grid queried at grid points, cell centres (on the
+    // doubled grid) and outside corners: every distance is shared by
+    // up to 24 points.
+    std::vector<Coord3> grid;
+    for (int x = 0; x < 5; ++x)
+        for (int y = 0; y < 5; ++y)
+            for (int z = 0; z < 5; ++z)
+                grid.push_back({2 * x, 2 * y, 2 * z});
+    const PointCloud input(grid);
+    const PointCloud queries({{0, 0, 0}, {4, 4, 4}, {3, 3, 3}, {1, 4, 7},
+                              {-2, -2, -2}, {9, 4, 0}});
+    for (const int k : {1, 6, 7, 19, 27, 64, 125})
+        for (const std::int64_t r2 : {0, 3, 4, 8, 12, 27})
+            expectMatchesOracle(input, queries, k, r2, "grid");
+}
+
+TEST(NeighborSearch, KAtAndBeyondInputSize)
+{
+    const PointCloud input({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0},
+                            {5, 5, 5}});
+    const PointCloud queries({{0, 0, 0}, {1, 1, 1}, {9, 9, 9}});
+    for (const int k : {4, 5, 6, 50})
+        expectMatchesOracle(input, queries, k, 3, "small");
+    const auto lists = kNearestNeighbors(input, queries, 50);
+    for (const auto &list : lists) {
+        EXPECT_EQ(list.indices.size(), input.size());
+        EXPECT_EQ(list.candidates, input.size());
+    }
+}
+
+TEST(NeighborSearch, EmptyCloudsAndEmptyBalls)
+{
+    const auto input = makeObjectCloud(3, 200, 32);
+    expectMatchesOracle(input, PointCloud(), 8, 16, "no queries");
+    EXPECT_TRUE(kNearestNeighbors(input, PointCloud(), 8).empty());
+    expectMatchesOracle(PointCloud(), input, 8, 16, "no input");
+
+    // Queries far outside the cloud: no point lies in the ball.
+    const PointCloud far({{1000, 1000, 1000}, {-1000, 0, 0}});
+    expectMatchesOracle(input, far, 8, 100, "far");
+    for (const auto &list : ballQuery(input, far, 8, 100)) {
+        EXPECT_TRUE(list.indices.empty());
+        EXPECT_EQ(list.candidates, 0u);
+    }
 }
 
 TEST(Knn, FindsExactNeighbors)
@@ -300,6 +438,131 @@ TEST(KernelMap, TransposeInvertsDirection)
     for (const auto &m : up.flattened())
         upPairs.insert({m.out, m.in});
     EXPECT_EQ(downPairs, upPairs);
+}
+
+/** Group-for-group equality, in emission order (no sortGroups()). */
+void
+expectSameGroups(const MapSet &got, const MapSet &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.numWeights(), want.numWeights()) << what;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::int32_t w = 0; w < want.numWeights(); ++w)
+        EXPECT_EQ(got.forWeight(w), want.forWeight(w))
+            << what << " weight " << w;
+}
+
+/** Every weight group is in ascending output index. */
+void
+expectAscendingOutputs(const MapSet &maps, const std::string &what)
+{
+    for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
+        const auto &g = maps.forWeight(w);
+        EXPECT_TRUE(std::is_sorted(g.begin(), g.end(),
+                                   [](const Map &a, const Map &b) {
+                                       return a.out < b.out;
+                                   }))
+            << what << " weight " << w;
+    }
+}
+
+enum class MapShape { Submanifold, Strided, Transposed };
+
+class KernelMapOrder
+    : public ::testing::TestWithParam<std::tuple<int, MapShape>>
+{};
+
+TEST_P(KernelMapOrder, SortEmitsHashOrder)
+{
+    const auto [kernelSize, shape] = GetParam();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto fine = makeIndoorScene(seed, 1500, 60);
+        const auto coarse = quantizeDownsample(fine, 2);
+        KernelMapConfig cfg;
+        cfg.kernelSize = kernelSize;
+        PointCloud input, output;
+        switch (shape) {
+          case MapShape::Submanifold:
+            // Two distinct objects with equal coordinates, as the
+            // executor's submanifold conv passes them.
+            input = fine;
+            output = PointCloud(fine.coordinates());
+            break;
+          case MapShape::Strided:
+            input = fine;
+            output = coarse;
+            cfg.outStride = 2;
+            break;
+          case MapShape::Transposed:
+            input = coarse;
+            output = fine;
+            cfg.inStride = 2;
+            break;
+        }
+        const std::string what = "k=" + std::to_string(kernelSize) +
+                                 " seed " + std::to_string(seed);
+        const auto s = sortKernelMap(input, output, cfg);
+        expectSameGroups(s, hashKernelMap(input, output, cfg), what);
+        expectAscendingOutputs(s, what);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KernelMapOrder,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
+                       ::testing::Values(MapShape::Submanifold,
+                                         MapShape::Strided,
+                                         MapShape::Transposed)));
+
+TEST(KernelMap, SameSizeDifferentCoordinatesMatchHash)
+{
+    // Equal sizes but different coordinates: the submanifold shortcut
+    // (mirrored groups, identity centre) must not apply.
+    const auto cloud = makeIndoorScene(7, 1200, 50);
+    std::vector<Coord3> shifted, moved = cloud.coordinates();
+    for (const auto &c : cloud.coordinates())
+        shifted.push_back(c + Coord3{1, 0, 0});
+    moved.back() = moved.back() + Coord3{0, 0, 3};
+    for (const auto &coords : {shifted, moved}) {
+        const PointCloud other(coords);
+        ASSERT_TRUE(other.isSorted());
+        for (const int k : {3, 5}) {
+            KernelMapConfig cfg;
+            cfg.kernelSize = k;
+            const std::string what = "k=" + std::to_string(k);
+            expectSameGroups(sortKernelMap(cloud, other, cfg),
+                             hashKernelMap(cloud, other, cfg), what);
+            expectSameGroups(sortKernelMap(other, cloud, cfg),
+                             hashKernelMap(other, cloud, cfg),
+                             what + " reversed");
+        }
+    }
+}
+
+TEST(KernelMapDeathTest, PackedKeyRangeIsChecked)
+{
+    KernelMapConfig k3;
+    k3.kernelSize = 3;
+    KernelMapConfig k1;
+    k1.kernelSize = 1;
+    // Input shifted by the k=3 margin of 1 reaches both field edges.
+    const PointCloud edge({{kPackedCoordMin + 1, 0, 0},
+                           {kPackedCoordMin + 1, 1, 0},
+                           {kPackedCoordMax - 1, 0, kPackedCoordMax - 1}});
+    expectSameGroups(sortKernelMap(edge, edge, k3),
+                     hashKernelMap(edge, edge, k3), "edge");
+    // One step further: fits without a margin, not with one.
+    const PointCloud over({{kPackedCoordMin, 0, 0},
+                           {0, 0, kPackedCoordMax}});
+    expectSameGroups(sortKernelMap(over, over, k1),
+                     hashKernelMap(over, over, k1), "over k=1");
+    EXPECT_DEATH(sortKernelMap(over, over, k3), "packed-key range");
+    // The output is not shifted, so it needs no margin.
+    expectSameGroups(sortKernelMap(edge, over, k3),
+                     hashKernelMap(edge, over, k3), "edge to over");
+    const PointCloud outside({{0, kPackedCoordMax + 1, 0}});
+    EXPECT_DEATH(sortKernelMap(outside, outside, k1), "packed-key range");
+    EXPECT_DEATH(sortKernelMap(edge, outside, k3), "packed-key range");
 }
 
 class KernelMapParams

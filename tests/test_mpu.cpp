@@ -272,6 +272,41 @@ TEST(Mpu, KernelMapStridedDownsample)
         EXPECT_EQ(hw.maps.forWeight(w), ref.forWeight(w));
 }
 
+TEST(Mpu, KernelMapEmitsReferenceOrder)
+{
+    // Same groups in the same order as the functional reference, with
+    // no canonicalisation, on a submanifold (distinct objects, equal
+    // coordinates) and a strided map.
+    auto input = generate(DatasetKind::S3DIS, 43, 0.05);
+    const PointCloud same(input.coordinates());
+    const auto coarse = quantizeDownsample(input, 2);
+    MappingUnit mpu;
+    const KernelMapConfig subm{3, 1, 1};
+    const KernelMapConfig strided{2, 1, 2};
+    for (const auto &[out, cfg] :
+         {std::make_pair(&same, subm), std::make_pair(&coarse, strided)}) {
+        const auto hw = mpu.kernelMap(input, *out, cfg);
+        const auto ref = sortKernelMap(input, *out, cfg);
+        ASSERT_EQ(hw.maps.size(), ref.size());
+        for (std::int32_t w = 0; w < ref.numWeights(); ++w)
+            EXPECT_EQ(hw.maps.forWeight(w), ref.forWeight(w)) << "w=" << w;
+    }
+}
+
+TEST(MpuDeathTest, KernelMapChecksPackedKeyRange)
+{
+    MappingUnit mpu;
+    const KernelMapConfig k3{3, 1, 1};
+    const KernelMapConfig k1{1, 1, 1};
+    const PointCloud edge({{kPackedCoordMin + 1, 0, 0},
+                           {kPackedCoordMax - 1, 0, 0}});
+    EXPECT_EQ(mpu.kernelMap(edge, edge, k3).maps.size(), 2u);
+    const PointCloud over({{kPackedCoordMin, 0, 0},
+                           {kPackedCoordMax, 0, 0}});
+    EXPECT_EQ(mpu.kernelMap(over, over, k1).maps.size(), 2u);
+    EXPECT_DEATH(mpu.kernelMap(over, over, k3), "packed-key range");
+}
+
 TEST(Mpu, KernelMapCyclesScaleWithKernelVolume)
 {
     auto input = generate(DatasetKind::ShapeNet, 55, 0.2);
