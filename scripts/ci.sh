@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build + test, with warnings-as-errors on
 # the serving-runtime subsystem (src/runtime/ is new code held to a
-# stricter bar than the seed sources), the perfbench infer_zoo digest
-# gate (a short run of the repository benchmark must match its stored
-# output digests) with perfbench's unit tests, the Release-only scale tier and
+# stricter bar than the seed sources), the perfbench digest gates
+# (a short run of each repository-benchmark workload — serve_overload,
+# serve_stream and infer_zoo — must match its stored output digests)
+# with perfbench's unit tests, the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
@@ -66,21 +67,26 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-# End-to-end order gate: perfbench's stored digest table pins every
+# End-to-end byte gate: perfbench's stored digest table pins the
+# served bytes of both serving workloads (every writeServingJson report
+# of the overloaded queue and of the 16-shard stream) and every
 # modelled cycle and byte of the paper networks, including everything
-# the order of the functional maps drives. One short infer_zoo run must
-# report "correct": true with 0 failed operations, and perfbench's own
-# unit tests must pass in the same build tree.
-echo "== perfbench infer_zoo digest gate =="
+# the order of the functional maps drives. One short run of each
+# workload must report "correct": true with 0 failed operations, and
+# perfbench's own unit tests must pass in the same build tree.
 PERFBENCH_DIR="${BUILD_DIR}/perfbench"
-result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
-    --workload infer_zoo --seed 0 --seconds 5 --trace 0 | tail -n 1)"
-if ! grep -q '"correct": true' <<<"${result}" ||
-   ! grep -q '"failed": 0[,}]' <<<"${result}"; then
-    echo "error: perfbench infer_zoo digests do not match: ${result}"
-    exit 1
-fi
-echo "perfbench infer_zoo: correct, 0 failed"
+for workload in serve_overload serve_stream infer_zoo; do
+    echo "== perfbench ${workload} digest gate =="
+    result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
+        --workload "${workload}" --seed 0 --seconds 5 --trace 0 |
+        tail -n 1)"
+    if ! grep -q '"correct": true' <<<"${result}" ||
+       ! grep -q '"failed": 0[,}]' <<<"${result}"; then
+        echo "error: perfbench ${workload} digests do not match: ${result}"
+        exit 1
+    fi
+    echo "perfbench ${workload}: correct, 0 failed"
+done
 cmake --build "${PERFBENCH_DIR}" --target perfbench_tests -j "${JOBS}"
 ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
     -R perfbench

@@ -43,6 +43,15 @@ AutoscalerPolicy::decide(std::uint64_t now, std::uint64_t queue_depth,
                          std::uint64_t window_p99,
                          std::uint32_t provisioned)
 {
+    // The floor is an invariant, not a vote: a crash that powers the
+    // fleet below minInstances is replaced at once, cooldown or not.
+    // Without this a short queue would hold a crashed-out fleet at
+    // zero forever. Fault-free runs never sit below the floor.
+    if (provisioned < asCfg.minInstances) {
+        lastActionAt = now;
+        everActed = true;
+        return +1;
+    }
     // Cooldown: hold for cooldownCycles after any decision so one
     // burst cannot trigger an up/down/up oscillation.
     if (everActed && asCfg.cooldownCycles > 0 &&

@@ -59,7 +59,10 @@ namespace pointacc {
 struct AutoscalerConfig
 {
     bool enabled = false;
-    /** Floor: never fewer powered instances than this (>= 1). */
+    /** Floor: never fewer powered instances than this (>= 1). Only a
+     *  crash (runtime/faults) can power the fleet below it; the next
+     *  evaluation then scales up regardless of signals or cooldown,
+     *  onto any instance that is not itself crashed. */
     std::uint32_t minInstances = 1;
     /** Ceiling: never more than this; 0 = the whole configured fleet. */
     std::uint32_t maxInstances = 0;
@@ -109,7 +112,8 @@ class AutoscalerPolicy
      *  queue depth, window_p99 the p99 latency (cycles) of completions
      *  since the previous evaluation (0 when none completed),
      *  provisioned the count of instances currently powered and not
-     *  draining. Returns the clamped decision. */
+     *  draining. Returns the clamped decision; +1 whenever
+     *  provisioned is below the floor. */
     int decide(std::uint64_t now, std::uint64_t queue_depth,
                std::uint64_t window_p99, std::uint32_t provisioned);
 

@@ -325,11 +325,8 @@ struct CapacityPlanner::Search
 
     Search(const CapacityPlanner &planner_, const WorkloadSpec &workload,
            const SloSpec &slo_, const PlanSearchSpace &space_)
-        : planner(planner_), slo(slo_), space(space_),
-          combos(enumerateCombos(space_)), rays(enumerateRays(space_)),
-          unit0(unitCost(space_, 0)),
-          trace(WorkloadGenerator(workload).generate()),
-          executor(ProbeExecutor::resolveThreads(planner_.cfg.threads))
+        : Search(planner_, WorkloadGenerator(workload).generate(), slo_,
+                 space_)
     {
     }
 
@@ -605,6 +602,28 @@ struct CapacityPlanner::Search
         return candidate;
     }
 
+    /** The planner's search: the cheapest passing size on every
+     *  (combo, ray), then finish(). Every gallop chain is known before
+     *  any probe runs — prefetch them all so the per-ray searches
+     *  overlap on the pool. */
+    PlanReport
+    gallopEveryRay()
+    {
+        for (std::size_t ci = 0; ci < combos.size(); ++ci)
+            for (std::size_t ri = 0; ri < rays.size(); ++ri)
+                speculateGallop(ci, ri);
+        bool monotone = true;
+        std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
+            combos.size());
+        for (std::size_t ci = 0; ci < combos.size(); ++ci) {
+            perComboRay[ci].reserve(rays.size());
+            for (std::size_t ri = 0; ri < rays.size(); ++ri)
+                perComboRay[ci].push_back(
+                    cheapestOnRay(ci, ri, monotone));
+        }
+        return finish(perComboRay, monotone);
+    }
+
     /** Assemble the report: smallest objective cost wins, ties broken
      *  by total instance count and then enumeration order (combo-major,
      *  then ray); margins against the active constraints. */
@@ -705,21 +724,7 @@ CapacityPlanner::plan(const WorkloadSpec &workload, const SloSpec &slo,
 {
     validate(slo, space);
     Search search(*this, workload, slo, space);
-    // Every (combo, ray) gallop chain is known before any probe runs —
-    // prefetch them all so the per-ray searches overlap on the pool.
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateGallop(ci, ri);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            perComboRay[ci].push_back(
-                search.cheapestOnRay(ci, ri, monotone));
-    }
-    return search.finish(perComboRay, monotone);
+    return search.gallopEveryRay();
 }
 
 PlanReport
@@ -728,19 +733,7 @@ CapacityPlanner::plan(const TrafficProgram &program, const SloSpec &slo,
 {
     validate(slo, space);
     Search search(*this, materialize(program), slo, space);
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateGallop(ci, ri);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            perComboRay[ci].push_back(
-                search.cheapestOnRay(ci, ri, monotone));
-    }
-    return search.finish(perComboRay, monotone);
+    return search.gallopEveryRay();
 }
 
 PlanReport

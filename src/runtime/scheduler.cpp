@@ -328,19 +328,23 @@ constexpr std::uint32_t kNoInstance =
  *  dense from 0 and never reach the bit. */
 constexpr std::uint64_t kHedgeIdBit = 1ULL << 63;
 
-/** One dispatch resident on an instance, in either pipeline stage. */
+/** One dispatch resident on an instance, from dispatch until its
+ *  back-end phase completes. */
 struct InFlight
 {
     Batch batch;
     PhaseProfile phases;
     std::uint64_t dispatchedAt = 0;
-    std::uint64_t mapDoneAt = 0; ///< front-end (mapping) completion
-    std::uint64_t doneAt = 0;    ///< back-end completion (set at handoff)
-    /** Front-end done; waiting for the back-end to free (blocking
-     *  handoff: the mapped batch keeps occupying the front stage). */
-    bool mapped = false;
-    /** Map-cache entries this (miss) dispatch publishes when its
-     *  mapping phase completes — maps exist only once mapped. */
+    std::uint64_t mapDoneAt = 0; ///< mapping-phase completion
+    std::uint64_t doneAt = 0;    ///< back-end completion (set at start)
+    /** Per-instance dispatch serial: the stamp of this batch's
+     *  MapDone and RunDone heap entries (never reused, so an entry
+     *  for a batch that moved on or died is recognizably stale). */
+    std::uint64_t serial = 0;
+    bool mapped = false;  ///< mapping phase done
+    bool running = false; ///< on the back-end (only ever the head)
+    /** Map-cache entries this (miss) dispatch publishes — maps exist
+     *  only once mapped. */
     std::vector<std::pair<MapCacheKey, MapCacheEntry>> inserts;
 };
 
@@ -355,78 +359,18 @@ enum class Life : std::uint8_t
 };
 
 /**
- * One accelerator as a two-stage pipeline: the front slot is the
- * Mapping Unit (a batch occupies it from dispatch until the back-end
- * accepts it), the back slot is the Matrix Unit + memory system. The
- * monolithic occupancy model uses the same machinery with a
- * zero-length map phase and admission gated on full idleness.
- *
- * frontStamp/backStamp are lazy-invalidation generations for the
- * global event heap: each (re)fill of a slot bumps its stamp, so a
- * heap entry for a slot that has since emptied or been refilled is
- * recognized as stale when popped and discarded. lifeStamp plays the
- * same role for SpinUp events (a scale-down that cancels a pending
- * spin-up orphans its event).
- */
-struct AccelState
-{
-    std::optional<InFlight> front;
-    /** Run-ahead staging FIFO (capacity runAheadDepth - 1): mapped
-     *  batches the front-end finished while the back-end was still
-     *  busy, queued in mapping-completion order for promotion as the
-     *  back-end drains. Empty forever at the default depth 1, where
-     *  the handoff blocks exactly as the frozen reference engine's
-     *  does. Staged batches hold no pending heap events (their
-     *  MapDone fired before parking; their RunDone is pushed at
-     *  promotion), so no stamp guards them. */
-    std::deque<InFlight> staged;
-    std::optional<InFlight> back;
-    std::uint64_t frontStamp = 0;
-    std::uint64_t backStamp = 0;
-    /** High-water mark for busy-interval union accounting: per-batch
-     *  residency intervals overlap under pipelining, and utilization
-     *  must count wall-clock coverage, not summed service. */
-    std::uint64_t coveredUntil = 0;
-    AcceleratorUsage usage;
-    Life life = Life::Active;
-    std::uint64_t lifeStamp = 0;
-    /** Crashed by the fault program: accepts nothing until the
-     *  matching Recover event. Independent of Life — a crash is a
-     *  failure, not an autoscaler decision (though with the
-     *  autoscaler on, a crash also powers the instance off so the
-     *  policy sees the capacity loss and replaces it). */
-    bool crashed = false;
-    /** Straggler service-time stretch for new dispatches; exactly 1.0
-     *  outside windows, so fault-free pricing skips the float round
-     *  trip (the byte-identity gates rely on the == test). */
-    double slowdown = 1.0;
-
-    bool
-    canAccept(OccupancyModel model) const
-    {
-        if (crashed)
-            return false;
-        if (life != Life::Active)
-            return false;
-        return model == OccupancyModel::Pipelined
-                   ? !front.has_value()
-                   : !front.has_value() && !back.has_value();
-    }
-};
-
-/**
  * Global event-heap entry. The discrete-event core replaced the seed
  * loop's per-iteration rescan of every instance with one binary
- * min-heap over four event kinds; entries are sequence-numbered (push
- * order) so heap ordering is total, and carry the stamp of the slot
- * or timer generation they describe for lazy invalidation.
+ * min-heap; entries are sequence-numbered (push order) so heap
+ * ordering is total, and carry the dispatch serial or timer
+ * generation they describe for lazy invalidation.
  */
 struct Event
 {
     enum class Kind : std::uint8_t
     {
-        MapDone,   ///< a front slot's mapping phase completes
-        RunDone,   ///< a back slot's service completes
+        MapDone,   ///< a pipeline's tail finishes its mapping phase
+        RunDone,   ///< a pipeline's head finishes its back-end phase
         Timer,     ///< earliest wait-for-K hold deadline
         Arrival,   ///< the source's next request arrives
         ScaleEval, ///< periodic autoscaler policy evaluation
@@ -449,6 +393,261 @@ struct EventLater
     operator()(const Event &a, const Event &b) const
     {
         return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+};
+
+/** The global event heap: entries pop by time, then push order. */
+class EventQueue
+{
+  public:
+    void
+    push(std::uint64_t at, Event::Kind kind, std::uint32_t accel,
+         std::uint64_t stamp)
+    {
+        heap.push(Event{at, ++seq, kind, accel, stamp});
+    }
+
+    bool empty() const { return heap.empty(); }
+    const Event &top() const { return heap.top(); }
+    void pop() { heap.pop(); }
+
+  private:
+    std::priority_queue<Event, std::vector<Event>, EventLater> heap;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * One accelerator instance as the two decoupled resources PointAcc
+ * has (Section 5): a Mapping Unit front-end and a Matrix Unit +
+ * memory back-end, held as one FIFO of dispatches in dispatch order.
+ * The head may be running on the back-end; behind it wait mapped
+ * batches; the tail may still be mapping. The Mapping Unit holds the
+ * tail until it is mapped and at most runAheadDepth - 1 batches wait
+ * behind the running head (the staging buffer; depth 1 is the
+ * blocking handoff of the frozen reference engine), and takes a new
+ * dispatch only when it holds nothing. Monolithic occupancy is the
+ * same FIFO with a zero-length map phase, accepting only when empty.
+ *
+ * The type also owns the instance's busy accounting (per-stage busy
+ * time and the residency union) and when a miss publishes its kernel
+ * maps: at mapping completion when pipelined, where the maps first
+ * exist, and at run completion when monolithic, whose one opaque
+ * interval has no mapping moment to observe.
+ */
+class Pipeline
+{
+  public:
+    Pipeline(std::uint32_t self_, OccupancyModel occupancy,
+             std::uint32_t run_ahead_depth, MapCache &cache_)
+        : self(self_), monolithic(occupancy == OccupancyModel::Monolithic),
+          stagedCap(monolithic ? 0 : run_ahead_depth - std::size_t{1}),
+          cache(&cache_)
+    {}
+
+    AcceleratorUsage usage;
+    /** Batches that waited in the staging buffer, and the most that
+     *  waited there at once. */
+    std::uint64_t staged = 0;
+    std::uint64_t peakStaged = 0;
+
+    bool empty() const { return fifo.empty(); }
+
+    /** Can the instance take a dispatch (occupancy permitting)? */
+    bool accepts() const { return monolithic ? fifo.empty() : !mapperHeld; }
+
+    /** The stage phases a batch priced `full` (ns) occupies here: a
+     *  map-cache hit's mapping collapses to the cache read, clamped so
+     *  a hit is never slower than the miss it avoids; a monolithic
+     *  dispatch is one opaque back-end interval. */
+    PhaseProfile
+    stagePhases(PhaseProfile full, bool hit, std::uint64_t read_cost) const
+    {
+        if (hit)
+            full.mapCycles = std::min(full.mapCycles, read_cost);
+        if (monolithic) {
+            full.backendCycles += full.mapCycles;
+            full.mapCycles = 0;
+        }
+        return full;
+    }
+
+    /** When the back-end has worked off everything committed to it:
+     *  the running head, then each waiting batch in FIFO order. A new
+     *  dispatch's back-end starts no earlier. */
+    std::uint64_t
+    backendFreeAt(std::uint64_t now) const
+    {
+        std::uint64_t at = now;
+        for (const InFlight &u : fifo)
+            at = u.running ? std::max(at, u.doneAt)
+                           : at + u.phases.backendCycles;
+        return at;
+    }
+
+    /** Is a MapDone (RunDone) heap entry still live: its batch still
+     *  mapping at the tail (still running at the head)? */
+    bool
+    stageLive(const Event &e) const
+    {
+        if (fifo.empty())
+            return false;
+        return e.kind == Event::Kind::MapDone
+                   ? fifo.back().serial == e.stamp && !fifo.back().mapped
+                   : fifo.front().serial == e.stamp && fifo.front().running;
+    }
+
+    /** Append a batch at `now`; advance() moves it on. */
+    void
+    dispatch(InFlight unit, std::uint64_t now, EventQueue &events)
+    {
+        usage.mapBusyCycles += unit.phases.mapCycles;
+        usage.batches += 1;
+        usage.requests += unit.batch.size();
+        unit.dispatchedAt = now;
+        unit.mapDoneAt = now + unit.phases.mapCycles;
+        unit.serial = ++serials;
+        if (unit.mapDoneAt > now)
+            events.push(unit.mapDoneAt, Event::Kind::MapDone, self,
+                        unit.serial);
+        fifo.push_back(std::move(unit));
+        mapperHeld = true;
+    }
+
+    /**
+     * Apply every stage transition due at `now`, oldest first: the
+     * head completes (`done` records it), a mapped head starts on the
+     * idle back-end, the tail finishes mapping. Transitions strictly
+     * in the future get a heap entry; same-instant ones cascade here,
+     * so every pending transition is live in the heap or resolved.
+     */
+    template <class Done>
+    void
+    advance(std::uint64_t now, EventQueue &events, Done &&done)
+    {
+        const bool heldTail = mapperHeld;
+        while (!fifo.empty()) {
+            InFlight &head = fifo.front();
+            InFlight &tail = fifo.back();
+            if (head.running && head.doneAt <= now) {
+                if (monolithic)
+                    publish(head);
+                done(head);
+                closeResidency(head, head.doneAt);
+                fifo.pop_front();
+            } else if (!head.running && head.mapped) {
+                head.running = true;
+                head.doneAt = now + head.phases.backendCycles;
+                usage.backendBusyCycles += head.phases.backendCycles;
+                if (head.doneAt > now)
+                    events.push(head.doneAt, Event::Kind::RunDone, self,
+                                head.serial);
+            } else if (!tail.mapped && tail.mapDoneAt <= now) {
+                tail.mapped = true;
+                if (!monolithic)
+                    publish(tail);
+            } else {
+                break;
+            }
+        }
+        mapperHeld = !fifo.empty() && !fifo.back().running &&
+                     (!fifo.back().mapped || waiting() > stagedCap);
+        // The Mapping Unit let go of a mapped tail that the busy
+        // back-end could not take: it parked in the staging buffer.
+        if (heldTail && !mapperHeld && !fifo.empty() &&
+            !fifo.back().running) {
+            staged += 1;
+            peakStaged = std::max<std::uint64_t>(peakStaged, waiting());
+        }
+    }
+
+    /**
+     * A crash at `now` kills every resident batch, oldest first. Each
+     * gives back the stage time it will not run (an unmapped batch its
+     * mapping remainder, the running head its back-end remainder) and
+     * closes its residency at the crash instant; `killed` routes its
+     * requests. Emptying the FIFO orphans its heap entries.
+     */
+    template <class Killed>
+    void
+    crash(std::uint64_t now, Killed &&killed)
+    {
+        for (const InFlight &u : fifo) {
+            if (!u.mapped && u.mapDoneAt > now)
+                usage.mapBusyCycles -= u.mapDoneAt - now;
+            if (u.running && u.doneAt > now)
+                usage.backendBusyCycles -= u.doneAt - now;
+            closeResidency(u, now);
+            killed(u);
+        }
+        fifo.clear();
+        mapperHeld = false;
+    }
+
+  private:
+    /** Batches not on the back-end (the FIFO must be non-empty). */
+    std::size_t
+    waiting() const
+    {
+        return fifo.size() - (fifo.front().running ? 1 : 0);
+    }
+
+    void
+    publish(const InFlight &u)
+    {
+        for (const auto &ins : u.inserts)
+            cache->insert(ins.first, ins.second);
+    }
+
+    /** Busy-interval union: residencies start in dispatch order, so a
+     *  running high-water mark suffices — utilization counts wall-clock
+     *  coverage, not the overlapping per-stage service. */
+    void
+    closeResidency(const InFlight &u, std::uint64_t end)
+    {
+        const std::uint64_t start = std::max(u.dispatchedAt, coveredUntil);
+        if (end > start)
+            usage.busyCycles += end - start;
+        coveredUntil = std::max(coveredUntil, end);
+    }
+
+    std::deque<InFlight> fifo;
+    std::uint32_t self;
+    bool monolithic;
+    std::size_t stagedCap;
+    MapCache *cache;
+    std::uint64_t serials = 0;
+    std::uint64_t coveredUntil = 0;
+    /** Does the Mapping Unit hold the tail: still mapping, or mapped
+     *  with the staging buffer full? Kept current on every change to
+     *  the FIFO, because accepts() runs for every instance on every
+     *  dispatch pass. */
+    bool mapperHeld = false;
+};
+
+/** One accelerator: its pipeline plus the autoscaler and fault state
+ *  that gate dispatches to it. lifeStamp invalidates SpinUp heap
+ *  entries the way dispatch serials invalidate stage entries (a
+ *  scale-down that cancels a pending spin-up orphans its event). */
+struct AccelState
+{
+    Pipeline pipe;
+    Life life = Life::Active;
+    std::uint64_t lifeStamp = 0;
+    /** Crashed by the fault program: accepts nothing until the
+     *  matching Recover event. Independent of Life — a crash is a
+     *  failure, not an autoscaler decision (though with the
+     *  autoscaler on, a crash also powers the instance off so the
+     *  policy sees the capacity loss and replaces it). */
+    bool crashed = false;
+    /** Straggler service-time stretch for new dispatches; exactly 1.0
+     *  outside windows, so fault-free pricing skips the float round
+     *  trip (the byte-identity gates rely on the == test). */
+    double slowdown = 1.0;
+
+    bool
+    canAccept() const
+    {
+        return !crashed && life == Life::Active && pipe.accepts();
     }
 };
 
@@ -500,11 +699,14 @@ FleetScheduler::run(RequestSource &source) const
             });
     }
 
-    std::vector<AccelState> accels(fleet.size());
+    std::vector<AccelState> accels;
+    accels.reserve(fleet.size());
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-        accels[i].usage.name =
-            fleet[i].name + "#" + std::to_string(i);
-        accels[i].usage.freqGHz = fleet[i].freqGHz;
+        accels.push_back(AccelState{Pipeline(static_cast<std::uint32_t>(i),
+                                             cfg.occupancy,
+                                             cfg.runAheadDepth, mapCache)});
+        accels[i].pipe.usage.name = fleet[i].name + "#" + std::to_string(i);
+        accels[i].pipe.usage.freqGHz = fleet[i].freqGHz;
     }
 
     // ---- Reactive autoscaling (runtime/autoscaler) ---------------- //
@@ -667,15 +869,8 @@ FleetScheduler::run(RequestSource &source) const
         return (it->second.lastNs - it->second.firstNs) /
                (it->second.count - 1);
     };
-    // The global event heap (arrivals, map-done, run-done, batch-hold
-    // timer) with lazy invalidation; see Event above. Replaces the
-    // seed loop's per-iteration rescan of every instance.
-    std::priority_queue<Event, std::vector<Event>, EventLater> events;
-    std::uint64_t evSeq = 0;
-    const auto pushEv = [&](std::uint64_t at, Event::Kind kind,
-                            std::uint32_t accel, std::uint64_t stamp) {
-        events.push(Event{at, ++evSeq, kind, accel, stamp});
-    };
+    // The global event heap with lazy invalidation; see Event above.
+    EventQueue events;
 
     // Batcher timer: earliest pending wait-for-K hold deadline.
     // timerGen stamps the currently armed timer event; re-arming or
@@ -689,23 +884,14 @@ FleetScheduler::run(RequestSource &source) const
         timerGen += 1;
         armedAt = timerAt;
         if (timerAt != kNever)
-            pushEv(timerAt, Event::Kind::Timer, 0, timerGen);
+            events.push(timerAt, Event::Kind::Timer, 0, timerGen);
     };
     // Leaders whose hold episodes were already counted in batchHolds
     // (one episode per leader, however many events re-evaluate it).
     std::unordered_set<std::uint64_t> countedHolds;
 
-    const auto completeBack = [&](std::size_t idx) {
-        AccelState &acc = accels[idx];
-        const InFlight &unit = *acc.back;
-        // Monolithic runs are one opaque interval — there is no
-        // mapping-completion moment inside it to observe, so a miss's
-        // kernel maps publish only when the whole run finishes (the
-        // pipelined model publishes at map-phase completion instead,
-        // where the maps physically first exist).
-        if (cfg.occupancy == OccupancyModel::Monolithic)
-            for (const auto &ins : unit.inserts)
-                mapCache.insert(ins.first, ins.second);
+    // Record a batch the back-end of instance `idx` just finished.
+    const auto complete = [&](std::size_t idx, const InFlight &unit) {
         for (const auto &r : unit.batch.requests) {
             if (faultsOn) {
                 const auto it = rstate.find(origId(r));
@@ -738,126 +924,21 @@ FleetScheduler::run(RequestSource &source) const
         }
         // Graceful drain made countable: work finished by an instance
         // that was already decommissioned when it completed.
-        if (asEnabled && acc.life == Life::Draining)
+        if (asEnabled && accels[idx].life == Life::Draining)
             asStats.drainedBatches += 1;
-        // Busy-interval union: residency intervals arrive in
-        // nondecreasing start order (the pipeline is FIFO per
-        // instance), so a running high-water mark suffices.
-        const std::uint64_t start =
-            std::max(unit.dispatchedAt, acc.coveredUntil);
-        if (unit.doneAt > start)
-            acc.usage.busyCycles += unit.doneAt - start;
-        acc.coveredUntil = std::max(acc.coveredUntil, unit.doneAt);
-        acc.back.reset();
     };
 
-    // Start a batch on the empty back-end at `now` — the moment the
-    // handoff (or staged promotion) became possible is itself an
-    // event, so `now` is exactly the back-end start.
-    const auto startBack = [&](std::size_t idx, InFlight unit,
-                               std::uint64_t now) {
-        AccelState &acc = accels[idx];
-        unit.doneAt = now + unit.phases.backendCycles;
-        acc.usage.backendBusyCycles += unit.phases.backendCycles;
-        acc.backStamp += 1;
-        if (unit.doneAt > now)
-            pushEv(unit.doneAt, Event::Kind::RunDone,
-                   static_cast<std::uint32_t>(idx), acc.backStamp);
-        acc.back.emplace(std::move(unit));
-    };
-
-    // Staging-FIFO capacity: runAheadDepth - 1 mapped batches may park
-    // between the stages under Pipelined occupancy (Monolithic never
-    // overlaps stages, so its buffer is always 0 — same as depth 1).
-    const std::size_t stagedCap =
-        cfg.occupancy == OccupancyModel::Pipelined
-            ? static_cast<std::size_t>(cfg.runAheadDepth) - 1
-            : 0;
-
-    // Apply every stage transition due at `now` on one instance:
-    // back-end completions, staged run-ahead promotions, then the
-    // front->back handoff (which may itself complete immediately when
-    // a back-end phase is empty). Transitions landing strictly in the
-    // future enqueue heap events; same-cycle ones cascade right here,
-    // so every pending transition always has a live heap entry or
-    // resolves synchronously.
+    // Apply every stage transition due at `now` on one instance. A
+    // draining instance powers off the moment its pipeline empties —
+    // graceful drain complete, every in-flight batch recorded.
     const auto service = [&](std::size_t idx, std::uint64_t now) {
         AccelState &acc = accels[idx];
-        for (;;) {
-            if (acc.back && acc.back->doneAt <= now) {
-                completeBack(idx);
-                continue;
-            }
-            // Promote from the staging FIFO first: staged batches
-            // finished mapping before anything still in the front
-            // slot, and the back-end serves in dispatch order.
-            if (!acc.back && !acc.staged.empty()) {
-                InFlight unit = std::move(acc.staged.front());
-                acc.staged.pop_front();
-                startBack(idx, std::move(unit), now);
-                continue;
-            }
-            if (acc.front && acc.front->mapDoneAt <= now) {
-                // Mapping just finished: a miss dispatch publishes its
-                // kernel maps now — later same-cycle dispatches may
-                // already hit them. (Monolithic dispatches have an
-                // empty map phase; their maps publish at run
-                // completion instead — see completeBack.)
-                if (!acc.front->mapped &&
-                    cfg.occupancy == OccupancyModel::Pipelined)
-                    for (const auto &ins : acc.front->inserts)
-                        mapCache.insert(ins.first, ins.second);
-                acc.front->mapped = true;
-                if (!acc.back) {
-                    // The staged FIFO is empty here (promotion above
-                    // ran first): direct handoff, the depth-1 path.
-                    InFlight unit = std::move(*acc.front);
-                    acc.front.reset();
-                    startBack(idx, std::move(unit), now);
-                    continue;
-                }
-                if (acc.staged.size() < stagedCap) {
-                    // Run ahead: park the mapped batch and free the
-                    // front slot — the Mapping Unit may accept the
-                    // next dispatch while the back-end works through
-                    // its backlog.
-                    acc.staged.push_back(std::move(*acc.front));
-                    acc.front.reset();
-                    report.runAheadStaged += 1;
-                    report.runAheadPeakStaged =
-                        std::max(report.runAheadPeakStaged,
-                                 static_cast<std::uint64_t>(
-                                     acc.staged.size()));
-                    continue;
-                }
-            }
-            break;
-        }
-        // A draining instance powers off the moment its pipeline
-        // empties — graceful drain complete, every in-flight batch
-        // finished and recorded.
-        if (asEnabled && acc.life == Life::Draining && !acc.front &&
-            acc.staged.empty() && !acc.back) {
+        acc.pipe.advance(now, events,
+                         [&](const InFlight &u) { complete(idx, u); });
+        if (asEnabled && acc.life == Life::Draining && acc.pipe.empty()) {
             acc.life = Life::Off;
             notePower(now, -1);
         }
-    };
-
-    // Exact completion time of `ph` were it dispatched to `acc` now:
-    // mapping starts immediately (the front slot is free by
-    // precondition), the back-end starts at the later of mapping
-    // completion and the back-end's committed backlog draining — the
-    // running batch's remainder plus every staged run-ahead batch
-    // (the FIFO serves strictly before a new dispatch can).
-    const auto estimateDone = [](const AccelState &acc,
-                                 const PhaseProfile &ph,
-                                 std::uint64_t now) {
-        const std::uint64_t mapDone = now + ph.mapCycles;
-        std::uint64_t backFree = acc.back ? acc.back->doneAt : now;
-        for (const auto &s : acc.staged)
-            backFree += s.phases.backendCycles;
-        const std::uint64_t backStart = std::max(mapDone, backFree);
-        return backStart + ph.backendCycles;
     };
 
     // A crash just killed `r` mid-flight on `inst`: route it through
@@ -889,8 +970,8 @@ FleetScheduler::run(RequestSource &source) const
                 pendingRetries += 1;
                 fstats.retryAttempts += 1;
                 fstats.retryBackoffNsTotal += backoff;
-                pushEv(now + backoff, Event::Kind::Retry, 0,
-                       retrySlots.size() - 1);
+                events.push(now + backoff, Event::Kind::Retry, 0,
+                            retrySlots.size() - 1);
                 return;
             }
         }
@@ -902,12 +983,10 @@ FleetScheduler::run(RequestSource &source) const
             fstats.retryExhausted += 1;
     };
 
-    // Apply one materialized fault event. Crash: both in-flight
-    // batches on the instance die — the busy counters give back the
-    // un-run remainders (so per-stage busy never exceeds the horizon),
-    // the residency union closes at the crash instant, victims route
-    // through the retry policy, and the slot stamps orphan any pending
-    // MapDone/RunDone heap entries. A batch completing at the crash
+    // Apply one materialized fault event. Crash: every batch on the
+    // instance dies (Pipeline::crash gives back the un-run stage time,
+    // so per-stage busy never exceeds the horizon) and its requests
+    // route through the retry policy. A batch completing at the crash
     // instant completes: the service sweep runs before faults apply.
     const auto applyFault = [&](const FaultEvent &f, std::uint64_t now) {
         AccelState &a = accels[f.instance];
@@ -917,56 +996,11 @@ FleetScheduler::run(RequestSource &source) const
                 return; // overlapping outages coalesce
             a.crashed = true;
             fstats.crashes += 1;
-            if (a.back) {
-                const InFlight &u = *a.back;
+            a.pipe.crash(now, [&](const InFlight &u) {
                 fstats.failedBatches += 1;
-                if (u.doneAt > now)
-                    a.usage.backendBusyCycles -= u.doneAt - now;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
                 for (const auto &r : u.batch.requests)
                     failRequest(r, f.instance, now);
-                a.back.reset();
-                a.backStamp += 1;
-            }
-            while (!a.staged.empty()) {
-                // Staged run-ahead batches mapped to completion (their
-                // map busy time is honest) and never started the
-                // back-end (nothing to give back there): only their
-                // residency closes out at the crash instant. FIFO
-                // order keeps the dispatch-order residency invariant.
-                const InFlight &u = a.staged.front();
-                fstats.failedBatches += 1;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-                a.staged.pop_front();
-            }
-            if (a.front) {
-                const InFlight &u = *a.front;
-                fstats.failedBatches += 1;
-                // An unmapped front gives back its un-run mapping; a
-                // mapped one (blocked on handoff) ran it all, and its
-                // back-end never started, so nothing else to return.
-                if (!u.mapped && u.mapDoneAt > now)
-                    a.usage.mapBusyCycles -= u.mapDoneAt - now;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-                a.front.reset();
-                a.frontStamp += 1;
-            }
+            });
             // With the autoscaler on, a crash is a power loss: the
             // policy sees provisioned capacity drop, and its existing
             // spin-up path doubles as crash replacement. The crashed
@@ -1012,16 +1046,10 @@ FleetScheduler::run(RequestSource &source) const
         price.mapNs = cp.mapNs;
         price.arrivalGapNs = gapOf(head.networkId);
         std::uint64_t backlog = kNever;
-        for (const auto &acc : accels) {
-            if (!acc.canAccept(cfg.occupancy))
-                continue;
-            std::uint64_t b = 0;
-            if (acc.back && acc.back->doneAt > now)
-                b = acc.back->doneAt - now;
-            for (const auto &s : acc.staged)
-                b += s.phases.backendCycles;
-            backlog = std::min(backlog, b);
-        }
+        for (const auto &acc : accels)
+            if (acc.canAccept())
+                backlog =
+                    std::min(backlog, acc.pipe.backendFreeAt(now) - now);
         price.backlogNs = backlog == kNever ? 0 : backlog;
         return price;
     };
@@ -1045,10 +1073,9 @@ FleetScheduler::run(RequestSource &source) const
             return false;
         };
         while (!queue.empty()) {
-            bool anyAccept = false;
-            for (const auto &acc : accels)
-                anyAccept = anyAccept || acc.canAccept(cfg.occupancy);
-            if (!anyAccept)
+            if (std::none_of(
+                    accels.begin(), accels.end(),
+                    [](const AccelState &a) { return a.canAccept(); }))
                 return;
 
             const Request *head = queue.peekEligible(inHeldGroup);
@@ -1113,9 +1140,8 @@ FleetScheduler::run(RequestSource &source) const
             if (mapCache.enabled())
                 for (const auto &r : batch.requests)
                     hitBatch = hitBatch && mapCache.contains(keyOf(r));
-            // Modelled cost of streaming the cached maps back, clamped
-            // below into the mapping it replaces (a hit can never be
-            // slower than the miss it avoids).
+            // Modelled cost of streaming the cached maps back (clamped
+            // into the mapping it replaces, see Pipeline::stagePhases).
             const std::uint64_t readCost =
                 cfg.mapCache.hitReadCycles *
                 static_cast<std::uint64_t>(batch.size());
@@ -1135,31 +1161,14 @@ FleetScheduler::run(RequestSource &source) const
             std::uint64_t bestDone = kNever;
             PhaseProfile bestPhases;
             for (std::size_t i = 0; i < accels.size(); ++i) {
-                if (!accels[i].canAccept(cfg.occupancy))
+                if (!accels[i].canAccept())
                     continue;
                 auto &memo = classPhases[classOf[i]];
-                if (!memo) {
-                    const PhaseProfile full = phasesToNs(
-                        model.batchPhases(fleet[i], batch),
-                        fleet[i].freqGHz);
-                    PhaseProfile ph;
-                    if (cfg.occupancy == OccupancyModel::Pipelined) {
-                        ph = full;
-                        if (hitBatch)
-                            ph.mapCycles =
-                                std::min(ph.mapCycles, readCost);
-                    } else {
-                        // Monolithic: one opaque interval — a hit
-                        // still shrinks it by the mapping it skips,
-                        // net of the clamped read cost.
-                        ph.backendCycles = full.total();
-                        if (hitBatch)
-                            ph.backendCycles -=
-                                full.mapCycles -
-                                std::min(full.mapCycles, readCost);
-                    }
-                    memo = ph;
-                }
+                if (!memo)
+                    memo = accels[i].pipe.stagePhases(
+                        phasesToNs(model.batchPhases(fleet[i], batch),
+                                   fleet[i].freqGHz),
+                        hitBatch, readCost);
                 PhaseProfile ph = *memo;
                 // Straggler windows stretch this instance's service
                 // time (an effective frequency derate). The exact
@@ -1175,8 +1184,13 @@ FleetScheduler::run(RequestSource &source) const
                             static_cast<double>(ph.backendCycles) *
                             accels[i].slowdown));
                 }
+                // Exact completion were it placed here: mapping starts
+                // now (the Mapping Unit is free), the back-end once it
+                // has worked off its committed backlog.
                 const std::uint64_t done =
-                    estimateDone(accels[i], ph, now);
+                    std::max(now + ph.mapCycles,
+                             accels[i].pipe.backendFreeAt(now)) +
+                    ph.backendCycles;
                 if (done < bestDone) {
                     bestDone = done;
                     best = i;
@@ -1184,11 +1198,8 @@ FleetScheduler::run(RequestSource &source) const
                 }
             }
 
-            AccelState &acc = accels[best];
             InFlight unit;
             unit.phases = bestPhases;
-            unit.dispatchedAt = now;
-            unit.mapDoneAt = now + bestPhases.mapCycles;
             if (mapCache.enabled()) {
                 if (hitBatch) {
                     // Recency/frequency and byte savings book per
@@ -1229,9 +1240,6 @@ FleetScheduler::run(RequestSource &source) const
                     }
                 }
             }
-            acc.usage.mapBusyCycles += bestPhases.mapCycles;
-            acc.usage.batches += 1;
-            acc.usage.requests += batch.size();
             report.batchSize.record(static_cast<double>(batch.size()));
             for (const auto &r : batch.requests)
                 report.queueWaitCycles.record(
@@ -1255,18 +1263,15 @@ FleetScheduler::run(RequestSource &source) const
                     copy.id |= kHedgeIdBit;
                     copy.hedge = true;
                     hedgeSlots.push_back(copy);
-                    pushEv(now + retry.hedgeDelayNs, Event::Kind::Hedge,
-                           0, hedgeSlots.size() - 1);
+                    events.push(now + retry.hedgeDelayNs,
+                                Event::Kind::Hedge, 0,
+                                hedgeSlots.size() - 1);
                 }
             }
             unit.batch = std::move(batch);
-            acc.frontStamp += 1;
-            if (unit.mapDoneAt > now)
-                pushEv(unit.mapDoneAt, Event::Kind::MapDone,
-                       static_cast<std::uint32_t>(best), acc.frontStamp);
-            acc.front.emplace(std::move(unit));
-            // Zero-length map phases promote straight to the back-end
-            // (this is the whole dispatch in the monolithic model).
+            accels[best].pipe.dispatch(std::move(unit), now, events);
+            // Zero-length map phases move on at once (this is the
+            // whole dispatch in the monolithic model).
             service(best, now);
         }
     };
@@ -1280,10 +1285,23 @@ FleetScheduler::run(RequestSource &source) const
             return true;
         if (pendingRetries > 0)
             return true; // a scheduled retry will re-enter admission
-        for (const auto &a : accels)
-            if (a.front || a.back || !a.staged.empty())
-                return true;
-        return false;
+        return std::any_of(
+            accels.begin(), accels.end(),
+            [](const AccelState &a) { return !a.pipe.empty(); });
+    };
+
+    // Can any instance ever serve again? False once every instance is
+    // crashed with no recovery still scheduled: the autoscaler cannot
+    // power crashed hardware, so its evaluations must stop (as a
+    // fault-only run stops) and the stranded requests end as leftover.
+    const auto fleetCanServe = [&](std::uint64_t now) {
+        return std::any_of(accels.begin(), accels.end(),
+                           [](const AccelState &a) { return !a.crashed; }) ||
+               std::any_of(faultEvents.begin(), faultEvents.end(),
+                           [&](const FaultEvent &f) {
+                               return f.kind == FaultEventKind::Recover &&
+                                      f.atNs >= now;
+                           });
     };
 
     // One autoscaler policy evaluation at `now`: read the windowed
@@ -1312,68 +1330,47 @@ FleetScheduler::run(RequestSource &source) const
         const std::uint64_t depth = queue.size();
         const int action =
             policy.decide(now, depth, windowP99, decisionProvisioned());
+        // The instance a vote acts on: the lowest-index one in `life`
+        // for a scale-up, the highest for a scale-down. Crashed
+        // hardware is Off and cannot be powered on.
+        const auto pick = [&](Life life, bool highest) -> AccelState * {
+            for (std::size_t n = 0; n < accels.size(); ++n) {
+                AccelState &a = accels[highest ? accels.size() - 1 - n : n];
+                if (a.life == life && !a.crashed)
+                    return &a;
+            }
+            return nullptr;
+        };
         if (action > 0) {
-            bool applied = false;
-            for (auto &a : accels) {
-                if (a.life == Life::Draining) {
-                    a.life = Life::Active; // resurrect: no power change
-                    applied = true;
-                    break;
-                }
-            }
-            if (!applied) {
-                for (std::size_t i = 0; i < accels.size(); ++i) {
-                    AccelState &a = accels[i];
-                    if (a.life != Life::Off)
-                        continue;
-                    if (a.crashed)
-                        continue; // down hardware cannot be powered on
-                    notePower(now, +1);
-                    if (asCfg.spinUpCycles == 0) {
-                        a.life = Life::Active;
-                    } else {
-                        a.life = Life::SpinningUp;
-                        a.lifeStamp += 1;
-                        pushEv(now + asCfg.spinUpCycles,
-                               Event::Kind::SpinUp,
-                               static_cast<std::uint32_t>(i),
-                               a.lifeStamp);
-                    }
-                    applied = true;
-                    break;
-                }
-            }
-            if (applied)
+            if (AccelState *draining = pick(Life::Draining, false)) {
+                draining->life = Life::Active; // resurrect: no power change
                 asStats.scaleUps += 1;
+            } else if (AccelState *cold = pick(Life::Off, false)) {
+                notePower(now, +1);
+                cold->life = asCfg.spinUpCycles == 0 ? Life::Active
+                                                     : Life::SpinningUp;
+                if (asCfg.spinUpCycles > 0)
+                    events.push(now + asCfg.spinUpCycles,
+                                Event::Kind::SpinUp,
+                                static_cast<std::uint32_t>(
+                                    cold - accels.data()),
+                                ++cold->lifeStamp);
+                asStats.scaleUps += 1;
+            }
         } else if (action < 0) {
-            bool applied = false;
-            for (std::size_t i = accels.size(); i-- > 0;) {
-                AccelState &a = accels[i];
-                if (a.life != Life::SpinningUp)
-                    continue;
-                a.life = Life::Off;
-                a.lifeStamp += 1; // orphan the pending SpinUp event
+            if (AccelState *spinning = pick(Life::SpinningUp, true)) {
+                spinning->life = Life::Off;
+                spinning->lifeStamp += 1; // orphan the pending SpinUp
                 notePower(now, -1);
-                applied = true;
-                break;
-            }
-            if (!applied) {
-                for (std::size_t i = accels.size(); i-- > 0;) {
-                    AccelState &a = accels[i];
-                    if (a.life != Life::Active)
-                        continue;
-                    if (!a.front && a.staged.empty() && !a.back) {
-                        a.life = Life::Off; // idle: off immediately
-                        notePower(now, -1);
-                    } else {
-                        a.life = Life::Draining;
-                    }
-                    applied = true;
-                    break;
-                }
-            }
-            if (applied)
                 asStats.scaleDowns += 1;
+            } else if (AccelState *active = pick(Life::Active, true)) {
+                // Idle: off at once; busy: drain (see service()).
+                active->life =
+                    active->pipe.empty() ? Life::Off : Life::Draining;
+                if (active->pipe.empty())
+                    notePower(now, -1);
+                asStats.scaleDowns += 1;
+            }
         }
         const std::uint32_t provisioned = decisionProvisioned();
         asStats.peakProvisioned =
@@ -1383,24 +1380,18 @@ FleetScheduler::run(RequestSource &source) const
             ScalingSample{now, depth, windowP99, provisioned,
                           static_cast<std::int64_t>(action)});
         evalGen += 1;
-        pushEv(now + asCfg.evalIntervalCycles, Event::Kind::ScaleEval,
-               0, evalGen);
+        events.push(now + asCfg.evalIntervalCycles,
+                    Event::Kind::ScaleEval, 0, evalGen);
     };
 
     // Stale-entry filter for the lazy-invalidation heap: an event is
-    // live only while the slot (or timer generation) it describes
-    // still exists unchanged.
+    // live only while the batch stage (or timer generation) it
+    // describes still exists unchanged.
     const auto validEv = [&](const Event &e) {
         switch (e.kind) {
-          case Event::Kind::MapDone: {
-            const AccelState &a = accels[e.accel];
-            return a.front.has_value() && a.frontStamp == e.stamp &&
-                   !a.front->mapped;
-          }
-          case Event::Kind::RunDone: {
-            const AccelState &a = accels[e.accel];
-            return a.back.has_value() && a.backStamp == e.stamp;
-          }
+          case Event::Kind::MapDone:
+          case Event::Kind::RunDone:
+            return accels[e.accel].pipe.stageLive(e);
           case Event::Kind::Timer:
             return timerAt != kNever && e.stamp == timerGen;
           case Event::Kind::Arrival:
@@ -1408,7 +1399,8 @@ FleetScheduler::run(RequestSource &source) const
           case Event::Kind::ScaleEval:
             // The recurring evaluation dies with the work: a drained,
             // idle simulation must terminate, not tick forever.
-            return asEnabled && e.stamp == evalGen && hasWork();
+            return asEnabled && e.stamp == evalGen && hasWork() &&
+                   fleetCanServe(e.at);
           case Event::Kind::SpinUp: {
             const AccelState &a = accels[e.accel];
             return a.life == Life::SpinningUp &&
@@ -1437,19 +1429,20 @@ FleetScheduler::run(RequestSource &source) const
     // request. Draining admissions up to `clock` re-arms it.
     bool arrivalQueued = false;
     if (source.peek() != nullptr) {
-        pushEv(source.peek()->arrivalCycle, Event::Kind::Arrival, 0, 0);
+        events.push(source.peek()->arrivalCycle, Event::Kind::Arrival, 0,
+                    0);
         arrivalQueued = true;
     }
     if (asEnabled) {
         evalGen = 1;
-        pushEv(asCfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
-               evalGen);
+        events.push(asCfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
+                    evalGen);
     }
     // Prime the materialized fault timeline; the stamp indexes back
     // into faultEvents (the vector is immutable once materialized).
     for (std::size_t f = 0; f < faultEvents.size(); ++f)
-        pushEv(faultEvents[f].atNs, Event::Kind::Fault,
-               faultEvents[f].instance, f);
+        events.push(faultEvents[f].atNs, Event::Kind::Fault,
+                    faultEvents[f].instance, f);
 
     std::uint64_t clock = 0;
     std::vector<std::uint32_t> due;
@@ -1576,8 +1569,8 @@ FleetScheduler::run(RequestSource &source) const
             queue.push(r); // drop accounting lives in the queue
         }
         if (!arrivalQueued && source.peek() != nullptr) {
-            pushEv(source.peek()->arrivalCycle, Event::Kind::Arrival, 0,
-                   0);
+            events.push(source.peek()->arrivalCycle, Event::Kind::Arrival,
+                        0, 0);
             arrivalQueued = true;
         }
 
@@ -1594,8 +1587,12 @@ FleetScheduler::run(RequestSource &source) const
     report.leftoverQueued = queue.size() - hedgedInQueue;
     report.faults = fstats;
     report.mapCache = mapCache.stats();
-    for (auto &acc : accels)
-        report.accelerators.push_back(acc.usage);
+    for (auto &acc : accels) {
+        report.accelerators.push_back(acc.pipe.usage);
+        report.runAheadStaged += acc.pipe.staged;
+        report.runAheadPeakStaged =
+            std::max(report.runAheadPeakStaged, acc.pipe.peakStaged);
+    }
     if (asEnabled) {
         notePower(clock, 0); // close the powered-instance integral
         asStats.enabled = true;

@@ -12,36 +12,42 @@
  * evaluations and instance spin-ups, and — when a fault program is
  * configured — instance crashes/recoveries, straggler windows, retry
  * re-admissions and hedge re-dispatches (runtime/faults); entries are
- * sequence-numbered and lazily invalidated by slot/timer generation
- * stamps, so the loop is O(log events) per step instead of the seed's
- * per-iteration rescan of every instance (the seed loop survives
- * verbatim in runtime/reference for differential testing, and
- * docs/PERFORMANCE.md carries the complexity budget). Whenever an
- * accelerator can accept work and the admission queue is non-empty,
- * the batcher forms a dispatch and the scheduler places it on the
- * accelerator that would finish it soonest (greedy, which on a
- * heterogeneous fleet naturally prefers the server-class instance and
- * spills to edge-class ones under load).
+ * sequence-numbered and lazily invalidated by per-instance dispatch
+ * serials and timer generation stamps, so the loop is O(log events)
+ * per step instead of the seed's per-iteration rescan of every
+ * instance (the seed loop survives verbatim in runtime/reference for
+ * differential testing, and docs/PERFORMANCE.md carries the
+ * complexity budget). Whenever an accelerator can accept work and
+ * the admission queue is non-empty, the batcher forms a dispatch and
+ * the scheduler places it on the accelerator that would finish it
+ * soonest (greedy, which on a heterogeneous fleet naturally prefers
+ * the server-class instance and spills to edge-class ones under
+ * load).
  *
  * Each instance is modeled as the two decoupled resources PointAcc
  * actually has (Section 5 of the paper): a Mapping Unit front-end and
  * a Matrix Unit + memory back-end. A batch first occupies the front
  * end for its mapping phase, then hands its mapped output to the
- * back-end for compute + exposed DRAM. The handoff buffer is bounded
- * by SchedulerConfig::runAheadDepth: at the default depth 1 there is
- * no buffer beyond the front-end itself, the handoff blocks, and at
+ * back-end for compute + exposed DRAM. Each instance holds its
+ * batches in one FIFO in dispatch order: the head may be running on
+ * the back-end, mapped batches wait behind it, and the tail may still
+ * be mapping. SchedulerConfig::runAheadDepth bounds the wait: the
+ * Mapping Unit keeps hold of a mapped tail until at most depth - 1
+ * batches wait behind the running head, and takes a new dispatch only
+ * once it lets go. At the default depth 1 the handoff blocks and at
  * most two batches are in flight per instance — one mapping, one
  * executing (the frozen reference engine's behavior, byte-identical).
- * At depth k the front-end runs up to k batches ahead: mapped-but-
- * not-executed batches queue in a k-1 deep staging FIFO (the
- * buffer-sizing question PointAcc answers in hardware, exposed as a
- * knob), so a long back-end run no longer stalls the Mapping Unit.
- * That overlap is exactly the paper's decoupled orchestration lifted
+ * At depth k the front-end runs up to k batches ahead, so a long
+ * back-end run no longer stalls the Mapping Unit (the buffer-sizing
+ * question PointAcc answers in hardware, exposed as a knob). That
+ * overlap is exactly the paper's decoupled orchestration lifted
  * across requests: the mapping of request i+1 hides behind the
  * back-end of request i. OccupancyModel::Monolithic disables the
  * overlap (whole-run busy interval, the pre-pipelining behavior) for
- * apples-to-apples comparisons; the staging buffer only ever engages
- * under Pipelined occupancy.
+ * apples-to-apples comparisons: the same FIFO with a zero-length map
+ * phase that accepts a dispatch only when empty, so run-ahead never
+ * engages. A crash (runtime/faults) kills the whole FIFO, oldest
+ * first, and routes every victim through the retry policy.
  *
  * Service times come from a ServiceModel: the production implementation
  * (SimServiceModel) runs sim::Accelerator once per (network, cloud-size
@@ -64,6 +70,12 @@
  * full mapping and inserts its members' maps when the mapping phase
  * completes. Hits and misses never share a batch (the batcher's extra
  * compatibility rule), and the report carries the cache counters.
+ *
+ * Autoscaling (runtime/autoscaler) only powers instances that are
+ * not crashed. A crash that drops the fleet below the autoscaler's
+ * floor is replaced at the next evaluation; once every instance is
+ * crashed with no recovery scheduled, evaluations stop and the
+ * stranded requests end as leftover, exactly as without autoscaling.
  *
  * Invariants (fuzzed by test_runtime_properties): requests are
  * conserved (generated = admitted + dropped, admitted = completed +

@@ -132,11 +132,11 @@ struct ServingReport
     // output.
     /** Echo of SchedulerConfig::runAheadDepth. */
     std::uint32_t runAheadDepth = 1;
-    /** Mapped batches parked in the staging FIFO because the back-end
+    /** Mapped batches parked in the staging buffer because the back-end
      *  was still busy (each park is one batch the blocking handoff
      *  would have stalled the front-end on). */
     std::uint64_t runAheadStaged = 0;
-    /** Peak staging-FIFO occupancy across the fleet; <= depth - 1. */
+    /** Peak staging-buffer occupancy across the fleet; <= depth - 1. */
     std::uint64_t runAheadPeakStaged = 0;
 
     // Cost-aware dispatch telemetry (BatcherConfig::costAware). The

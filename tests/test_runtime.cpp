@@ -907,6 +907,70 @@ TEST(FleetScheduler, CrashWithoutRetryFailsTerminallyAndRecovers)
                                    report.leftoverQueued);
 }
 
+/** One autoscaled instance (min = max = initial = 1, evaluated every
+ *  1000 ns) under one crash window, serving four 100-ns requests that
+ *  arrive at 0, 500, 1000 and 1500. */
+ServingReport
+runAutoscaledCrash(const CrashWindow &crash, bool autoscale)
+{
+    const FixedServiceModel model(100);
+    SchedulerConfig scfg;
+    scfg.faults.enabled = true;
+    scfg.faults.crashes.push_back(crash);
+    scfg.autoscaler.enabled = autoscale;
+    scfg.autoscaler.minInstances = 1;
+    scfg.autoscaler.maxInstances = 1;
+    scfg.autoscaler.initialInstances = 1;
+    scfg.autoscaler.evalIntervalCycles = 1000;
+    FleetScheduler sched({pointAccConfig()}, model, {1.0}, scfg);
+    return sched.run({makeRequest(0, 0), makeRequest(1, 500),
+                      makeRequest(2, 1000), makeRequest(3, 1500)});
+}
+
+TEST(FleetScheduler, AutoscalerStopsWhenTheWholeFleetIsDownForGood)
+{
+    // Regression: the crash at 1000 powers the only instance off for
+    // good, and the evaluation used to re-arm forever over the two
+    // stranded requests. With no instance able to serve again it must
+    // stop, exactly where the unscaled fleet stops: horizon 1500, the
+    // first two requests done, the last two left over.
+    const auto scaled = runAutoscaledCrash(CrashWindow{0, 1000, 0}, true);
+    const auto fixed = runAutoscaledCrash(CrashWindow{0, 1000, 0}, false);
+    for (const auto *report : {&scaled, &fixed}) {
+        EXPECT_EQ(report->horizonCycles, 1500u);
+        EXPECT_EQ(report->completed, 2u);
+        EXPECT_EQ(report->failed, 0u);
+        EXPECT_EQ(report->leftoverQueued, 2u);
+        EXPECT_EQ(report->admitted, report->completed + report->failed +
+                                        report->leftoverQueued);
+    }
+    // One evaluation ran (at 1000, after the crash: below the floor
+    // it votes up, but no instance can be powered); none re-armed.
+    EXPECT_EQ(scaled.autoscaler.evals, 1u);
+    EXPECT_EQ(scaled.autoscaler.scaleUps, 0u);
+    EXPECT_EQ(scaled.autoscaler.finalProvisioned, 0u);
+}
+
+TEST(FleetScheduler, AutoscalerRestoresItsFloorAfterARecovery)
+{
+    // Regression: the instance recovers at 1500 as an unpowered pool
+    // member, and a two-request queue never reaches the scale-up
+    // threshold, so the fleet used to sit at zero instances forever.
+    // The floor powers it at the next evaluation (2000), and it
+    // serves the stranded requests as one batch of two (200 ns).
+    const auto report =
+        runAutoscaledCrash(CrashWindow{0, 1000, 500}, true);
+    EXPECT_EQ(report.completed, 4u);
+    EXPECT_EQ(report.leftoverQueued, 0u);
+    EXPECT_EQ(report.failed, 0u);
+    const std::vector<std::uint64_t> expected = {100, 600, 2200, 2200};
+    EXPECT_EQ(report.completionCycles, expected);
+    EXPECT_EQ(report.horizonCycles, 2200u);
+    EXPECT_EQ(report.faults.recoveries, 1u);
+    EXPECT_EQ(report.autoscaler.scaleUps, 1u);
+    EXPECT_EQ(report.autoscaler.finalProvisioned, 1u);
+}
+
 TEST(FleetScheduler, StragglerWindowStretchesServiceTime)
 {
     // The window covers the dispatch instant, so the 2x slowdown
@@ -2248,6 +2312,11 @@ TEST(Autoscaler, PolicyDecidesFromWindowedSignals)
     EXPECT_EQ(policy.decide(700'000, 1, 0, 2), -1);
     // ...but never through the floor.
     EXPECT_EQ(policy.decide(900'000, 0, 0, 1), 0);
+    // Below the floor (a crash powered it off) it scales up on a
+    // quiet queue...
+    EXPECT_EQ(policy.decide(950'000, 0, 0, 0), 1);
+    // ...and again inside the cooldown: the floor outranks the damper.
+    EXPECT_EQ(policy.decide(960'000, 0, 0, 0), 1);
 }
 
 TEST(Autoscaler, SpinUpDelayAndGracefulDrainOracle)

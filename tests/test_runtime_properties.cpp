@@ -225,6 +225,29 @@ randomFleet(Rng &rng)
     return fleet;
 }
 
+/** randomFleet with a clock per member: server or edge class at 0.5,
+ *  1 or 2 GHz. */
+std::vector<AcceleratorConfig>
+randomMixedClockFleet(Rng &rng)
+{
+    std::vector<AcceleratorConfig> fleet;
+    const std::size_t size = 1 + rng.range(3);
+    for (std::size_t i = 0; i < size; ++i) {
+        AcceleratorConfig cfg = rng.range(2) == 0 ? pointAccConfig()
+                                                  : pointAccEdgeConfig();
+        // A clock rate is part of the serving class: same-name fleet
+        // members must share a config, so the name carries the
+        // frequency.
+        const char *const tags[3] = {"@0.5GHz", "@1GHz", "@2GHz"};
+        const double freqs[3] = {0.5, 1.0, 2.0};
+        const std::uint64_t pick = rng.range(3);
+        cfg.freqGHz = freqs[pick];
+        cfg.name += tags[pick];
+        fleet.push_back(cfg);
+    }
+    return fleet;
+}
+
 void
 checkInvariants(const ServingReport &report, std::uint64_t seed)
 {
@@ -339,23 +362,7 @@ TEST(RuntimeProperties, MixedFrequencyFleetsHoldInvariants)
         const RandomPhasedServiceModel model(seed);
         const auto spec = randomSpec(rng, seed);
         const auto scfg = randomConfig(rng);
-
-        std::vector<AcceleratorConfig> fleet;
-        const std::size_t size = 1 + rng.range(3);
-        for (std::size_t i = 0; i < size; ++i) {
-            AcceleratorConfig cfg = rng.range(2) == 0
-                                        ? pointAccConfig()
-                                        : pointAccEdgeConfig();
-            // A clock rate is part of the serving class: same-name
-            // fleet members must share a config, so the name carries
-            // the frequency.
-            const char *const tags[3] = {"@0.5GHz", "@1GHz", "@2GHz"};
-            const double freqs[3] = {0.5, 1.0, 2.0};
-            const std::uint64_t pick = rng.range(3);
-            cfg.freqGHz = freqs[pick];
-            cfg.name += tags[pick];
-            fleet.push_back(cfg);
-        }
+        const auto fleet = randomMixedClockFleet(rng);
 
         const auto trace = WorkloadGenerator(spec).generate();
         std::string dumps[2];
@@ -1871,6 +1878,92 @@ TEST(AutoscalerProperties, ScaledRunsConserveAndAreByteIdentical)
         if (HasFatalFailure())
             return;
     }
+}
+
+// ---------------------------------------------------------------- //
+//                      Cross-feature product                        //
+// ---------------------------------------------------------------- //
+
+TEST(CrossFeatureProperties, FeatureProductHoldsInvariantsAndDigest)
+{
+    // Every feature drawn at once, which no single-feature sweep does:
+    // faults with retry/hedge, the autoscaler, run-ahead depths 1-4,
+    // cost-aware dispatch, the map cache, FIFO/SJF/EDF and mixed
+    // class/clock fleets. The frozen reference engine reaches none of
+    // these, so each run is held to the extended conservation
+    // identity, the staging bound and repeatability — and the serving
+    // JSON of all seeds is pinned by one FNV-1a digest, so a change
+    // to the event core that moves any byte shows up here. Re-pin it
+    // only for a deliberate output change.
+    constexpr std::uint64_t kFirstSeed = 5000;
+    constexpr std::uint64_t kSeeds = 256;
+    std::vector<std::string> dumps(kSeeds);
+    forEachSeed(kFirstSeed, kFirstSeed + kSeeds, [&](std::uint64_t seed) {
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        const auto spec = randomSpec(rng, seed);
+        auto scfg = randomConfig(rng);
+        const auto fleet = randomMixedClockFleet(rng);
+        const std::uint32_t size = static_cast<std::uint32_t>(fleet.size());
+        scfg.runAheadDepth = 1 + static_cast<std::uint32_t>(rng.range(4));
+        scfg.batcher.costAware = rng.range(2) == 0;
+        if (rng.range(2) == 0) {
+            scfg.faults =
+                randomFaultProgram(rng, spec.horizonCycles, fleet.size());
+            scfg.retry = randomRetryPolicy(rng);
+        }
+        if (rng.range(2) == 0) {
+            AutoscalerConfig &as = scfg.autoscaler;
+            as.enabled = true;
+            as.minInstances =
+                1 + static_cast<std::uint32_t>(rng.range(size));
+            as.maxInstances =
+                as.minInstances + static_cast<std::uint32_t>(rng.range(
+                                      size - as.minInstances + 1));
+            as.initialInstances =
+                as.minInstances +
+                static_cast<std::uint32_t>(
+                    rng.range(as.maxInstances - as.minInstances + 1));
+            as.evalIntervalCycles = 20'000 + rng.range(150'000);
+            as.queueHighDepth = 4 + rng.range(28);
+            as.queueLowDepth = rng.range(4);
+            as.p99HighCycles =
+                rng.range(2) == 0 ? 100'000 + rng.range(400'000) : 0;
+            as.spinUpCycles = rng.range(80'000);
+            as.cooldownCycles = rng.range(150'000);
+        }
+
+        const auto trace = WorkloadGenerator(spec).generate();
+        std::string runs[2];
+        ServingReport report;
+        for (auto &dump : runs) {
+            FleetScheduler sched(fleet, model, {1.0, 2.0}, scfg);
+            report = sched.run(trace);
+            dump = servingJsonOf(report);
+        }
+        EXPECT_EQ(runs[0], runs[1])
+            << "feature-product run is not repeatable, seed " << seed;
+        EXPECT_EQ(report.generated, trace.size());
+        checkFaultInvariants(report, seed);
+        EXPECT_LE(report.runAheadPeakStaged,
+                  static_cast<std::uint64_t>(scfg.runAheadDepth) - 1)
+            << "seed " << seed;
+        // Only a crash can strand requests: without one, every run
+        // drains, scaled or not.
+        if (report.faults.crashes == 0)
+            EXPECT_EQ(report.leftoverQueued, 0u) << "seed " << seed;
+        dumps[seed - kFirstSeed] = std::move(runs[0]);
+    });
+
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const auto &dump : dumps) {
+        for (const char c : dump) {
+            digest ^= static_cast<std::uint8_t>(c);
+            digest *= 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(digest, 0x5fe6e32f379c0398ULL)
+        << std::hex << "digest 0x" << digest;
 }
 
 // ---------------------------------------------------------------- //
