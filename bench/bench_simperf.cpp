@@ -47,6 +47,7 @@
  * move the floor.
  */
 
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -313,10 +314,21 @@ main(int argc, char **argv)
             quick = true;
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threadsArg = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else {
+        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+            // strtoul alone would read "x" as 0: one worker per core.
+            const char *text = argv[++i];
+            char *end = nullptr;
+            threadsArg =
+                static_cast<std::size_t>(std::strtoul(text, &end, 10));
+            if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                *end != '\0') {
+                std::fprintf(stderr,
+                             "error: --threads takes a whole number, not "
+                             "'%s'\n",
+                             text);
+                return 2;
+            }
+        } else {
             std::fprintf(stderr,
                          "error: unknown argument '%s' (expected "
                          "--json <path>, --no-json, --quick, --smoke, "

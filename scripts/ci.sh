@@ -22,15 +22,17 @@
 # monotone, and depth-1/cost-off output must be byte-identical to the
 # frozen reference), a
 # schema-doc check that
-# keeps docs/SERVING_JSON.md in lockstep with writeServingJson and
-# writePlanJson, followed by an ASan+UBSan build that re-runs the
-# runtime test suites (the event loop and the property/fuzz sweeps are
-# where lifetime/overflow bugs would hide), the map-cache bench sweep,
+# keeps docs/SERVING_JSON.md in lockstep with writeServingJson,
+# writePlanJson and bench_serving's own envelope, followed by an
+# ASan+UBSan build that re-runs the runtime test suites (the event
+# loop and the property/fuzz sweeps are where lifetime/overflow bugs
+# would hide), the map-cache bench sweep,
 # a sanitized 10^5-request smoke of the discrete-event core, 2-probe
 # planner, hetero-lattice, traffic/autoscaler, fault-injection and
 # run-ahead smokes, and finally a
 # TSan build that runs the executor unit suite, the sharded property
-# sweeps and a threaded hetero-lattice smoke with a 4-worker pool (the
+# sweeps and threaded hetero-lattice, run-ahead and fault-injection
+# smokes with a 4-worker pool (the
 # only stage that exercises real thread interleavings — Release gates
 # above are also routed through --threads 4, but their byte-identity
 # gates would mask a data race that TSan catches directly).
@@ -97,9 +99,17 @@ ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
 # throughput at reuse >= 0.5, and profiling must stay memoized across
 # rows (the bench exits non-zero on violation). --threads 4 routes the
 # sweep rows through the work-stealing pool; declaration-order merge
-# keeps the JSON byte-identical to a serial run.
+# keeps the JSON byte-identical to a serial run, which the cmp below
+# checks against a --threads 1 run of the same sweeps.
 "${BUILD_DIR}/bench_serving" --threads 4 \
     --json "${BUILD_DIR}/BENCH_serving.json"
+"${BUILD_DIR}/bench_serving" --threads 1 \
+    --json "${BUILD_DIR}/BENCH_serving_serial.json"
+if ! cmp "${BUILD_DIR}/BENCH_serving.json" \
+         "${BUILD_DIR}/BENCH_serving_serial.json"; then
+    echo "error: bench_serving --threads 4 JSON differs from --threads 1"
+    exit 1
+fi
 
 # Release-stage scale tier: 10^5-request property sweeps (conservation,
 # determinism, byte-identity with the preserved seed engine) that the
@@ -145,8 +155,9 @@ ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
 SWEEPS="plan hetero traffic faults runahead"
 # Under TSan: the sweeps whose concurrent probes share the profiling
 # memo (two accelerator classes plus an overclocked variant; the
-# staged cascade and the priced hold path).
-TSAN_SWEEPS="hetero runahead"
+# staged cascade and the priced hold path; faulted rows — crash,
+# retry and hedge paths — served side by side on the pool).
+TSAN_SWEEPS="hetero runahead faults"
 
 for sweep in ${SWEEPS}; do
     threads="--threads 4"
@@ -158,14 +169,16 @@ for sweep in ${SWEEPS}; do
         --json "${BUILD_DIR}/BENCH_serving_${sweep}.json"
 done
 
-# Schema-doc check: every JSON key writeServingJson and writePlanJson
-# emit must be documented (in backticks) in docs/SERVING_JSON.md, so
-# the published schemas can never silently drift from the writers.
-echo "== serving/plan JSON schema doc check =="
+# Schema-doc check: every JSON key writeServingJson, writePlanJson and
+# bench_serving's BENCH_serving.json writer emit must be documented (in
+# backticks) in docs/SERVING_JSON.md, so the published schemas can
+# never silently drift from the writers.
+echo "== serving/plan/bench JSON schema doc check =="
 missing=0
 for key in $(sed -nE 's/.*w\.(field|key)\("([a-z0-9_]+)".*/\2/p' \
                  src/runtime/serving_stats.cpp \
-                 src/runtime/planner.cpp | sort -u); do
+                 src/runtime/planner.cpp \
+                 bench/bench_serving.cpp | sort -u); do
     if ! grep -q "\`${key}\`" docs/SERVING_JSON.md; then
         echo "error: JSON key '${key}' is missing from docs/SERVING_JSON.md"
         missing=1
@@ -174,7 +187,7 @@ done
 if [ "${missing}" -ne 0 ]; then
     exit 1
 fi
-echo "all writeServingJson/writePlanJson keys documented"
+echo "all writeServingJson/writePlanJson/BENCH_serving.json keys documented"
 
 # ASan+UBSan pass over the runtime test suites plus the map-cache
 # bench sweep. Examples and the remaining benchmarks are skipped
@@ -221,7 +234,9 @@ done
 # memo caches), a threaded hetero-lattice smoke, which is the one
 # path where concurrent probes profile two accelerator classes plus an
 # overclocked variant through the shared memo, and a threaded
-# run-ahead smoke covering the staged cascade and priced hold paths. TSan excludes ASan by
+# run-ahead smoke covering the staged cascade and priced hold paths,
+# and a threaded fault-injection smoke whose faulted rows (crash,
+# retry, hedge) are served concurrently on the pool. TSan excludes ASan by
 # construction, so it needs its own tree; the remaining benches and
 # the examples are skipped (their byte-identity gates ran above, and a
 # TSan'd 10^7-request tier would dominate CI wall-clock without adding
