@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: configure + build + test, with warnings-as-errors on
-# the serving-runtime subsystem (src/runtime/ is new code held to a
-# stricter bar than the seed sources), the perfbench digest gates
+# every library source under src/, the perfbench digest gates
 # (a short run of each repository-benchmark workload — serve_overload,
 # serve_stream and infer_zoo — must match its stored output digests)
 # with perfbench's unit tests, the Release-only scale tier and
@@ -195,7 +194,7 @@ echo "all writeServingJson/writePlanJson/BENCH_serving.json keys documented"
 # covered by its own suites); bench_serving builds so the cache sweep
 # runs sanitized (--quick bounds the horizon, --sweep cache skips the
 # sweeps whose gates the unsanitized run already enforced);
-# warnings-as-errors stays on for src/runtime/.
+# warnings-as-errors stays on for all of src/.
 cmake -B "${SAN_BUILD_DIR}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPOINTACC_SANITIZE=ON \

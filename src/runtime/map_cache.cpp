@@ -1,10 +1,20 @@
 #include "runtime/map_cache.hpp"
 
-#include <iterator>
-
 #include "core/logging.hpp"
 
 namespace pointacc {
+
+std::size_t
+MapCacheKeyHash::operator()(const MapCacheKey &key) const
+{
+    // splitmix64 finalizer over the mixed fields: cloud ids are dense
+    // counters, so the low bits must depend on every input bit.
+    std::uint64_t h = key.cloudId ^ (key.layerHash * 0x9e3779b97f4a7c15ULL) ^
+                      (static_cast<std::uint64_t>(key.networkId) << 32);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(h ^ (h >> 31));
+}
 
 std::string
 toString(MapCacheEviction policy)
@@ -33,8 +43,7 @@ MapCache::recordHit(const MapCacheKey &key)
 {
     const auto it = entries.find(key);
     simAssert(it != entries.end(), "recordHit on a non-resident key");
-    it->second.lastUse = ++tick;
-    it->second.uses += 1;
+    touch(it->second, 1);
     counters.hits += 1;
     counters.bytesSaved += it->second.entry.mapBytes;
 }
@@ -60,44 +69,43 @@ MapCache::insert(const MapCacheKey &key, const MapCacheEntry &entry)
         // (e.g. the same frame dispatched to two instances before
         // either mapping finished) land here once each.
         it->second.entry = entry;
-        it->second.lastUse = ++tick;
+        touch(it->second, 0);
         return;
     }
     if (entries.size() >= cfg.capacityEntries)
         evictOne();
     Node node;
     node.entry = entry;
-    node.lastUse = node.insertedAt = ++tick;
+    node.lastUse = ++tick;
+    order.emplace(rankOf(node), key);
     entries.emplace(key, node);
     counters.insertions += 1;
+}
+
+MapCache::Rank
+MapCache::rankOf(const Node &node) const
+{
+    return {cfg.eviction == MapCacheEviction::Lfu ? node.uses : 0,
+            node.lastUse};
+}
+
+void
+MapCache::touch(Node &node, std::uint64_t uses)
+{
+    auto handle = order.extract(rankOf(node));
+    node.lastUse = ++tick;
+    node.uses += uses;
+    handle.key() = rankOf(node);
+    order.insert(std::move(handle));
 }
 
 void
 MapCache::evictOne()
 {
-    simAssert(!entries.empty(), "evicting from an empty map cache");
-    auto victim = entries.begin();
-    for (auto it = std::next(entries.begin()); it != entries.end(); ++it) {
-        const Node &a = it->second;
-        const Node &b = victim->second;
-        bool worse = false;
-        switch (cfg.eviction) {
-          case MapCacheEviction::Lru:
-            worse = a.lastUse < b.lastUse;
-            break;
-          case MapCacheEviction::Lfu:
-            // Least frequently used; ties fall back to recency, then
-            // insertion order, keeping the victim deterministic.
-            worse = a.uses != b.uses ? a.uses < b.uses
-                    : a.lastUse != b.lastUse
-                        ? a.lastUse < b.lastUse
-                        : a.insertedAt < b.insertedAt;
-            break;
-        }
-        if (worse)
-            victim = it;
-    }
-    entries.erase(victim);
+    simAssert(!order.empty(), "evicting from an empty map cache");
+    const auto victim = order.begin();
+    entries.erase(victim->second);
+    order.erase(victim);
     counters.evictions += 1;
 }
 

@@ -22,8 +22,10 @@
  *    FleetScheduler::run), so enabling the cache can only shorten a
  *    dispatch, never lengthen it;
  *  - capacity is enforced on every insert: size() <= capacityEntries
- *    always, with deterministic LRU/LFU victim selection (ties broken
- *    by insertion order) so equal seeds give byte-identical stats;
+ *    always, with deterministic victim selection so equal seeds give
+ *    byte-identical stats: LRU evicts the least recent entry, LFU the
+ *    least used, then least recent (recency is a strictly increasing
+ *    tick, so no two resident entries ever tie);
  *  - counters are conserved: every lookup the scheduler prices is
  *    counted exactly once as a hit or a miss, and every eviction is
  *    counted exactly once.
@@ -32,10 +34,12 @@
 #ifndef POINTACC_RUNTIME_MAP_CACHE_HPP
 #define POINTACC_RUNTIME_MAP_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
+#include <unordered_map>
+#include <utility>
 
 namespace pointacc {
 
@@ -56,18 +60,17 @@ struct MapCacheKey
     std::uint64_t layerHash = 0;
 
     bool
-    operator<(const MapCacheKey &o) const
-    {
-        return std::tie(cloudId, networkId, layerHash) <
-               std::tie(o.cloudId, o.networkId, o.layerHash);
-    }
-
-    bool
     operator==(const MapCacheKey &o) const
     {
         return cloudId == o.cloudId && networkId == o.networkId &&
                layerHash == o.layerHash;
     }
+};
+
+/** Hash of a MapCacheKey for the cache's hashed lookup. */
+struct MapCacheKeyHash
+{
+    std::size_t operator()(const MapCacheKey &key) const;
 };
 
 /** Victim-selection policies. */
@@ -188,18 +191,27 @@ class MapCache
     void insert(const MapCacheKey &key, const MapCacheEntry &entry);
 
   private:
+    /** Victim order: (uses, lastUse) under LFU, (0, lastUse) under
+     *  LRU. lastUse is unique, so ranks are too. */
+    using Rank = std::pair<std::uint64_t, std::uint64_t>;
+
     struct Node
     {
         MapCacheEntry entry;
-        std::uint64_t lastUse = 0;  ///< logical tick of last touch
-        std::uint64_t uses = 0;     ///< touches since insertion
-        std::uint64_t insertedAt = 0; ///< logical tick of insertion
+        std::uint64_t lastUse = 0; ///< logical tick of last touch
+        std::uint64_t uses = 0;    ///< hits since insertion
     };
 
+    Rank rankOf(const Node &node) const;
+    /** Stamp `node` with a fresh tick, add `uses` hits and move it to
+     *  its new rank. */
+    void touch(Node &node, std::uint64_t uses);
     void evictOne();
 
     MapCacheConfig cfg;
-    std::map<MapCacheKey, Node> entries;
+    std::unordered_map<MapCacheKey, Node, MapCacheKeyHash> entries;
+    /** Every resident key by rank; the victim is the first. */
+    std::map<Rank, MapCacheKey> order;
     MapCacheStats counters;
     /** Logical use clock: advanced per touch/insert; deterministic. */
     std::uint64_t tick = 0;

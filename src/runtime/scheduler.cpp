@@ -91,16 +91,15 @@ phasesToNs(const PhaseProfile &phases, double freq_ghz)
     return ns;
 }
 
-std::uint64_t
-ServiceModel::batchServiceCycles(const AcceleratorConfig &cfg,
-                                 const Batch &batch) const
+PhaseProfile
+priceBatch(const std::vector<ServiceProfile> &members)
 {
-    simAssert(!batch.empty(), "batch must not be empty");
+    simAssert(!members.empty(), "batch must not be empty");
     std::uint64_t sum = 0;
     std::uint64_t longest = 0;
     std::uint64_t shared = kNoShared;
-    for (const auto &r : batch.requests) {
-        const auto p = profile(cfg, r.networkId, r.sizeBucket);
+    std::uint64_t mapSum = 0;
+    for (const auto &p : members) {
         sum += p.totalCycles;
         longest = std::max(longest, p.totalCycles);
         // Same network across the batch => same parameter set. The
@@ -109,28 +108,37 @@ ServiceModel::batchServiceCycles(const AcceleratorConfig &cfg,
         // member's value: never overcredit, and the price of a batch
         // does not depend on member order.
         shared = std::min(shared, p.weightLoadCycles);
+        mapSum += p.phases().mapCycles;
     }
     const std::uint64_t saved =
-        shared * static_cast<std::uint64_t>(batch.size() - 1);
-    return std::max(longest, sum > saved ? sum - saved : longest);
+        shared * static_cast<std::uint64_t>(members.size() - 1);
+    const std::uint64_t total =
+        std::max(longest, sum > saved ? sum - saved : longest);
+    // Mapping never amortizes (each member's cloud maps separately),
+    // but the weight credit can shrink the total below sum-of-parts;
+    // clamp so the phases still partition the batch price exactly.
+    PhaseProfile ph;
+    ph.mapCycles = std::min(mapSum, total);
+    ph.backendCycles = total - ph.mapCycles;
+    return ph;
+}
+
+std::uint64_t
+ServiceModel::batchServiceCycles(const AcceleratorConfig &cfg,
+                                 const Batch &batch) const
+{
+    return batchPhases(cfg, batch).total();
 }
 
 PhaseProfile
 ServiceModel::batchPhases(const AcceleratorConfig &cfg,
                           const Batch &batch) const
 {
-    const std::uint64_t total = batchServiceCycles(cfg, batch);
-    std::uint64_t mapSum = 0;
+    std::vector<ServiceProfile> members;
+    members.reserve(batch.size());
     for (const auto &r : batch.requests)
-        mapSum +=
-            profile(cfg, r.networkId, r.sizeBucket).phases().mapCycles;
-    // Mapping never amortizes (each member's cloud maps separately),
-    // but the weight credit can shrink the total below sum-of-parts;
-    // clamp so the phases still partition the batch price exactly.
-    PhaseProfile p;
-    p.mapCycles = std::min(mapSum, total);
-    p.backendCycles = total - p.mapCycles;
-    return p;
+        members.push_back(profile(cfg, r.networkId, r.sizeBucket));
+    return priceBatch(members);
 }
 
 SimServiceModel::SimServiceModel(ServingCatalog catalog)
@@ -651,6 +659,105 @@ struct AccelState
     }
 };
 
+/**
+ * One run's service prices: the ServiceProfile of every (accelerator
+ * class, network, bucket) triple the run needs, plus each network's
+ * layer-config hash, in one flat row per network. A triple is fetched
+ * from the model the first time it is needed and read from the table
+ * after that (ServiceModel::profile is pure for the whole of a run),
+ * so pricing a dispatch takes no lock and no keyed lookup. Class c is
+ * the c-th distinct config name in fleet order, so class 0 is the
+ * lead accelerator the admission estimates price against.
+ */
+class PriceTable
+{
+  public:
+    PriceTable(const ServiceModel &model_,
+               const std::vector<AcceleratorConfig> &fleet_)
+        : model(model_), fleet(fleet_), instanceClass(fleet_.size())
+    {
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
+            std::size_t c = 0;
+            while (c < leads.size() && fleet[leads[c]].name != fleet[i].name)
+                ++c;
+            if (c == leads.size())
+                leads.push_back(i);
+            instanceClass[i] = c;
+        }
+    }
+
+    std::size_t classes() const { return leads.size(); }
+    std::size_t classOf(std::size_t instance) const
+    {
+        return instanceClass[instance];
+    }
+
+    const ServiceProfile &
+    profile(std::size_t cls, std::uint32_t network_id, std::uint32_t bucket)
+    {
+        Row &row = rowOf(network_id);
+        const std::size_t at = bucket * leads.size() + cls;
+        if (at >= row.cells.size())
+            row.cells.resize((bucket + std::size_t{1}) * leads.size());
+        Cell &cell = row.cells[at];
+        if (!cell.known) {
+            cell.profile =
+                model.profile(fleet[leads[cls]], network_id, bucket);
+            cell.known = true;
+        }
+        return cell.profile;
+    }
+
+    std::uint64_t
+    layerHash(std::uint32_t network_id)
+    {
+        Row &row = rowOf(network_id);
+        if (!row.hashed) {
+            row.layerHash = model.layerConfigHash(network_id);
+            row.hashed = true;
+        }
+        return row.layerHash;
+    }
+
+    /** A batch's phases on class `cls`, in that class's cycles. */
+    PhaseProfile
+    batchPhases(std::size_t cls, const Batch &batch)
+    {
+        members.clear();
+        for (const auto &r : batch.requests)
+            members.push_back(profile(cls, r.networkId, r.sizeBucket));
+        return priceBatch(members);
+    }
+
+  private:
+    struct Cell
+    {
+        ServiceProfile profile;
+        bool known = false;
+    };
+    struct Row
+    {
+        bool hashed = false;
+        std::uint64_t layerHash = 0;
+        std::vector<Cell> cells; ///< [bucket * classes + class]
+    };
+
+    Row &
+    rowOf(std::uint32_t network_id)
+    {
+        if (network_id >= rows.size())
+            rows.resize(network_id + std::size_t{1});
+        return rows[network_id];
+    }
+
+    const ServiceModel &model;
+    const std::vector<AcceleratorConfig> &fleet;
+    std::vector<std::size_t> instanceClass;
+    std::vector<std::size_t> leads; ///< class -> its first instance
+    std::vector<Row> rows;
+    std::vector<ServiceProfile> members; ///< batchPhases scratch
+};
+
 } // namespace
 
 ServingReport
@@ -673,19 +780,16 @@ FleetScheduler::run(RequestSource &source) const
     AdmissionQueue queue(cfg.queueDepth, cfg.policy);
     Batcher batcher(cfg.batcher, bucketScales);
 
-    // Cross-request kernel-map cache. Keys memoize the per-network
-    // layer-config hash; lookups classify requests as hits or misses
-    // *at dispatch time* (cache contents evolve as misses publish).
+    PriceTable prices(model, fleet);
+
+    // Cross-request kernel-map cache. Keys take the per-network
+    // layer-config hash from the price table; lookups classify
+    // requests as hits or misses *at dispatch time* (cache contents
+    // evolve as misses publish).
     MapCache mapCache(cfg.mapCache);
-    std::map<std::uint32_t, std::uint64_t> layerHashes;
     const auto keyOf = [&](const Request &r) {
-        auto it = layerHashes.find(r.networkId);
-        if (it == layerHashes.end())
-            it = layerHashes
-                     .emplace(r.networkId,
-                              model.layerConfigHash(r.networkId))
-                     .first;
-        return MapCacheKey{r.cloudId, r.networkId, it->second};
+        return MapCacheKey{r.cloudId, r.networkId,
+                           prices.layerHash(r.networkId)};
     };
     if (mapCache.enabled()) {
         // A hit's collapsed map phase and a miss's full mapping can
@@ -788,52 +892,15 @@ FleetScheduler::run(RequestSource &source) const
     std::uint64_t pendingRetries = 0; // scheduled, not yet re-admitted
     std::uint64_t hedgedInQueue = 0;  // duplicates sitting in admission
 
-    // Accelerator class per instance: the index of the first fleet
-    // member with the same config name. Dispatch prices a batch once
-    // per class (the seed keyed the same memo by name strings).
-    std::vector<std::size_t> classOf(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        classOf[i] = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (fleet[j].name == fleet[i].name) {
-                classOf[i] = j;
-                break;
-            }
-        }
-    }
-
-    // Reference prices per (network, bucket), against the lead
-    // accelerator in ns on the event axis: the SJF/EDF admission
+    // Reference prices per (network, bucket): class 0, the lead
+    // accelerator, in ns on the event axis — the SJF/EDF admission
     // estimate and the cost-aware weight-reload and mapping prices.
     // On a heterogeneous fleet relative job ordering and cost
     // magnitudes are what matter, and network cost ratios are stable
-    // across classes. The profile call is deterministic, so one memo
-    // keeps per-arrival admission O(log classes).
-    const AcceleratorConfig &reference = fleet.front();
-    struct ClassPrice
-    {
-        std::uint64_t estimateNs = 0;
-        std::uint64_t weightLoadNs = 0;
-        std::uint64_t mapNs = 0;
-    };
-    std::map<std::pair<std::uint32_t, std::uint32_t>, ClassPrice>
-        priceCache;
-    const auto priceOf = [&](const Request &r) -> const ClassPrice & {
-        const auto key = std::make_pair(r.networkId, r.sizeBucket);
-        auto it = priceCache.find(key);
-        if (it == priceCache.end()) {
-            const auto p =
-                model.profile(reference, r.networkId, r.sizeBucket);
-            const double f = reference.freqGHz;
-            it = priceCache
-                     .emplace(key,
-                              ClassPrice{
-                                  cyclesToNs(p.totalCycles, f),
-                                  cyclesToNs(p.weightLoadCycles, f),
-                                  cyclesToNs(p.phases().mapCycles, f)})
-                     .first;
-        }
-        return it->second;
+    // across classes.
+    const double referenceGHz = fleet.front().freqGHz;
+    const auto referenceOf = [&](const Request &r) -> const ServiceProfile & {
+        return prices.profile(0, r.networkId, r.sizeBucket);
     };
 
     // ---- Cost-aware dispatch (BatcherConfig::costAware) ----------- //
@@ -1041,9 +1108,9 @@ FleetScheduler::run(RequestSource &source) const
     const auto dispatchCostOf = [&](const Request &head,
                                     std::uint64_t now) {
         DispatchCost price;
-        const ClassPrice cp = priceOf(head);
-        price.weightLoadNs = cp.weightLoadNs;
-        price.mapNs = cp.mapNs;
+        const ServiceProfile &p = referenceOf(head);
+        price.weightLoadNs = cyclesToNs(p.weightLoadCycles, referenceGHz);
+        price.mapNs = cyclesToNs(p.phases().mapCycles, referenceGHz);
         price.arrivalGapNs = gapOf(head.networkId);
         std::uint64_t backlog = kNever;
         for (const auto &acc : accels)
@@ -1053,6 +1120,10 @@ FleetScheduler::run(RequestSource &source) const
         price.backlogNs = backlog == kNever ? 0 : backlog;
         return price;
     };
+
+    // The dispatch being placed, priced per class in ns: one buffer
+    // for the whole run.
+    std::vector<std::optional<PhaseProfile>> classPhases(prices.classes());
 
     const auto dispatch = [&](std::uint64_t now) {
         // The timer mirrors the *currently outstanding* holds: every
@@ -1148,28 +1219,26 @@ FleetScheduler::run(RequestSource &source) const
 
             // Place on the accepting instance that finishes soonest.
             // Batch phases depend only on the accelerator class, so
-            // price once per class (precomputed classOf indices — the
-            // seed keyed the same memo by config-name strings; a
-            // homogeneous fleet pays a single batchPhases pass per
-            // dispatch either way). The profiled cycles convert to the
+            // price once per class per dispatch (a homogeneous fleet
+            // pays a single pass). The profiled cycles convert to the
             // ns event axis here, at this class's own clock — the one
             // point where the per-instance cycle domain meets the
             // global wall clock.
-            std::vector<std::optional<PhaseProfile>> classPhases(
-                fleet.size());
+            std::fill(classPhases.begin(), classPhases.end(),
+                      std::nullopt);
             std::size_t best = accels.size();
             std::uint64_t bestDone = kNever;
             PhaseProfile bestPhases;
             for (std::size_t i = 0; i < accels.size(); ++i) {
                 if (!accels[i].canAccept())
                     continue;
-                auto &memo = classPhases[classOf[i]];
+                auto &memo = classPhases[prices.classOf(i)];
                 if (!memo)
-                    memo = accels[i].pipe.stagePhases(
-                        phasesToNs(model.batchPhases(fleet[i], batch),
-                                   fleet[i].freqGHz),
-                        hitBatch, readCost);
-                PhaseProfile ph = *memo;
+                    memo = phasesToNs(
+                        prices.batchPhases(prices.classOf(i), batch),
+                        fleet[i].freqGHz);
+                PhaseProfile ph = accels[i].pipe.stagePhases(
+                    *memo, hitBatch, readCost);
                 // Straggler windows stretch this instance's service
                 // time (an effective frequency derate). The exact
                 // ==1.0 comparison keeps the fault-free path free of
@@ -1213,10 +1282,7 @@ FleetScheduler::run(RequestSource &source) const
                     for (const auto &r : batch.requests)
                         mapCache.recordHit(keyOf(r));
                     const std::uint64_t batchMap =
-                        phasesToNs(model.batchPhases(fleet[best],
-                                                     batch),
-                                   fleet[best].freqGHz)
-                            .mapCycles;
+                        classPhases[prices.classOf(best)]->mapCycles;
                     mapCache.creditSavedCycles(
                         batchMap - std::min(batchMap, readCost));
                 } else {
@@ -1229,8 +1295,9 @@ FleetScheduler::run(RequestSource &source) const
                         mapCache.recordMiss();
                         if (r.cloudId == 0)
                             continue;
-                        const auto p = model.profile(
-                            fleet[best], r.networkId, r.sizeBucket);
+                        const ServiceProfile p = prices.profile(
+                            prices.classOf(best), r.networkId,
+                            r.sizeBucket);
                         unit.inserts.emplace_back(
                             keyOf(r),
                             MapCacheEntry{
@@ -1560,7 +1627,8 @@ FleetScheduler::run(RequestSource &source) const
                source.peek()->arrivalCycle <= clock) {
             Request r = source.take();
             report.generated += 1;
-            r.estimatedCycles = priceOf(r).estimateNs;
+            r.estimatedCycles =
+                cyclesToNs(referenceOf(r).totalCycles, referenceGHz);
             // The cadence tracks the offered arrival process (drops
             // included; retries and hedges are re-admissions, not
             // arrivals, and never pass through here).

@@ -189,13 +189,32 @@ struct ServiceProfile
     }
 };
 
+/**
+ * Price of a whole batch from its members' profiles on one
+ * accelerator class, in that class's cycles. The total is
+ *   max( sum_i cycles_i - (|B|-1) * min_i weightLoadCycles_i,
+ *        max_i cycles_i ):
+ * the min makes the credit order-independent and conservative when
+ * size buckets (whose caps differ) mix within one batch. The map
+ * phase is the sum of the members' mapping phases (mapping shares
+ * nothing across members, so it never amortizes), clamped into the
+ * total; the backend phase is the exact remainder, which is where the
+ * weight-reload credit lands. `members` must not be empty.
+ */
+PhaseProfile priceBatch(const std::vector<ServiceProfile> &members);
+
 /** Service-time oracle consulted by the scheduler. */
 class ServiceModel
 {
   public:
     virtual ~ServiceModel() = default;
 
-    /** Cost of one request of (network, bucket) on `cfg`. */
+    /**
+     * Cost of one request of (network, bucket) on `cfg`. Must be a
+     * pure function of its arguments for the whole of a run:
+     * FleetScheduler::run asks once per (accelerator class, network,
+     * bucket) and reads its own table after that.
+     */
     virtual ServiceProfile profile(const AcceleratorConfig &cfg,
                                    std::uint32_t network_id,
                                    std::uint32_t bucket) const = 0;
@@ -210,24 +229,13 @@ class ServiceModel
      */
     virtual std::uint64_t layerConfigHash(std::uint32_t network_id) const;
 
-    /**
-     * Service cycles for a whole batch on `cfg`:
-     *   max( sum_i cycles_i - (|B|-1) * min_i weightLoadCycles_i,
-     *        max_i cycles_i ).
-     * The min makes the credit order-independent and conservative
-     * when size buckets (whose caps differ) mix within one batch.
-     */
+    /** Service cycles for a whole batch on `cfg`:
+     *  batchPhases(cfg, batch).total(). */
     std::uint64_t batchServiceCycles(const AcceleratorConfig &cfg,
                                      const Batch &batch) const;
 
-    /**
-     * Phase split of a whole batch: the map phase is the sum of the
-     * members' mapping phases (mapping shares nothing across members,
-     * so it never amortizes), clamped into the batch's total service
-     * time; the backend phase is the exact remainder, which is where
-     * the weight-reload credit lands. batchPhases(...).total() ==
-     * batchServiceCycles(...) always.
-     */
+    /** Phase split of a whole batch on `cfg`: priceBatch over the
+     *  members' profiles. */
     PhaseProfile batchPhases(const AcceleratorConfig &cfg,
                              const Batch &batch) const;
 };
@@ -246,8 +254,11 @@ class ServiceModel
  * lock, re-checks, and simulates. Each distinct triple is therefore
  * still simulated exactly once per process, whatever the thread
  * count, and profiledRuns() keeps its memoization-meter meaning.
- * Measured (docs/PERFORMANCE.md): the read-side lock is invisible
- * next to the event-loop work a probe does per request.
+ * The lock is not free under sharing: when every dispatch asked the
+ * model, perfbench serve_stream (4 threads) spent 2.2 s of 12.5 s of
+ * scheduler time in 11.2M calls, about 195 ns each. FleetScheduler
+ * now asks once per (class, network, bucket) per run, 96 profile
+ * calls per repetition (docs/PERFORMANCE.md).
  */
 class SimServiceModel : public ServiceModel
 {

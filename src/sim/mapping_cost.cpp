@@ -1,8 +1,10 @@
 #include "sim/mapping_cost.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "core/logging.hpp"
+#include "core/types.hpp"
 #include "mpu/sorting_network.hpp"
 
 namespace pointacc {
@@ -13,6 +15,16 @@ std::uint64_t
 ceilDiv(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
+}
+
+/** Elements per merger window: half the merger width, validated the
+ *  way StreamMerger validates it. */
+std::uint64_t
+windowHalf(const MpuConfig &cfg)
+{
+    simAssert(cfg.mergerWidth >= 2 && isPowerOfTwo(cfg.mergerWidth),
+              "merger width must be a power of two >= 2");
+    return cfg.mergerWidth / 2;
 }
 
 /**
@@ -28,7 +40,7 @@ sortCost(std::uint64_t n, std::uint64_t k, const MpuConfig &cfg)
     MappingCost c;
     if (n == 0)
         return c;
-    const std::uint64_t half = cfg.mergerWidth / 2;
+    const std::uint64_t half = windowHalf(cfg);
 
     // Stage ST: one window per cycle through the bitonic sorter.
     std::uint64_t runs = ceilDiv(n, half);
@@ -43,8 +55,8 @@ sortCost(std::uint64_t n, std::uint64_t k, const MpuConfig &cfg)
     c.sramBytes += n * cfg.elementBytes * 2; // read raw + write runs
 
     // Merge tree with truncation.
-    std::vector<std::uint64_t> lens(runs, half);
-    lens.back() = n - (runs - 1) * half;
+    std::vector<std::uint64_t> lens(runs - 1, half);
+    lens.push_back(n - (runs - 1) * half);
     if (k > 0) {
         for (auto &len : lens)
             len = std::min(len, k);
@@ -82,7 +94,7 @@ kernelMapCost(std::uint64_t num_in, std::uint64_t num_out,
               int kernel_volume, const MpuConfig &cfg)
 {
     MappingCost c;
-    const std::uint64_t half = cfg.mergerWidth / 2;
+    const std::uint64_t half = windowHalf(cfg);
     const std::uint64_t windows =
         ceilDiv(num_in, half) + ceilDiv(num_out, half);
     const auto volume = static_cast<std::uint64_t>(

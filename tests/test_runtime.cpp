@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "nn/zoo.hpp"
 #include "runtime/autoscaler.hpp"
@@ -1845,6 +1848,96 @@ TEST(FleetScheduler, MapCacheMonolithicPublishesAtRunCompletion)
     const auto report = sched.run({r0, r1, r2});
     EXPECT_EQ(report.mapCache.misses, 2u); // r0, and r1 mid-run
     EXPECT_EQ(report.mapCache.hits, 1u);   // r2, after publication
+}
+
+/** Per-class cost table that counts every profile and layer-hash
+ *  call, keyed by (config name, network, bucket). */
+class CountingServiceModel : public ServiceModel
+{
+  public:
+    ServiceProfile
+    profile(const AcceleratorConfig &cfg, std::uint32_t network_id,
+            std::uint32_t bucket) const override
+    {
+        profileCalls[{cfg.name, network_id, bucket}] += 1;
+        ServiceProfile p;
+        p.totalCycles = 20'000 * (network_id + 1) * (bucket + 1);
+        p.mappingCycles = p.totalCycles * 2 / 5;
+        p.computeCycles = p.totalCycles - p.mappingCycles;
+        p.weightLoadCycles = p.totalCycles / 10;
+        p.mapBytes = 4096;
+        return p;
+    }
+
+    std::uint64_t
+    layerConfigHash(std::uint32_t network_id) const override
+    {
+        hashCalls[network_id] += 1;
+        return ServiceModel::layerConfigHash(network_id);
+    }
+
+    mutable std::map<std::tuple<std::string, std::uint32_t, std::uint32_t>,
+                     int>
+        profileCalls;
+    mutable std::map<std::uint32_t, int> hashCalls;
+};
+
+TEST(FleetScheduler, PricesEachTripleOncePerRun)
+{
+    // The scheduler reads every (class, network, bucket) price from a
+    // per-run table, so the model sees each triple at most once per
+    // run, however many dispatches, hit credits, miss inserts and
+    // cost-aware hold decisions price it.
+    AcceleratorConfig slow = pointAccConfig();
+    AcceleratorConfig fast = pointAccConfig();
+    fast.name += "@1.25GHz";
+    fast.freqGHz = 1.25;
+    const std::vector<AcceleratorConfig> fleet = {slow, fast, slow, fast};
+
+    WorkloadSpec spec;
+    spec.seed = 17;
+    spec.requestsPerMCycle = 60.0;
+    spec.horizonCycles = 20'000'000;
+    spec.mix = {{0, 0, 3.0, 400'000, 0, 0.7},
+                {1, 1, 2.0, 0, 1, 0.6},
+                {2, 1, 1.0, 0, 2, 0.5}};
+
+    SchedulerConfig scfg;
+    scfg.policy = QueuePolicy::Edf;
+    scfg.batcher.enabled = true;
+    scfg.batcher.maxBatchSize = 8;
+    scfg.batcher.targetK = 4;
+    scfg.batcher.costAware = true;
+    scfg.batcher.maxWaitCycles = 40'000;
+    scfg.runAheadDepth = 2;
+    scfg.mapCache.enabled = true;
+    scfg.mapCache.capacityEntries = 16;
+    scfg.mapCache.hitReadCycles = 2'000;
+
+    const CountingServiceModel model;
+    FleetScheduler sched(fleet, model, {0.5, 1.0}, scfg);
+    const auto report = sched.run(WorkloadGenerator(spec).generate());
+
+    // Every feature the table serves was exercised.
+    EXPECT_GT(report.completed, 1000u);
+    EXPECT_EQ(report.completed, report.admitted);
+    EXPECT_GT(report.costHolds, 0u);
+    EXPECT_GT(report.mapCache.hits, 0u);
+    EXPECT_GT(report.mapCache.evictions, 0u);
+    EXPECT_GT(report.batchSize.mean(), 1.0);
+    for (const auto &acc : report.accelerators)
+        EXPECT_GT(acc.requests, 0u) << acc.name;
+
+    // 2 classes x 3 (network, bucket) pairs, each priced once.
+    EXPECT_EQ(model.profileCalls.size(), 6u);
+    for (const auto &call : model.profileCalls)
+        EXPECT_EQ(call.second, 1)
+            << std::get<0>(call.first) << " network "
+            << std::get<1>(call.first) << " bucket "
+            << std::get<2>(call.first);
+    EXPECT_EQ(model.hashCalls.size(), 3u);
+    for (const auto &call : model.hashCalls)
+        EXPECT_EQ(call.second, 1) << "network " << call.first;
 }
 
 // ---------------------------------------------------------------- //

@@ -88,10 +88,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -1144,6 +1146,187 @@ TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
             fuzzQueuePair(policy, seed, shallow);
         for (std::uint64_t seed = 1; seed <= 3; ++seed)
             fuzzQueuePair(policy, seed, deep);
+    }
+}
+
+/**
+ * The map cache as it was before the victim-order index: a std::map
+ * scanned end to end on every eviction, LFU ties broken by recency
+ * and then insertion order. The frozen reference engine shares the
+ * production MapCache, so the reference differential cannot see a
+ * change of victim; this copy is the oracle for that.
+ */
+class ScanMapCache
+{
+  public:
+    explicit ScanMapCache(MapCacheConfig config) : cfg(config) {}
+
+    const MapCacheStats &stats() const { return counters; }
+
+    bool contains(const MapCacheKey &key) const
+    {
+        return entries.count(key) > 0;
+    }
+
+    void
+    recordHit(const MapCacheKey &key)
+    {
+        Node &n = entries.at(key);
+        n.lastUse = ++tick;
+        n.uses += 1;
+        counters.hits += 1;
+        counters.bytesSaved += n.entry.mapBytes;
+    }
+
+    void recordMiss() { counters.misses += 1; }
+
+    void
+    insert(const MapCacheKey &key, const MapCacheEntry &entry)
+    {
+        const auto it = entries.find(key);
+        if (it != entries.end()) {
+            it->second.entry = entry;
+            it->second.lastUse = ++tick;
+            return;
+        }
+        if (entries.size() >= cfg.capacityEntries)
+            evictOne();
+        Node node;
+        node.entry = entry;
+        node.lastUse = node.insertedAt = ++tick;
+        entries.emplace(key, node);
+        counters.insertions += 1;
+    }
+
+  private:
+    struct Node
+    {
+        MapCacheEntry entry;
+        std::uint64_t lastUse = 0;
+        std::uint64_t uses = 0;
+        std::uint64_t insertedAt = 0;
+    };
+    struct KeyLess
+    {
+        bool
+        operator()(const MapCacheKey &a, const MapCacheKey &b) const
+        {
+            return std::tie(a.cloudId, a.networkId, a.layerHash) <
+                   std::tie(b.cloudId, b.networkId, b.layerHash);
+        }
+    };
+
+    void
+    evictOne()
+    {
+        auto victim = entries.begin();
+        for (auto it = std::next(entries.begin()); it != entries.end();
+             ++it) {
+            const Node &a = it->second;
+            const Node &b = victim->second;
+            const bool worse =
+                cfg.eviction == MapCacheEviction::Lru
+                    ? a.lastUse < b.lastUse
+                    : a.uses != b.uses ? a.uses < b.uses
+                      : a.lastUse != b.lastUse
+                          ? a.lastUse < b.lastUse
+                          : a.insertedAt < b.insertedAt;
+            if (worse)
+                victim = it;
+        }
+        entries.erase(victim);
+        counters.evictions += 1;
+    }
+
+    MapCacheConfig cfg;
+    std::map<MapCacheKey, Node, KeyLess> entries;
+    MapCacheStats counters;
+    std::uint64_t tick = 0;
+};
+
+bool
+sameStats(const MapCacheStats &a, const MapCacheStats &b)
+{
+    return a.hits == b.hits && a.misses == b.misses &&
+           a.insertions == b.insertions && a.evictions == b.evictions &&
+           a.bytesSaved == b.bytesSaved && a.cyclesSaved == b.cyclesSaved;
+}
+
+TEST(RuntimeEquivalence, MapCacheEvictsLikeTheScanCache)
+{
+    // Random op sequences over a key universe about 1.5x the capacity
+    // (two networks per cloud), so inserts evict often and LFU use
+    // counts tie often. After every op both caches must hold the same
+    // keys and the same counters.
+    for (const MapCacheEviction policy :
+         {MapCacheEviction::Lru, MapCacheEviction::Lfu}) {
+        for (std::size_t capacity = 1; capacity <= 64; ++capacity) {
+            SCOPED_TRACE(::testing::Message()
+                         << toString(policy) << " capacity " << capacity);
+            MapCacheConfig mcfg;
+            mcfg.enabled = true;
+            mcfg.capacityEntries = capacity;
+            mcfg.eviction = policy;
+            MapCache indexed(mcfg);
+            ScanMapCache scan(mcfg);
+            Rng rng(capacity * 0x9e3779b9ULL +
+                    static_cast<std::uint64_t>(policy));
+
+            std::vector<MapCacheKey> universe;
+            for (std::uint64_t cloud = 1; cloud <= capacity / 2 + 2;
+                 ++cloud)
+                for (std::uint32_t net = 0; net < 2; ++net)
+                    universe.push_back(
+                        MapCacheKey{cloud, net, 0xabcULL + net});
+            for (std::size_t i = 0; i < capacity / 2; ++i)
+                universe.push_back(MapCacheKey{100 + i, 0, 0xabcULL});
+            // A random key that is (or is not) resident, if any is.
+            const auto pick = [&](bool resident) -> const MapCacheKey * {
+                const std::size_t start = rng.range(universe.size());
+                for (std::size_t i = 0; i < universe.size(); ++i) {
+                    const MapCacheKey &k =
+                        universe[(start + i) % universe.size()];
+                    if (scan.contains(k) == resident)
+                        return &k;
+                }
+                return nullptr;
+            };
+
+            for (int op = 0; op < 600; ++op) {
+                const std::uint64_t kind = rng.range(8);
+                const MapCacheEntry entry{rng.range(1000), rng.range(512)};
+                if (kind < 3) { // insert a new key
+                    if (const MapCacheKey *k = pick(false)) {
+                        indexed.insert(*k, entry);
+                        scan.insert(*k, entry);
+                    }
+                } else if (kind == 3) { // refresh a resident key
+                    if (const MapCacheKey *k = pick(true)) {
+                        indexed.insert(*k, entry);
+                        scan.insert(*k, entry);
+                    }
+                } else if (kind < 6) {
+                    if (const MapCacheKey *k = pick(true)) {
+                        indexed.recordHit(*k);
+                        scan.recordHit(*k);
+                    }
+                } else if (kind == 6) {
+                    indexed.recordMiss();
+                    scan.recordMiss();
+                } else {
+                    const MapCacheKey &k =
+                        universe[rng.range(universe.size())];
+                    ASSERT_EQ(indexed.contains(k), scan.contains(k));
+                }
+                for (const MapCacheKey &k : universe)
+                    ASSERT_EQ(indexed.contains(k), scan.contains(k))
+                        << "op " << op << " cloud " << k.cloudId
+                        << " network " << k.networkId;
+                ASSERT_TRUE(sameStats(indexed.stats(), scan.stats()))
+                    << "op " << op;
+                ASSERT_LE(indexed.size(), capacity);
+            }
+        }
     }
 }
 

@@ -90,6 +90,18 @@ TEST(MappingCost, ScalesWithKernelVolume)
                 0.01);
 }
 
+TEST(MappingCost, RejectsMergerWidthsStreamMergerRejects)
+{
+    // A width below 2 once made the window size 0 and ceilDiv divide
+    // by zero; the cost model now validates it like StreamMerger.
+    for (const std::size_t width : {0, 1, 6}) {
+        MpuConfig mcfg;
+        mcfg.mergerWidth = width;
+        EXPECT_DEATH(quantizeCost(1000, mcfg), "merger width");
+        EXPECT_DEATH(kernelMapCost(1000, 1000, 27, mcfg), "merger width");
+    }
+}
+
 // ---------------------------------------------------------------- //
 //                       Whole-network runs                          //
 // ---------------------------------------------------------------- //
