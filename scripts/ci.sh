@@ -2,7 +2,8 @@
 # CI entry point: configure + build + test, with warnings-as-errors on
 # every library source under src/, the perfbench digest gates
 # (a short run of each repository-benchmark workload — serve_overload,
-# serve_stream and infer_zoo — must match its stored output digests)
+# serve_stream and infer_zoo — must match its stored output digests,
+# and infer_zoo must match on all ten stored seeds)
 # with perfbench's unit tests, the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
@@ -25,7 +26,8 @@
 # writePlanJson and bench_serving's own envelope, followed by an
 # ASan+UBSan build that re-runs the runtime test suites (the event
 # loop and the property/fuzz sweeps are where lifetime/overflow bugs
-# would hide), the map-cache bench sweep,
+# would hide) and the mapping suites (the grid-indexed FPS, kNN and
+# ball query against their full-scan oracles), the map-cache bench sweep,
 # a sanitized 10^5-request smoke of the discrete-event core, 2-probe
 # planner, hetero-lattice, traffic/autoscaler, fault-injection and
 # run-ahead smokes, and finally a
@@ -87,6 +89,21 @@ for workload in serve_overload serve_stream infer_zoo; do
         exit 1
     fi
     echo "perfbench ${workload}: correct, 0 failed"
+done
+# infer_zoo's digests are what pin the exactness of the functional
+# mapping searches (pruned FPS, ring-search kNN, ball query) against
+# their full-scan results, so it gates on every stored seed; one
+# repetition per extra seed is enough for a digest check.
+for seed in 1 2 3 4 5 6 7 8 9; do
+    echo "== perfbench infer_zoo seed ${seed} digest gate =="
+    result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
+        --workload infer_zoo --seed "${seed}" --seconds 1 --trace 0 |
+        tail -n 1)"
+    if ! grep -q '"correct": true' <<<"${result}" ||
+       ! grep -q '"failed": 0[,}]' <<<"${result}"; then
+        echo "error: perfbench infer_zoo seed ${seed} digests do not match: ${result}"
+        exit 1
+    fi
 done
 cmake --build "${PERFBENCH_DIR}" --target perfbench_tests -j "${JOBS}"
 ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
@@ -188,8 +205,8 @@ if [ "${missing}" -ne 0 ]; then
 fi
 echo "all writeServingJson/writePlanJson/BENCH_serving.json keys documented"
 
-# ASan+UBSan pass over the runtime test suites plus the map-cache
-# bench sweep. Examples and the remaining benchmarks are skipped
+# ASan+UBSan pass over the runtime and mapping test suites plus the
+# map-cache bench sweep. Examples and the remaining benchmarks are skipped
 # (sanitized simulator runs are slow and the simulator itself is
 # covered by its own suites); bench_serving builds so the cache sweep
 # runs sanitized (--quick bounds the horizon, --sweep cache skips the
@@ -204,11 +221,11 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
 
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" \
     --target test_runtime test_runtime_properties test_report_golden \
-             test_executor bench_serving bench_simperf
+             test_executor test_mapping test_mpu bench_serving bench_simperf
 
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
     --no-tests=error \
-    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor'
+    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor|test_mapping|test_mpu'
 
 "${SAN_BUILD_DIR}/bench_serving" --sweep cache --quick --no-json
 
@@ -235,7 +252,9 @@ done
 # overclocked variant through the shared memo, and a threaded
 # run-ahead smoke covering the staged cascade and priced hold paths,
 # and a threaded fault-injection smoke whose faulted rows (crash,
-# retry, hedge) are served concurrently on the pool. TSan excludes ASan by
+# retry, hedge) are served concurrently on the pool, plus the two
+# mapping suites, single-threaded, so that every Release check of the
+# spatial-grid searches also runs under each sanitizer. TSan excludes ASan by
 # construction, so it needs its own tree; the remaining benches and
 # the examples are skipped (their byte-identity gates ran above, and a
 # TSan'd 10^7-request tier would dominate CI wall-clock without adding
@@ -248,9 +267,12 @@ cmake -B "${TSAN_BUILD_DIR}" -S . \
     -DPOINTACC_BUILD_EXAMPLES=OFF
 
 cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
-    --target test_executor test_runtime_properties bench_serving
+    --target test_executor test_runtime_properties test_mapping test_mpu \
+             bench_serving
 
 "${TSAN_BUILD_DIR}/test_executor"
+"${TSAN_BUILD_DIR}/test_mapping"
+"${TSAN_BUILD_DIR}/test_mpu"
 
 "${TSAN_BUILD_DIR}/test_runtime_properties" --threads 4
 

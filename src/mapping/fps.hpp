@@ -5,10 +5,14 @@
  *
  * Output points are chosen one at a time; each iteration picks the
  * input point with the largest distance to the already-selected set.
- * The classic O(n * m) incremental-minimum formulation is used — it is
- * exactly the dataflow the Mapping Unit executes (distance update
- * forwarded from stage CD to FS, running max in stage ST), so this
- * functional version doubles as the oracle for the hardware model.
+ * The Mapping Unit does this as the O(n * m) incremental-minimum loop
+ * (distance update forwarded from stage CD to FS, running max in stage
+ * ST), modelled in MappingUnit::farthestPointSampling. This functional
+ * version selects exactly the same sequence, ties included, but prunes:
+ * it partitions the cloud into the blocks of a spatial grid, and a new
+ * sample skips every block whose bounding box lies at least as far as
+ * that block's largest current distance, since none of its points can
+ * change. tests/test_mapping.cpp checks it against the plain loop.
  */
 
 #ifndef POINTACC_MAPPING_FPS_HPP
@@ -23,7 +27,8 @@ namespace pointacc {
 /**
  * Select `num_samples` points by farthest point sampling.
  *
- * @param cloud        input cloud
+ * @param cloud        input cloud, spanning at most 2^30 per axis so
+ *                     that squared distances fit in int64 (asserted)
  * @param num_samples  number of points to select (clamped to cloud size)
  * @param first        index of the seed point (paper picks the first)
  * @return             indices into `cloud`, in selection order

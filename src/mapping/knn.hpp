@@ -32,10 +32,19 @@ struct NeighborList
 };
 
 /**
- * Brute-force kNN of each `queries` point in `input`.
+ * Exact kNN of each `queries` point in `input`.
  *
- * Ties on distance break toward the lower input index so results are
- * bit-identical to the hardware sorter (stable comparisons).
+ * The Mapping Unit computes every distance and keeps the top k
+ * (MappingUnit::kNearestNeighbors). This functional version returns the
+ * same lists from a spatial grid over `input`: each query searches rings
+ * of cells outward from its own until the k-th distance is strictly
+ * below the distance to every unvisited cell. Ties on distance break
+ * toward the lower input index so results are bit-identical to the
+ * hardware sorter (stable comparisons). `candidates` is |input|, as
+ * the hardware compares every input point.
+ *
+ * `input` and `queries` together may span at most 2^30 per axis, so
+ * squared distances cannot overflow (asserted).
  *
  * @param input    searched cloud
  * @param queries  query cloud
@@ -49,7 +58,8 @@ std::vector<NeighborList> kNearestNeighbors(const PointCloud &input,
  * Ball query: kNN constrained to squared radius `radius2`. Queries with
  * fewer than k in-ball neighbors return short lists (the functional
  * convolution layers then re-use the closest neighbor for padding, as
- * PointNet++ does).
+ * PointNet++ does). Only grid cells that meet the ball are searched;
+ * `candidates` is the exact in-radius count. Same extent limit as kNN.
  */
 std::vector<NeighborList> ballQuery(const PointCloud &input,
                                     const PointCloud &queries, int k,

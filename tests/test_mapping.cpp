@@ -126,6 +126,107 @@ TEST(Fps, ClampToCloudSize)
     EXPECT_EQ(sel.size(), cloud.size());
 }
 
+/** `n` points drawn uniformly from [lo, lo + extent) on each axis. */
+PointCloud
+randomBoxCloud(Rng &rng, std::size_t n, const Coord3 &lo,
+               const Coord3 &extent)
+{
+    std::vector<Coord3> coords;
+    for (std::size_t i = 0; i < n; ++i) {
+        coords.push_back(
+            {lo.x + static_cast<std::int32_t>(rng.range(extent.x)),
+             lo.y + static_cast<std::int32_t>(rng.range(extent.y)),
+             lo.z + static_cast<std::int32_t>(rng.range(extent.z))});
+    }
+    return PointCloud(std::move(coords));
+}
+
+/**
+ * The O(n * m) incremental-minimum FPS loop the Mapping Unit runs: every
+ * sample rescans the whole cloud, and the first maximum wins ties.
+ * farthestPointSampling must select exactly this sequence.
+ */
+std::vector<PointIndex>
+fullScanFps(const PointCloud &cloud, std::size_t num_samples,
+            PointIndex first)
+{
+    const std::size_t n = cloud.size();
+    num_samples = std::min(num_samples, n);
+    std::vector<PointIndex> selected;
+    if (num_samples == 0)
+        return selected;
+    selected.push_back(first);
+    std::vector<std::int64_t> minDist(
+        n, std::numeric_limits<std::int64_t>::max());
+    PointIndex last = first;
+    while (selected.size() < num_samples) {
+        std::int64_t best = -1;
+        PointIndex bestIdx = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto d = cloud.coord(static_cast<PointIndex>(i))
+                               .distance2(cloud.coord(last));
+            minDist[i] = std::min(minDist[i], d);
+            if (minDist[i] > best) {
+                best = minDist[i];
+                bestIdx = static_cast<PointIndex>(i);
+            }
+        }
+        selected.push_back(bestIdx);
+        last = bestIdx;
+    }
+    return selected;
+}
+
+TEST(Fps, MatchesFullScanLoop)
+{
+    const auto expectSame = [](const PointCloud &cloud, std::size_t m,
+                               PointIndex first, const std::string &what) {
+        EXPECT_EQ(farthestPointSampling(cloud, m, first),
+                  fullScanFps(cloud, m, first))
+            << what << " n=" << cloud.size() << " m=" << m
+            << " first=" << first;
+    };
+    // Object clouds: surfaces with empty space between them.
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        Rng rng(seed);
+        const auto cloud = makeObjectCloud(
+            seed, 50 + rng.range(1500),
+            static_cast<std::int32_t>(16 + rng.range(200)));
+        const std::size_t n = cloud.size();
+        expectSame(cloud, 1 + rng.range(n),
+                   static_cast<PointIndex>(rng.range(n)), "object");
+    }
+    // Tie-heavy boxes of extent 1-4, extent 1 being all duplicates; the
+    // sample counts reach n and beyond, where points repeat.
+    for (std::int32_t extent = 1; extent <= 4; ++extent) {
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+            Rng rng(100 * extent + seed);
+            const auto cloud = randomBoxCloud(
+                rng, 20 + rng.range(300), {-2, 5, 0},
+                {extent, extent, extent});
+            const std::size_t n = cloud.size();
+            const auto first = static_cast<PointIndex>(rng.range(n));
+            for (const std::size_t m : {n / 2, n, n + 5})
+                expectSame(cloud, m, first,
+                           "ties extent " + std::to_string(extent));
+        }
+    }
+    // Flat clouds: one axis has zero extent.
+    for (int axis = 0; axis < 3; ++axis) {
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+            Rng rng(200 + 10 * axis + seed);
+            Coord3 extent{300, 300, 300};
+            (axis == 0 ? extent.x : axis == 1 ? extent.y : extent.z) = 1;
+            const auto cloud =
+                randomBoxCloud(rng, 100 + rng.range(900), {-7, 3, 11}, extent);
+            const std::size_t n = cloud.size();
+            expectSame(cloud, n / 3, static_cast<PointIndex>(rng.range(n)),
+                       "flat axis " + std::to_string(axis));
+            expectSame(cloud, n, 0, "flat axis " + std::to_string(axis));
+        }
+    }
+}
+
 TEST(RandomSampling, DeterministicAndUnique)
 {
     const auto cloud = makeObjectCloud(4, 400, 64);
@@ -230,24 +331,67 @@ TEST(NeighborSearch, MatchesBruteForceOnRandomClouds)
         expectMatchesOracle(input, queries, k, r2,
                             "seed " + std::to_string(seed));
     }
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+        Rng rng(seed + 500);
+        const int k = 1 + static_cast<int>(rng.range(24));
+        // Flat clouds: one axis has zero extent; half the queries lie
+        // in the cloud's plane, half off it.
+        Coord3 extent{48, 48, 48};
+        (seed % 3 == 0 ? extent.x : seed % 3 == 1 ? extent.y : extent.z) = 1;
+        const auto flat = randomBoxCloud(rng, 30 + rng.range(300),
+                                         {-20, 4, 9}, extent);
+        const auto onPlane =
+            randomBoxCloud(rng, 1 + rng.range(20), {-20, 4, 9}, extent);
+        const auto offPlane =
+            randomBoxCloud(rng, 1 + rng.range(20), {-30, -6, -1}, {68, 68, 68});
+        const auto flatR2 = static_cast<std::int64_t>(rng.range(300));
+        expectMatchesOracle(flat, onPlane, k, flatR2, "flat on plane");
+        expectMatchesOracle(flat, offPlane, k, flatR2, "flat off plane");
+
+        // Sparse clouds spanning most of the packed range (+-2^20).
+        const Coord3 wide{2 * kPackedCoordMax, 2 * kPackedCoordMax,
+                          2 * kPackedCoordMax};
+        const Coord3 low{kPackedCoordMin + 1, kPackedCoordMin + 1,
+                         kPackedCoordMin + 1};
+        const auto sparse = randomBoxCloud(rng, 20 + rng.range(200), low, wide);
+        const auto sparseQueries =
+            randomBoxCloud(rng, 1 + rng.range(20), low, wide);
+        const auto reach =
+            static_cast<std::int64_t>(1 + rng.range(1 << 20));
+        expectMatchesOracle(sparse, sparseQueries, k, reach * reach,
+                            "sparse");
+
+        // A single input point, queried from all around it.
+        const auto single = randomBoxCloud(rng, 1, {-5, -5, -5}, {10, 10, 10});
+        const auto around = randomBoxCloud(rng, 8, {-9, -9, -9}, {18, 18, 18});
+        expectMatchesOracle(single, around, k, flatR2, "single point");
+    }
 }
 
 TEST(NeighborSearch, MatchesBruteForceOnGridWithTies)
 {
     // A full 5x5x5 grid queried at grid points, cell centres (on the
     // doubled grid) and outside corners: every distance is shared by
-    // up to 24 points.
-    std::vector<Coord3> grid;
-    for (int x = 0; x < 5; ++x)
-        for (int y = 0; y < 5; ++y)
-            for (int z = 0; z < 5; ++z)
-                grid.push_back({2 * x, 2 * y, 2 * z});
-    const PointCloud input(grid);
-    const PointCloud queries({{0, 0, 0}, {4, 4, 4}, {3, 3, 3}, {1, 4, 7},
-                              {-2, -2, -2}, {9, 4, 0}});
-    for (const int k : {1, 6, 7, 19, 27, 64, 125})
-        for (const std::int64_t r2 : {0, 3, 4, 8, 12, 27})
-            expectMatchesOracle(input, queries, k, r2, "grid");
+    // up to 24 points. At pitch 1 some point lies exactly on the bound
+    // of the search's next ring, which only a strict stop keeps.
+    for (const int pitch : {1, 2}) {
+        std::vector<Coord3> grid;
+        for (int x = 0; x < 5; ++x)
+            for (int y = 0; y < 5; ++y)
+                for (int z = 0; z < 5; ++z)
+                    grid.push_back({pitch * x, pitch * y, pitch * z});
+        const PointCloud input(grid);
+        // Queries outside the grid on every side, with k up to and near
+        // n, make the search reach the far end of the grid.
+        const PointCloud queries(
+            {{0, 0, 0}, {4, 4, 4}, {3, 3, 3}, {1, 4, 7}, {1, 1, 1},
+             {-2, -2, -2}, {9, 4, 0}, {-5, 4, 4}, {13, 4, 4}, {4, -5, 4},
+             {4, 13, 4}, {4, 4, -5}, {4, 4, 13}, {20, -20, 20}});
+        for (const int k : {1, 6, 7, 19, 27, 64, 120, 124, 125})
+            for (const std::int64_t r2 : {0, 3, 4, 8, 12, 27, 50, 1000})
+                expectMatchesOracle(input, queries, k, r2,
+                                    "grid pitch " + std::to_string(pitch));
+    }
 }
 
 TEST(NeighborSearch, KAtAndBeyondInputSize)
@@ -278,6 +422,24 @@ TEST(NeighborSearch, EmptyCloudsAndEmptyBalls)
         EXPECT_TRUE(list.indices.empty());
         EXPECT_EQ(list.candidates, 0u);
     }
+}
+
+TEST(NeighborSearchDeathTest, CoordinateExtentIsChecked)
+{
+    // 2^30 per axis is the widest span whose squared distances fit in
+    // int64, counting the queries as well as the input.
+    constexpr std::int32_t kEdge = 1 << 30;
+    const PointCloud edge({{0, 0, 0}, {kEdge, 0, 0}, {0, 0, kEdge}});
+    const PointCloud corners({{0, kEdge, 0}, {kEdge, kEdge, kEdge}});
+    expectMatchesOracle(edge, corners, 2, std::int64_t{1} << 61, "edge");
+    EXPECT_EQ(farthestPointSampling(edge, 3),
+              (std::vector<PointIndex>{0, 1, 2}));
+
+    const PointCloud below({{-1, 0, 0}});
+    EXPECT_DEATH(kNearestNeighbors(edge, below, 1), "extent above 2\\^30");
+    EXPECT_DEATH(ballQuery(below, edge, 1, 4), "extent above 2\\^30");
+    const PointCloud over({{0, 0, 0}, {0, kEdge + 1, 0}});
+    EXPECT_DEATH(farthestPointSampling(over, 2), "extent above 2\\^30");
 }
 
 TEST(Knn, FindsExactNeighbors)

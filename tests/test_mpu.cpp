@@ -332,6 +332,35 @@ TEST(Mpu, FpsMatchesReference)
         63ULL * ((cloud.size() + 63) / 64);
     EXPECT_GE(hw.stats.cycles, expected);
     EXPECT_EQ(hw.stats.distanceOps, 63ULL * cloud.size());
+
+    // A dataset cloud at m = n/4: here the functional FPS skips most
+    // blocks on most samples, and must still match the full scan.
+    const auto scene = generate(DatasetKind::S3DIS, 61, 0.1);
+    const std::size_t m = scene.size() / 4;
+    EXPECT_EQ(mpu.farthestPointSampling(scene, m).indices,
+              farthestPointSampling(scene, m));
+}
+
+/** A dataset cloud and its first n/4 FPS samples as queries. */
+std::pair<PointCloud, PointCloud>
+sceneAndSamples(std::uint64_t seed)
+{
+    auto scene = generate(DatasetKind::S3DIS, seed, 0.1);
+    auto samples =
+        gatherPoints(scene, farthestPointSampling(scene, scene.size() / 4));
+    return {std::move(scene), std::move(samples)};
+}
+
+void
+expectSameLists(const NeighborResult &hw,
+                const std::vector<NeighborList> &ref, const char *what)
+{
+    ASSERT_EQ(hw.lists.size(), ref.size()) << what;
+    for (std::size_t q = 0; q < ref.size(); ++q) {
+        EXPECT_EQ(hw.lists[q].indices, ref[q].indices) << what << " q=" << q;
+        EXPECT_EQ(hw.lists[q].distances2, ref[q].distances2)
+            << what << " q=" << q;
+    }
 }
 
 TEST(Mpu, KnnMatchesReference)
@@ -339,13 +368,14 @@ TEST(Mpu, KnnMatchesReference)
     const auto input = makeObjectCloud(71, 700, 96);
     const auto queries = makeObjectCloud(72, 50, 96);
     MappingUnit mpu;
-    const auto hw = mpu.kNearestNeighbors(input, queries, 16);
-    const auto ref = kNearestNeighbors(input, queries, 16);
-    ASSERT_EQ(hw.lists.size(), ref.size());
-    for (std::size_t q = 0; q < ref.size(); ++q) {
-        EXPECT_EQ(hw.lists[q].indices, ref[q].indices) << "q=" << q;
-        EXPECT_EQ(hw.lists[q].distances2, ref[q].distances2);
-    }
+    expectSameLists(mpu.kNearestNeighbors(input, queries, 16),
+                    kNearestNeighbors(input, queries, 16), "object");
+
+    // On a dataset cloud most queries stop after the first rings of
+    // grid cells.
+    const auto [scene, samples] = sceneAndSamples(71);
+    expectSameLists(mpu.kNearestNeighbors(scene, samples, 16),
+                    kNearestNeighbors(scene, samples, 16), "scene");
 }
 
 TEST(Mpu, BallQueryMatchesReference)
@@ -354,11 +384,14 @@ TEST(Mpu, BallQueryMatchesReference)
     const auto queries = makeObjectCloud(82, 40, 96);
     const std::int64_t r2 = 15 * 15;
     MappingUnit mpu;
-    const auto hw = mpu.ballQuery(input, queries, 8, r2);
-    const auto ref = ballQuery(input, queries, 8, r2);
-    ASSERT_EQ(hw.lists.size(), ref.size());
-    for (std::size_t q = 0; q < ref.size(); ++q)
-        EXPECT_EQ(hw.lists[q].indices, ref[q].indices) << "q=" << q;
+    expectSameLists(mpu.ballQuery(input, queries, 8, r2),
+                    ballQuery(input, queries, 8, r2), "object");
+
+    // On a dataset cloud each ball meets a few of many grid cells.
+    const auto [scene, samples] = sceneAndSamples(81);
+    const std::int64_t sceneR2 = 30 * 30; // some lists full, some short
+    expectSameLists(mpu.ballQuery(scene, samples, 16, sceneR2),
+                    ballQuery(scene, samples, 16, sceneR2), "scene");
 }
 
 TEST(Mpu, WiderMergerReducesCycles)
