@@ -269,16 +269,14 @@ FleetScheduler::FleetScheduler(std::vector<AcceleratorConfig> fleet_,
 {
     if (fleet.empty())
         fatal("fleet needs at least one accelerator");
-    // Resolve the autoscaler config against the concrete fleet now so
-    // a bad policy (floor above ceiling, ceiling above the fleet)
-    // fails at construction, not mid-simulation.
+    // Bad autoscaler, fault and retry configs fail here, never
+    // mid-simulation: the policy resolves against the concrete fleet
+    // (floor above ceiling, ceiling above the fleet), and malformed
+    // programs and policies throw std::invalid_argument (vacuous when
+    // disabled).
     if (cfg.autoscaler.enabled)
         cfg.autoscaler =
             resolveAutoscalerConfig(cfg.autoscaler, fleet.size());
-    // The fault program and retry policy fail fast the same way
-    // (mirroring validateWorkloadSpec): malformed inputs throw
-    // std::invalid_argument at construction, never mid-simulation.
-    // Both validate vacuously when disabled.
     validateFaultProgram(cfg.faults);
     validateRetryPolicy(cfg.retry);
     if (cfg.runAheadDepth < 1)
@@ -356,8 +354,7 @@ struct InFlight
     std::vector<std::pair<MapCacheKey, MapCacheEntry>> inserts;
 };
 
-/** Autoscaler lifecycle of one instance. Without the autoscaler every
- *  instance is Active forever (byte-identical legacy behavior). */
+/** Autoscaler lifecycle of one instance; Active forever without it. */
 enum class Life : std::uint8_t
 {
     Active,     ///< powered, accepting dispatches
@@ -366,13 +363,9 @@ enum class Life : std::uint8_t
     Off,        ///< unpowered
 };
 
-/**
- * Global event-heap entry. The discrete-event core replaced the seed
- * loop's per-iteration rescan of every instance with one binary
- * min-heap; entries are sequence-numbered (push order) so heap
- * ordering is total, and carry the dispatch serial or timer
- * generation they describe for lazy invalidation.
- */
+/** Global event-heap entry: sequence-numbered (push order) so heap
+ *  order is total, and stamped with the dispatch serial or generation
+ *  it describes for lazy invalidation. */
 struct Event
 {
     enum class Kind : std::uint8_t
@@ -632,20 +625,17 @@ class Pipeline
     bool mapperHeld = false;
 };
 
-/** One accelerator: its pipeline plus the autoscaler and fault state
- *  that gate dispatches to it. lifeStamp invalidates SpinUp heap
- *  entries the way dispatch serials invalidate stage entries (a
- *  scale-down that cancels a pending spin-up orphans its event). */
+/** One accelerator: its pipeline plus the lifecycle and fault state
+ *  that gate dispatches to it, kept here because placement reads them
+ *  on every pass (Autoscaler and FaultInjector write them). lifeStamp
+ *  invalidates SpinUp entries as dispatch serials do stage entries. */
 struct AccelState
 {
     Pipeline pipe;
     Life life = Life::Active;
     std::uint64_t lifeStamp = 0;
-    /** Crashed by the fault program: accepts nothing until the
-     *  matching Recover event. Independent of Life — a crash is a
-     *  failure, not an autoscaler decision (though with the
-     *  autoscaler on, a crash also powers the instance off so the
-     *  policy sees the capacity loss and replaces it). */
+    /** Down until its Recover event. A failure, not a Life: with the
+     *  autoscaler on a crash also powers the instance Off. */
     bool crashed = false;
     /** Straggler service-time stretch for new dispatches; exactly 1.0
      *  outside windows, so fault-free pricing skips the float round
@@ -758,6 +748,463 @@ class PriceTable
     std::vector<ServiceProfile> members; ///< batchPhases scratch
 };
 
+/**
+ * The fault mechanism of one run (runtime/faults): the materialized
+ * timeline, crash kills, and retries and hedges with the per-request
+ * state they need. A run builds one only when its program materializes
+ * an event or its retry policy is enabled; otherwise none of this is
+ * reachable and the run is byte-identical to a fault-free build.
+ */
+class FaultInjector
+{
+  public:
+    FaultInjector(std::vector<FaultEvent> timeline_, RetryPolicy retry_,
+                  std::vector<AccelState> &accels_, EventQueue &events_)
+        : timeline(std::move(timeline_)), retry(retry_), accels(accels_),
+          events(events_)
+    {
+        stats.enabled = true;
+        // Push the timeline (an entry's stamp indexes it); it is sorted,
+        // so the last Recover is the latest.
+        for (std::size_t f = 0; f < timeline.size(); ++f) {
+            events.push(timeline[f].atNs, Event::Kind::Fault,
+                        timeline[f].instance, f);
+            if (timeline[f].kind == FaultEventKind::Recover)
+                lastRecoverAt = timeline[f].atNs;
+        }
+    }
+
+    /** A scheduled retry will re-enter admission. */
+    bool retriesPending() const { return pendingRetries > 0; }
+
+    /** Can any instance ever serve again: is one up, or a recovery
+     *  scheduled at or after `now`? */
+    bool
+    fleetCanServe(std::uint64_t now) const
+    {
+        return (lastRecoverAt && *lastRecoverAt >= now) ||
+               std::any_of(accels.begin(), accels.end(),
+                           [](const AccelState &a) { return !a.crashed; });
+    }
+
+    /**
+     * Fire a Fault, Retry or Hedge entry, or return false if it is
+     * stale. A fault on a drained, idle fleet is stale (a program
+     * outliving the workload must not extend the horizon); a live one
+     * waits for applyDue. A retry is always live: it re-enters
+     * admission unless a hedge copy finished its request meanwhile,
+     * and shed on a full queue it fails terminally, never a second
+     * `dropped`. A hedge is stale once its request completed or
+     * failed; a shed hedge copy is lost and its original lives on.
+     */
+    template <class HasWork>
+    bool
+    fire(const Event &e, AdmissionQueue &queue, HasWork &&hasWork)
+    {
+        if (e.kind == Event::Kind::Fault) {
+            if (!hasWork())
+                return false;
+            due.push_back(e.stamp);
+        } else if (e.kind == Event::Kind::Retry) {
+            pendingRetries -= 1;
+            const Request &r = retrySlots[e.stamp];
+            ReqState &st = rstate[r.id];
+            if (!st.done && !queue.pushUncounted(r)) {
+                stats.retryShed += 1;
+                failTerminally(st);
+            }
+        } else {
+            const Request &copy = hedgeSlots[e.stamp];
+            const auto it = rstate.find(copy.id & ~kHedgeIdBit);
+            if (it == rstate.end() || it->second.done || it->second.failed)
+                return false;
+            stats.hedges += 1;
+            if (queue.pushUncounted(copy))
+                hedgedInQueue += 1;
+            else
+                stats.hedgesLost += 1;
+        }
+        return true;
+    }
+
+    /** Apply the fault events fired at `now`, in timeline order, after
+     *  the service sweep (a batch completing at the crash instant
+     *  completes). A crash kills the instance's batches (Pipeline::crash
+     *  gives back their un-run stage time), routes their requests
+     *  through the retry policy and tells `crashed`. */
+    template <class Crashed>
+    void
+    applyDue(std::uint64_t now, Crashed &&crashed)
+    {
+        for (const std::uint64_t idx : due) {
+            const FaultEvent &f = timeline[idx];
+            AccelState &a = accels[f.instance];
+            switch (f.kind) {
+              case FaultEventKind::Crash:
+                if (a.crashed)
+                    break; // overlapping outages coalesce
+                a.crashed = true;
+                stats.crashes += 1;
+                a.pipe.crash(now, [&](const InFlight &u) {
+                    stats.failedBatches += 1;
+                    for (const auto &r : u.batch.requests)
+                        fail(r, f.instance, now);
+                });
+                crashed(a);
+                break;
+              case FaultEventKind::Recover:
+                if (a.crashed) {
+                    a.crashed = false;
+                    stats.recoveries += 1;
+                }
+                break;
+              case FaultEventKind::StragglerStart:
+                a.slowdown = f.factor;
+                stats.stragglerWindows += 1;
+                break;
+              case FaultEventKind::StragglerEnd:
+                a.slowdown = 1.0;
+                break;
+            }
+        }
+        due.clear();
+    }
+
+    /** Record completing `r` on `inst`? Only a request's first copy
+     *  completes; a hedge race's loser, or a copy of a failed request,
+     *  books the wasted hedge. Completing off the instance that
+     *  crashed it is a failover. */
+    bool
+    completes(const Request &r, std::uint32_t inst)
+    {
+        const auto it = rstate.find(r.hedge ? r.id & ~kHedgeIdBit : r.id);
+        if (it == rstate.end())
+            return true;
+        ReqState &st = it->second;
+        if (st.done || st.failed) {
+            if (r.hedge)
+                stats.hedgesLost += 1;
+            return false;
+        }
+        st.done = true;
+        if (r.hedge)
+            stats.hedgesWon += 1;
+        if (st.crashedOn != kNoInstance && st.crashedOn != inst)
+            stats.failovers += 1;
+        return true;
+    }
+
+    /** `batch` left admission at `now`. Its hedge copies stop counting
+     *  as queued, and each original arms its one hedge: a duplicate
+     *  (id | kHedgeIdBit, so queued ids stay unique) that re-enters
+     *  admission after the delay unless the original completed. */
+    void
+    dispatched(const Batch &batch, std::uint64_t now)
+    {
+        for (const auto &r : batch.requests) {
+            if (r.hedge) {
+                if (hedgedInQueue > 0)
+                    hedgedInQueue -= 1;
+                continue;
+            }
+            if (!retry.enabled || retry.hedgeDelayNs == 0)
+                continue;
+            ReqState &st = rstate[r.id];
+            if (st.hedged)
+                continue;
+            st.hedged = true;
+            Request copy = r;
+            copy.id |= kHedgeIdBit;
+            copy.hedge = true;
+            hedgeSlots.push_back(copy);
+            events.push(now + retry.hedgeDelayNs, Event::Kind::Hedge, 0,
+                        hedgeSlots.size() - 1);
+        }
+    }
+
+    /** Book the fault block and terminal failures. Queued hedge copies
+     *  are not requests of record, so leftoverQueued excludes them. */
+    void
+    finish(ServingReport &report) const
+    {
+        report.failed = failed;
+        report.leftoverQueued -= hedgedInQueue;
+        report.faults = stats;
+    }
+
+  private:
+    /** Created lazily for crash victims and hedged requests, keyed by
+     *  the original id. */
+    struct ReqState
+    {
+        bool done = false;   ///< a copy completed it
+        bool failed = false; ///< failed terminally
+        bool hedged = false;
+        std::uint32_t crashedOn = kNoInstance; ///< last crash that hit it
+    };
+
+    /** A crash killed `r` on `inst` at `now`: retry it after a backoff
+     *  or fail it. A hedge copy gets no retry; its original is the
+     *  request of record. */
+    void
+    fail(const Request &r, std::uint32_t inst, std::uint64_t now)
+    {
+        if (r.hedge) {
+            stats.hedgesLost += 1;
+            return;
+        }
+        ReqState &st = rstate[r.id];
+        if (st.done)
+            return; // a hedge copy already completed it
+        st.crashedOn = inst;
+        stats.inflightFailed += 1;
+        if (retry.enabled && r.attempt < retry.maxRetries) {
+            const std::uint64_t backoff = retryBackoffNs(retry, r.attempt);
+            if (retry.timeoutNs == 0 ||
+                now + backoff <= r.arrivalCycle + retry.timeoutNs) {
+                Request again = r;
+                again.attempt += 1;
+                retrySlots.push_back(again);
+                pendingRetries += 1;
+                stats.retryAttempts += 1;
+                stats.retryBackoffNsTotal += backoff;
+                events.push(now + backoff, Event::Kind::Retry, 0,
+                            retrySlots.size() - 1);
+                return;
+            }
+            stats.retryTimeouts += 1; // the wait alone blows the budget
+        } else if (retry.enabled) {
+            stats.retryExhausted += 1;
+        }
+        failTerminally(st);
+    }
+
+    void
+    failTerminally(ReqState &st)
+    {
+        st.failed = true;
+        failed += 1;
+    }
+
+    const std::vector<FaultEvent> timeline;
+    const RetryPolicy retry;
+    std::vector<AccelState> &accels;
+    EventQueue &events;
+    std::optional<std::uint64_t> lastRecoverAt;
+    std::unordered_map<std::uint64_t, ReqState> rstate;
+    std::vector<Request> retrySlots; ///< Retry stamp -> request
+    std::vector<Request> hedgeSlots; ///< Hedge stamp -> duplicate
+    std::vector<std::uint64_t> due;  ///< fault events fired this step
+    std::uint64_t pendingRetries = 0; ///< scheduled, not yet fired
+    std::uint64_t hedgedInQueue = 0;  ///< hedge copies in admission
+    std::uint64_t failed = 0;
+    FaultStats stats;
+};
+
+/**
+ * The autoscaler mechanism of one run (runtime/autoscaler): the
+ * policy, the instances' power lifecycle and the stats. A run builds
+ * one only when the autoscaler is enabled, and the configured fleet is
+ * then the pool; otherwise every instance stays Active.
+ */
+class Autoscaler
+{
+  public:
+    Autoscaler(const AutoscalerConfig &cfg, std::vector<AccelState> &accels_,
+               EventQueue &events_)
+        : policy(cfg), accels(accels_), events(events_),
+          poweredCount(cfg.initialInstances)
+    {
+        for (std::size_t i = cfg.initialInstances; i < accels.size(); ++i)
+            accels[i].life = Life::Off;
+        stats.peakProvisioned = cfg.initialInstances;
+        events.push(cfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
+                    ++evalGen);
+    }
+
+    /** Fire a ScaleEval or SpinUp entry, or return false if it is not
+     *  the armed evaluation or its instance's current spin-up (a cancel
+     *  or crash orphans that). An evaluation waits for evaluateDue, so
+     *  the policy sees this instant's completions and crashes; a
+     *  finished spin-up accepts work at once (power was counted at the
+     *  decision). */
+    bool
+    fire(const Event &e)
+    {
+        if (e.kind == Event::Kind::ScaleEval) {
+            if (e.stamp != evalGen)
+                return false;
+            evalDue = true;
+            return true;
+        }
+        AccelState &a = accels[e.accel];
+        if (a.life != Life::SpinningUp || a.lifeStamp != e.stamp)
+            return false;
+        a.life = Life::Active;
+        return true;
+    }
+
+    /** A completion's latency, for the windowed p99 signal. */
+    void noteLatency(std::uint64_t ns) { windowLat.push_back(ns); }
+
+    /** `a` finished a batch: counted as drained if decommissioned. */
+    void
+    batchDone(const AccelState &a)
+    {
+        if (a.life == Life::Draining)
+            stats.drainedBatches += 1;
+    }
+
+    /** `a` was serviced at `now`: a draining instance powers off the
+     *  moment its pipeline empties. */
+    void
+    serviced(AccelState &a, std::uint64_t now)
+    {
+        if (a.life == Life::Draining && a.pipe.empty()) {
+            a.life = Life::Off;
+            notePower(now, -1);
+        }
+    }
+
+    /** `a` crashed at `now`: a power loss, so the scale-up path doubles
+     *  as crash replacement. Crashed hardware stays Off. */
+    void
+    powerLoss(AccelState &a, std::uint64_t now)
+    {
+        if (a.life == Life::Off)
+            return;
+        a.life = Life::Off;
+        a.lifeStamp += 1; // orphan a pending SpinUp
+        notePower(now, -1);
+    }
+
+    /**
+     * Run the evaluation fired at `now`, if any: read the windowed
+     * signals, decide, apply, re-arm. Scale-up resurrects a draining
+     * instance (still powered, instantly Active) before powering a cold
+     * one, which spins up first. Scale-down cancels a pending spin-up,
+     * else retires the highest-index Active instance: off at once if
+     * idle, else draining (see serviced()).
+     */
+    void
+    evaluateDue(std::uint64_t now, std::uint64_t depth)
+    {
+        if (!evalDue)
+            return;
+        evalDue = false;
+        const AutoscalerConfig &cfg = policy.config();
+        std::uint64_t windowP99 = 0;
+        if (!windowLat.empty()) {
+            const std::size_t idx = std::min(
+                (windowLat.size() * 99 + 99) / 100 - 1, windowLat.size() - 1);
+            std::nth_element(windowLat.begin(),
+                             windowLat.begin() +
+                                 static_cast<std::ptrdiff_t>(idx),
+                             windowLat.end());
+            windowP99 = windowLat[idx];
+        }
+        windowLat.clear();
+        const int action = policy.decide(now, depth, windowP99, provisioned());
+        if (action > 0) {
+            if (AccelState *draining = pick(Life::Draining, false)) {
+                draining->life = Life::Active; // no power change
+                stats.scaleUps += 1;
+            } else if (AccelState *cold = pick(Life::Off, false)) {
+                notePower(now, +1);
+                cold->life = cfg.spinUpCycles == 0 ? Life::Active
+                                                   : Life::SpinningUp;
+                if (cfg.spinUpCycles > 0)
+                    events.push(now + cfg.spinUpCycles, Event::Kind::SpinUp,
+                                static_cast<std::uint32_t>(
+                                    cold - accels.data()),
+                                ++cold->lifeStamp);
+                stats.scaleUps += 1;
+            }
+        } else if (action < 0) {
+            if (AccelState *spinning = pick(Life::SpinningUp, true)) {
+                spinning->life = Life::Off;
+                spinning->lifeStamp += 1; // orphan the pending SpinUp
+                notePower(now, -1);
+                stats.scaleDowns += 1;
+            } else if (AccelState *active = pick(Life::Active, true)) {
+                active->life =
+                    active->pipe.empty() ? Life::Off : Life::Draining;
+                if (active->pipe.empty())
+                    notePower(now, -1);
+                stats.scaleDowns += 1;
+            }
+        }
+        const std::uint32_t after = provisioned();
+        stats.peakProvisioned = std::max(stats.peakProvisioned, after);
+        stats.evals += 1;
+        stats.timeline.samples.push_back(ScalingSample{
+            now, depth, windowP99, after, static_cast<std::int64_t>(action)});
+        events.push(now + cfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
+                    ++evalGen);
+    }
+
+    AutoscalerStats
+    finish(std::uint64_t end)
+    {
+        notePower(end, 0); // close the powered-instance integral
+        stats.enabled = true;
+        stats.minInstances = policy.config().minInstances;
+        stats.maxInstances = policy.config().maxInstances;
+        stats.finalProvisioned = provisioned();
+        stats.timeline.bucketCycles = policy.config().evalIntervalCycles;
+        return std::move(stats);
+    }
+
+  private:
+    /** The policy's capacity: powered instances not on their way out
+     *  (a draining instance no longer absorbs load). */
+    std::uint32_t
+    provisioned() const
+    {
+        std::uint32_t n = 0;
+        for (const auto &a : accels)
+            if (a.life == Life::Active || a.life == Life::SpinningUp)
+                n += 1;
+        return n;
+    }
+
+    /** The instance a vote acts on: the lowest-index one in `life` to
+     *  scale up, the highest to scale down; never crashed hardware. */
+    AccelState *
+    pick(Life life, bool highest)
+    {
+        for (std::size_t n = 0; n < accels.size(); ++n) {
+            AccelState &a = accels[highest ? accels.size() - 1 - n : n];
+            if (a.life == life && !a.crashed)
+                return &a;
+        }
+        return nullptr;
+    }
+
+    /** Powered-instance integral, advanced at every power transition.
+     *  Spin-up and drain count: they burn power without serving, the
+     *  reactive-scaling cost the traffic gate measures. */
+    void
+    notePower(std::uint64_t now, int delta)
+    {
+        stats.instanceCycles +=
+            static_cast<std::uint64_t>(poweredCount) * (now - lastPowerChange);
+        lastPowerChange = now;
+        poweredCount =
+            static_cast<std::uint32_t>(static_cast<int>(poweredCount) + delta);
+    }
+
+    AutoscalerPolicy policy;
+    std::vector<AccelState> &accels;
+    EventQueue &events;
+    AutoscalerStats stats;
+    std::uint32_t poweredCount;
+    std::uint64_t lastPowerChange = 0;
+    std::uint64_t evalGen = 0;
+    bool evalDue = false;
+    std::vector<std::uint64_t> windowLat; ///< latencies since last eval
+};
+
 } // namespace
 
 ServingReport
@@ -812,104 +1259,40 @@ FleetScheduler::run(RequestSource &source) const
         accels[i].pipe.usage.name = fleet[i].name + "#" + std::to_string(i);
         accels[i].pipe.usage.freqGHz = fleet[i].freqGHz;
     }
-
-    // ---- Reactive autoscaling (runtime/autoscaler) ---------------- //
-    // Disabled (the default): every instance stays Active and none of
-    // this code runs — the event stream and report are byte-identical
-    // to pre-autoscaler builds. Enabled: the configured fleet is the
-    // *pool*; only instances the policy has powered serve.
-    const AutoscalerConfig &asCfg = cfg.autoscaler;
-    const bool asEnabled = asCfg.enabled;
-    AutoscalerPolicy policy(asCfg);
-    AutoscalerStats asStats;
-    std::uint64_t evalGen = 0;
-    // Powered-instance integral: instanceCycles accumulates
-    // poweredCount * elapsed at every power transition. Spin-up and
-    // drain both count — they burn power without serving, which is
-    // exactly the reactive-scaling cost the traffic gate measures.
-    std::uint32_t poweredCount = 0;
-    std::uint64_t lastPowerChange = 0;
-    const auto notePower = [&](std::uint64_t now, int delta) {
-        asStats.instanceCycles +=
-            static_cast<std::uint64_t>(poweredCount) *
-            (now - lastPowerChange);
-        lastPowerChange = now;
-        poweredCount = static_cast<std::uint32_t>(
-            static_cast<int>(poweredCount) + delta);
-    };
-    // What the policy sees as capacity: powered instances that are not
-    // on their way out (a draining instance no longer absorbs load).
-    const auto decisionProvisioned = [&]() {
-        std::uint32_t n = 0;
-        for (const auto &a : accels)
-            if (a.life == Life::Active || a.life == Life::SpinningUp)
-                n += 1;
-        return n;
-    };
-    // Completion latencies since the last evaluation — the windowed
-    // p99 signal.
-    std::vector<std::uint64_t> windowLat;
-    if (asEnabled) {
-        for (std::size_t i = asCfg.initialInstances; i < accels.size();
-             ++i)
-            accels[i].life = Life::Off;
-        poweredCount = asCfg.initialInstances;
-        asStats.peakProvisioned = asCfg.initialInstances;
+    // The event heap (see Event). Exactly one Arrival entry, the
+    // source's next request, is outstanding; admission re-arms it.
+    EventQueue events;
+    bool arrivalQueued = false;
+    if (source.peek() != nullptr) {
+        events.push(source.peek()->arrivalCycle, Event::Kind::Arrival, 0,
+                    0);
+        arrivalQueued = true;
     }
 
-    // ---- Fault injection (runtime/faults) ------------------------- //
-    // Inactive (the default, or an enabled program that materializes
-    // no events with retries off): nothing enters the heap, no
-    // per-request state is consulted, and the run stays byte-identical
-    // to a fault-free build — the --sweep faults gate pins that
-    // against the frozen reference engine.
-    const RetryPolicy &retry = cfg.retry;
-    const std::vector<FaultEvent> faultEvents =
-        materializeFaultEvents(cfg.faults, fleet.size());
-    const bool faultsOn = !faultEvents.empty() || retry.enabled;
-    FaultStats fstats;
-    fstats.enabled = faultsOn;
-    // Per-request fault state, created lazily for crash victims and
-    // hedged requests only (the common unfaulted request never touches
-    // the map). Keyed by the original id (hedge duplicates strip
-    // kHedgeIdBit): `done` marks the winning completion so a losing
-    // copy can never complete a request twice, `failed` the terminal
-    // failure, `crashedOn` the instance whose crash last killed it
-    // (completing elsewhere is a counted failover).
-    struct ReqFaultState
-    {
-        bool done = false;
-        bool failed = false;
-        bool hedged = false;
-        std::uint32_t crashedOn = kNoInstance;
-    };
-    std::unordered_map<std::uint64_t, ReqFaultState> rstate;
-    const auto origId = [](const Request &r) {
-        return r.hedge ? (r.id & ~kHedgeIdBit) : r.id;
-    };
-    std::vector<Request> retrySlots; // Retry event stamp -> request
-    std::vector<Request> hedgeSlots; // Hedge event stamp -> duplicate
-    std::uint64_t pendingRetries = 0; // scheduled, not yet re-admitted
-    std::uint64_t hedgedInQueue = 0;  // duplicates sitting in admission
+    // The autoscaler and fault mechanisms exist only when configured;
+    // each pushes its first events as it is built.
+    std::optional<Autoscaler> scaler;
+    if (cfg.autoscaler.enabled)
+        scaler.emplace(cfg.autoscaler, accels, events);
+    std::optional<FaultInjector> faults;
+    if (auto timeline = materializeFaultEvents(cfg.faults, fleet.size());
+        !timeline.empty() || cfg.retry.enabled)
+        faults.emplace(std::move(timeline), cfg.retry, accels, events);
 
     // Reference prices per (network, bucket): class 0, the lead
-    // accelerator, in ns on the event axis — the SJF/EDF admission
-    // estimate and the cost-aware weight-reload and mapping prices.
-    // On a heterogeneous fleet relative job ordering and cost
-    // magnitudes are what matter, and network cost ratios are stable
-    // across classes.
+    // accelerator, in ns — the SJF/EDF admission estimate and the
+    // cost-aware prices. Relative ordering is what matters, and
+    // network cost ratios are stable across classes.
     const double referenceGHz = fleet.front().freqGHz;
     const auto referenceOf = [&](const Request &r) -> const ServiceProfile & {
         return prices.profile(0, r.networkId, r.sizeBucket);
     };
 
     // ---- Cost-aware dispatch (BatcherConfig::costAware) ----------- //
-    // Off (the default): none of this state is touched and the run
-    // stays byte-identical to the frozen reference engine. On: each
-    // hold decision is priced (Batcher::costAwareHold) from three
-    // simulator facts — the head's class prices, the head network's
-    // observed arrival cadence, and the back-end backlog of the
-    // least-loaded accepting instance.
+    // Off (the default): none of this state is touched. On: each hold
+    // decision is priced (Batcher::costAwareHold) from the head's class
+    // prices, its network's observed arrival cadence, and the back-end
+    // backlog of the least-loaded accepting instance.
     const bool costAwareOn = cfg.batcher.enabled &&
                              cfg.batcher.costAware &&
                              cfg.batcher.targetK > 1;
@@ -936,8 +1319,6 @@ FleetScheduler::run(RequestSource &source) const
         return (it->second.lastNs - it->second.firstNs) /
                (it->second.count - 1);
     };
-    // The global event heap with lazy invalidation; see Event above.
-    EventQueue events;
 
     // Batcher timer: earliest pending wait-for-K hold deadline.
     // timerGen stamps the currently armed timer event; re-arming or
@@ -960,149 +1341,33 @@ FleetScheduler::run(RequestSource &source) const
     // Record a batch the back-end of instance `idx` just finished.
     const auto complete = [&](std::size_t idx, const InFlight &unit) {
         for (const auto &r : unit.batch.requests) {
-            if (faultsOn) {
-                const auto it = rstate.find(origId(r));
-                if (it != rstate.end()) {
-                    ReqFaultState &st = it->second;
-                    if (st.done || st.failed) {
-                        // The race's loser (or a copy of a request
-                        // already declared failed): record only the
-                        // wasted hedge, never a second completion.
-                        if (r.hedge)
-                            fstats.hedgesLost += 1;
-                        continue;
-                    }
-                    st.done = true;
-                    if (r.hedge)
-                        fstats.hedgesWon += 1;
-                    if (st.crashedOn != kNoInstance &&
-                        st.crashedOn != static_cast<std::uint32_t>(idx))
-                        fstats.failovers += 1;
-                }
-            }
-            report.latencyCycles.record(
-                static_cast<double>(unit.doneAt - r.arrivalCycle));
+            if (faults &&
+                !faults->completes(r, static_cast<std::uint32_t>(idx)))
+                continue;
+            const std::uint64_t latency = unit.doneAt - r.arrivalCycle;
+            report.latencyCycles.record(static_cast<double>(latency));
             report.completionCycles.push_back(unit.doneAt);
             if (r.deadlineCycle > 0 && unit.doneAt > r.deadlineCycle)
                 report.deadlineMisses += 1;
             report.completed += 1;
-            if (asEnabled)
-                windowLat.push_back(unit.doneAt - r.arrivalCycle);
+            if (scaler)
+                scaler->noteLatency(latency);
         }
-        // Graceful drain made countable: work finished by an instance
-        // that was already decommissioned when it completed.
-        if (asEnabled && accels[idx].life == Life::Draining)
-            asStats.drainedBatches += 1;
+        if (scaler)
+            scaler->batchDone(accels[idx]);
     };
 
-    // Apply every stage transition due at `now` on one instance. A
-    // draining instance powers off the moment its pipeline empties —
-    // graceful drain complete, every in-flight batch recorded.
+    // Apply every stage transition due at `now` on one instance.
     const auto service = [&](std::size_t idx, std::uint64_t now) {
-        AccelState &acc = accels[idx];
-        acc.pipe.advance(now, events,
-                         [&](const InFlight &u) { complete(idx, u); });
-        if (asEnabled && acc.life == Life::Draining && acc.pipe.empty()) {
-            acc.life = Life::Off;
-            notePower(now, -1);
-        }
-    };
-
-    // A crash just killed `r` mid-flight on `inst`: route it through
-    // the retry policy (bounded, exponential backoff priced in ns) or
-    // record the terminal failure. Hedged duplicates get no second
-    // chance — the original (or its own retry chain) is still the
-    // request of record.
-    const auto failRequest = [&](const Request &r, std::uint32_t inst,
-                                 std::uint64_t now) {
-        if (r.hedge) {
-            fstats.hedgesLost += 1;
-            return;
-        }
-        ReqFaultState &st = rstate[r.id];
-        if (st.done)
-            return; // a hedge copy already completed it
-        st.crashedOn = inst;
-        fstats.inflightFailed += 1;
-        bool timedOut = false;
-        if (retry.enabled && r.attempt < retry.maxRetries) {
-            const std::uint64_t backoff = retryBackoffNs(retry, r.attempt);
-            if (retry.timeoutNs > 0 &&
-                now + backoff > r.arrivalCycle + retry.timeoutNs) {
-                timedOut = true; // the wait alone would blow the budget
-            } else {
-                Request again = r;
-                again.attempt += 1;
-                retrySlots.push_back(again);
-                pendingRetries += 1;
-                fstats.retryAttempts += 1;
-                fstats.retryBackoffNsTotal += backoff;
-                events.push(now + backoff, Event::Kind::Retry, 0,
-                            retrySlots.size() - 1);
-                return;
-            }
-        }
-        st.failed = true;
-        report.failed += 1;
-        if (timedOut)
-            fstats.retryTimeouts += 1;
-        else if (retry.enabled)
-            fstats.retryExhausted += 1;
-    };
-
-    // Apply one materialized fault event. Crash: every batch on the
-    // instance dies (Pipeline::crash gives back the un-run stage time,
-    // so per-stage busy never exceeds the horizon) and its requests
-    // route through the retry policy. A batch completing at the crash
-    // instant completes: the service sweep runs before faults apply.
-    const auto applyFault = [&](const FaultEvent &f, std::uint64_t now) {
-        AccelState &a = accels[f.instance];
-        switch (f.kind) {
-          case FaultEventKind::Crash: {
-            if (a.crashed)
-                return; // overlapping outages coalesce
-            a.crashed = true;
-            fstats.crashes += 1;
-            a.pipe.crash(now, [&](const InFlight &u) {
-                fstats.failedBatches += 1;
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-            });
-            // With the autoscaler on, a crash is a power loss: the
-            // policy sees provisioned capacity drop, and its existing
-            // spin-up path doubles as crash replacement. The crashed
-            // instance leaves the candidate pool until it recovers.
-            if (asEnabled && a.life != Life::Off) {
-                a.life = Life::Off;
-                a.lifeStamp += 1; // orphan a pending SpinUp
-                notePower(now, -1);
-            }
-            break;
-          }
-          case FaultEventKind::Recover:
-            if (!a.crashed)
-                return;
-            a.crashed = false;
-            fstats.recoveries += 1;
-            // Autoscaled fleets get the instance back as an Off pool
-            // candidate (powering it is the policy's call); static
-            // fleets resume dispatching to it immediately.
-            break;
-          case FaultEventKind::StragglerStart:
-            a.slowdown = f.factor;
-            fstats.stragglerWindows += 1;
-            break;
-          case FaultEventKind::StragglerEnd:
-            a.slowdown = 1.0;
-            break;
-        }
+        accels[idx].pipe.advance(now, events,
+                                 [&](const InFlight &u) { complete(idx, u); });
+        if (scaler)
+            scaler->serviced(accels[idx], now);
     };
 
     // Price one hold-vs-dispatch decision for a batch led by `head`.
-    // The backlog is the committed back-end work (running remainder +
-    // staged run-ahead batches) on the least-loaded accepting instance
-    // — the one the dispatch would plausibly land on; while that
-    // backlog outlasts the head's mapping, holding the front-end
+    // The backlog is the committed back-end work on the least-loaded
+    // accepting instance; while it outlasts the head's mapping, holding
     // forfeits no overlap, so a deeper run-ahead buffer makes holding
     // cheaper exactly when the back-end is the bottleneck.
     const auto dispatchCostOf = [&](const Request &head,
@@ -1126,11 +1391,10 @@ FleetScheduler::run(RequestSource &source) const
     std::vector<std::optional<PhaseProfile>> classPhases(prices.classes());
 
     const auto dispatch = [&](std::uint64_t now) {
-        // The timer mirrors the *currently outstanding* holds: every
-        // dispatch pass re-decides, so first disarm — a hold resolved
-        // by new arrivals must not leave a stale event inflating the
-        // horizon. (While no stage can accept work, stage-completion
-        // events drive re-evaluation instead.)
+        // The timer mirrors the holds outstanding now: every pass
+        // re-decides, so first disarm (a hold resolved by new arrivals
+        // must not leave a stale event inflating the horizon; while no
+        // stage can accept, stage completions drive re-evaluation).
         timerAt = kNever;
         // Leaders held this pass. A hold freezes only the leader's
         // compatibility group: its members neither lead nor join
@@ -1193,16 +1457,6 @@ FleetScheduler::run(RequestSource &source) const
                     std::min<std::size_t>(cfg.batcher.targetK,
                                           cfg.batcher.maxBatchSize))
                 report.costDispatches += 1;
-            // Hedged duplicates leaving admission: leftoverQueued at
-            // the end must count only requests of record, so track how
-            // many copies are still sitting in the queue. The guard
-            // sits inside the loop: one batch can carry several hedge
-            // copies, and the counter must saturate per copy, never
-            // underflow past the copies actually counted in.
-            if (faultsOn)
-                for (const auto &r : batch.requests)
-                    if (r.hedge && hedgedInQueue > 0)
-                        hedgedInQueue -= 1;
 
             // Classify the batch against the map cache. The batcher's
             // extra rule keeps batches hit-pure or miss-pure; the
@@ -1218,12 +1472,10 @@ FleetScheduler::run(RequestSource &source) const
                 static_cast<std::uint64_t>(batch.size());
 
             // Place on the accepting instance that finishes soonest.
-            // Batch phases depend only on the accelerator class, so
-            // price once per class per dispatch (a homogeneous fleet
-            // pays a single pass). The profiled cycles convert to the
-            // ns event axis here, at this class's own clock — the one
-            // point where the per-instance cycle domain meets the
-            // global wall clock.
+            // Phases depend only on the accelerator class, so price once
+            // per class per dispatch, converting to ns at the class's
+            // own clock: the one point where the per-instance cycle
+            // domain meets the global wall clock.
             std::fill(classPhases.begin(), classPhases.end(),
                       std::nullopt);
             std::size_t best = accels.size();
@@ -1271,14 +1523,10 @@ FleetScheduler::run(RequestSource &source) const
             unit.phases = bestPhases;
             if (mapCache.enabled()) {
                 if (hitBatch) {
-                    // Recency/frequency and byte savings book per
-                    // member; the cycle savings book once per batch
-                    // as exactly what this dispatch skipped — the
-                    // batch-level mapping net of the clamped read
-                    // cost, priced against the instance the hit
-                    // dispatched to (on a heterogeneous fleet the
-                    // skipped mapping differs per class), in
-                    // event-axis ns.
+                    // Recency, frequency and bytes book per member; the
+                    // ns saved book once per batch: the mapping this
+                    // dispatch skipped on its own instance's class, net
+                    // of the clamped read cost.
                     for (const auto &r : batch.requests)
                         mapCache.recordHit(keyOf(r));
                     const std::uint64_t batchMap =
@@ -1311,30 +1559,8 @@ FleetScheduler::run(RequestSource &source) const
             for (const auto &r : batch.requests)
                 report.queueWaitCycles.record(
                     static_cast<double>(now - r.arrivalCycle));
-            // Hedged re-dispatch arms at first dispatch: if the
-            // original has not completed after the hedge delay, a
-            // duplicate re-enters admission and races it (tail-latency
-            // insurance against a crash or straggler eating the
-            // original). Copies live in a dedicated id range so the
-            // queue's unique-id invariant holds, and each request is
-            // hedged at most once.
-            if (retry.enabled && retry.hedgeDelayNs > 0) {
-                for (const auto &r : batch.requests) {
-                    if (r.hedge)
-                        continue;
-                    ReqFaultState &st = rstate[r.id];
-                    if (st.hedged)
-                        continue;
-                    st.hedged = true;
-                    Request copy = r;
-                    copy.id |= kHedgeIdBit;
-                    copy.hedge = true;
-                    hedgeSlots.push_back(copy);
-                    events.push(now + retry.hedgeDelayNs,
-                                Event::Kind::Hedge, 0,
-                                hedgeSlots.size() - 1);
-                }
-            }
+            if (faults)
+                faults->dispatched(batch, now);
             unit.batch = std::move(batch);
             accels[best].pipe.dispatch(std::move(unit), now, events);
             // Zero-length map phases move on at once (this is the
@@ -1343,279 +1569,94 @@ FleetScheduler::run(RequestSource &source) const
         }
     };
 
-    // Is there anything left to serve or scale for? Gates the
-    // recurring autoscaler events so an idle, drained simulation
-    // terminates instead of evaluating forever (and so the reported
-    // horizon is the work's horizon, not the policy's).
+    // Is there anything left to serve? Scaling and fault events on a
+    // drained, idle simulation are dead, so it terminates and the
+    // horizon is the work's, not the policy's.
     const auto hasWork = [&]() {
-        if (!queue.empty() || source.peek() != nullptr)
-            return true;
-        if (pendingRetries > 0)
-            return true; // a scheduled retry will re-enter admission
-        return std::any_of(
-            accels.begin(), accels.end(),
-            [](const AccelState &a) { return !a.pipe.empty(); });
+        return !queue.empty() || source.peek() != nullptr ||
+               (faults && faults->retriesPending()) ||
+               std::any_of(accels.begin(), accels.end(),
+                           [](const AccelState &a) { return !a.pipe.empty(); });
     };
 
-    // Can any instance ever serve again? False once every instance is
-    // crashed with no recovery still scheduled: the autoscaler cannot
-    // power crashed hardware, so its evaluations must stop (as a
-    // fault-only run stops) and the stranded requests end as leftover.
-    const auto fleetCanServe = [&](std::uint64_t now) {
-        return std::any_of(accels.begin(), accels.end(),
-                           [](const AccelState &a) { return !a.crashed; }) ||
-               std::any_of(faultEvents.begin(), faultEvents.end(),
-                           [&](const FaultEvent &f) {
-                               return f.kind == FaultEventKind::Recover &&
-                                      f.atNs >= now;
-                           });
-    };
-
-    // One autoscaler policy evaluation at `now`: read the windowed
-    // signals, decide, apply. Scale-up prefers resurrecting a draining
-    // instance (still powered, nothing was torn down — instantly
-    // Active) over powering a cold one, which pays spinUpCycles before
-    // accepting work. Scale-down first cancels a pending spin-up
-    // (nothing in flight to drain), else retires the highest-index
-    // Active instance gracefully: it stops accepting dispatches but
-    // finishes its pipeline (see service()'s drain completion).
-    const auto evaluateScaling = [&](std::uint64_t now) {
-        std::uint64_t windowP99 = 0;
-        if (!windowLat.empty()) {
-            const std::size_t idx =
-                (windowLat.size() * 99 + 99) / 100 - 1;
-            std::nth_element(windowLat.begin(),
-                             windowLat.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     std::min(idx,
-                                              windowLat.size() - 1)),
-                             windowLat.end());
-            windowP99 =
-                windowLat[std::min(idx, windowLat.size() - 1)];
-        }
-        windowLat.clear();
-        const std::uint64_t depth = queue.size();
-        const int action =
-            policy.decide(now, depth, windowP99, decisionProvisioned());
-        // The instance a vote acts on: the lowest-index one in `life`
-        // for a scale-up, the highest for a scale-down. Crashed
-        // hardware is Off and cannot be powered on.
-        const auto pick = [&](Life life, bool highest) -> AccelState * {
-            for (std::size_t n = 0; n < accels.size(); ++n) {
-                AccelState &a = accels[highest ? accels.size() - 1 - n : n];
-                if (a.life == life && !a.crashed)
-                    return &a;
-            }
-            return nullptr;
-        };
-        if (action > 0) {
-            if (AccelState *draining = pick(Life::Draining, false)) {
-                draining->life = Life::Active; // resurrect: no power change
-                asStats.scaleUps += 1;
-            } else if (AccelState *cold = pick(Life::Off, false)) {
-                notePower(now, +1);
-                cold->life = asCfg.spinUpCycles == 0 ? Life::Active
-                                                     : Life::SpinningUp;
-                if (asCfg.spinUpCycles > 0)
-                    events.push(now + asCfg.spinUpCycles,
-                                Event::Kind::SpinUp,
-                                static_cast<std::uint32_t>(
-                                    cold - accels.data()),
-                                ++cold->lifeStamp);
-                asStats.scaleUps += 1;
-            }
-        } else if (action < 0) {
-            if (AccelState *spinning = pick(Life::SpinningUp, true)) {
-                spinning->life = Life::Off;
-                spinning->lifeStamp += 1; // orphan the pending SpinUp
-                notePower(now, -1);
-                asStats.scaleDowns += 1;
-            } else if (AccelState *active = pick(Life::Active, true)) {
-                // Idle: off at once; busy: drain (see service()).
-                active->life =
-                    active->pipe.empty() ? Life::Off : Life::Draining;
-                if (active->pipe.empty())
-                    notePower(now, -1);
-                asStats.scaleDowns += 1;
-            }
-        }
-        const std::uint32_t provisioned = decisionProvisioned();
-        asStats.peakProvisioned =
-            std::max(asStats.peakProvisioned, provisioned);
-        asStats.evals += 1;
-        asStats.timeline.samples.push_back(
-            ScalingSample{now, depth, windowP99, provisioned,
-                          static_cast<std::int64_t>(action)});
-        evalGen += 1;
-        events.push(now + asCfg.evalIntervalCycles,
-                    Event::Kind::ScaleEval, 0, evalGen);
-    };
-
-    // Stale-entry filter for the lazy-invalidation heap: an event is
-    // live only while the batch stage (or timer generation) it
-    // describes still exists unchanged.
-    const auto validEv = [&](const Event &e) {
+    // Apply one popped heap entry, or return false if it is stale: an
+    // entry is live only while the batch stage, timer generation,
+    // evaluation or spin-up it describes still exists unchanged (lazy
+    // invalidation). Each entry is asked exactly once.
+    std::vector<std::uint32_t> due; // instances with a stage transition
+    const auto fire = [&](const Event &e) {
         switch (e.kind) {
           case Event::Kind::MapDone:
           case Event::Kind::RunDone:
-            return accels[e.accel].pipe.stageLive(e);
+            if (!accels[e.accel].pipe.stageLive(e))
+                return false;
+            due.push_back(e.accel);
+            return true;
           case Event::Kind::Timer:
+            // Nothing to apply: the dispatch pass re-probes every hold
+            // against the clock.
             return timerAt != kNever && e.stamp == timerGen;
           case Event::Kind::Arrival:
+            arrivalQueued = false;
             return true;
           case Event::Kind::ScaleEval:
-            // The recurring evaluation dies with the work: a drained,
-            // idle simulation must terminate, not tick forever.
-            return asEnabled && e.stamp == evalGen && hasWork() &&
-                   fleetCanServe(e.at);
-          case Event::Kind::SpinUp: {
-            const AccelState &a = accels[e.accel];
-            return a.life == Life::SpinningUp &&
-                   a.lifeStamp == e.stamp && hasWork();
-          }
+            // The recurring evaluation dies with the work, and once no
+            // instance can ever serve again (crashed for good, the
+            // stranded requests end as leftover).
+            return hasWork() && (!faults || faults->fleetCanServe(e.at)) &&
+                   scaler->fire(e);
+          case Event::Kind::SpinUp:
+            return hasWork() && scaler->fire(e);
           case Event::Kind::Fault:
-            // A fault program outliving the workload must not extend
-            // the horizon: trailing crash/recover events on a drained,
-            // idle fleet are dead.
-            return hasWork();
           case Event::Kind::Retry:
-            // Always live: pendingRetries counts it as work, and the
-            // fire handler itself drops retries a hedge already won.
-            return true;
-          case Event::Kind::Hedge: {
-            const auto it =
-                rstate.find(hedgeSlots[e.stamp].id & ~kHedgeIdBit);
-            return it != rstate.end() && !it->second.done &&
-                   !it->second.failed;
-          }
+          case Event::Kind::Hedge:
+            return faults->fire(e, queue, hasWork);
         }
         return false;
     };
 
-    // Exactly one Arrival entry is outstanding: the source's next
-    // request. Draining admissions up to `clock` re-arms it.
-    bool arrivalQueued = false;
-    if (source.peek() != nullptr) {
-        events.push(source.peek()->arrivalCycle, Event::Kind::Arrival, 0,
-                    0);
-        arrivalQueued = true;
-    }
-    if (asEnabled) {
-        evalGen = 1;
-        events.push(asCfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
-                    evalGen);
-    }
-    // Prime the materialized fault timeline; the stamp indexes back
-    // into faultEvents (the vector is immutable once materialized).
-    for (std::size_t f = 0; f < faultEvents.size(); ++f)
-        events.push(faultEvents[f].atNs, Event::Kind::Fault,
-                    faultEvents[f].instance, f);
-
     std::uint64_t clock = 0;
-    std::vector<std::uint32_t> due;
-    std::vector<std::uint64_t> faultDue;
-    while (!events.empty()) {
-        // The next event time is the first live entry's timestamp —
-        // the heap's analogue of the seed loop's min() rescan over
-        // every instance, the arrival cursor and the timer.
-        while (!events.empty() && !validEv(events.top()))
-            events.pop();
-        if (events.empty())
-            break; // pipelines drained, no arrivals, no pending timer
-        clock = events.top().at;
-        report.loopEvents += 1;
-
-        // Drain every entry due at `clock` (live or stale) so all
-        // same-cycle transitions are applied before dispatch decides —
-        // the seed serviced every instance per iteration for the same
-        // reason.
+    for (;;) {
+        // One time step: pop the stale entries ahead of the first live
+        // one, whose time is the step's (the heap's analogue of the
+        // seed loop's min() rescan), then every other entry due at that
+        // instant, live or stale, so all same-instant transitions apply
+        // before dispatch decides — the seed serviced every instance
+        // per iteration for the same reason.
         due.clear();
-        faultDue.clear();
-        bool evalDue = false;
-        while (!events.empty() && events.top().at <= clock) {
+        bool live = false;
+        while (!events.empty() && (!live || events.top().at <= clock)) {
             const Event e = events.top();
             events.pop();
-            if (!validEv(e))
-                continue;
-            switch (e.kind) {
-              case Event::Kind::MapDone:
-              case Event::Kind::RunDone:
-                due.push_back(e.accel);
-                break;
-              case Event::Kind::Timer:
-                // Nothing to apply: the dispatch pass below re-probes
-                // every hold against the clock.
-                break;
-              case Event::Kind::Arrival:
-                arrivalQueued = false;
-                break;
-              case Event::Kind::ScaleEval:
-                // Applied after the service sweep so the policy sees
-                // this cycle's completions in its window.
-                evalDue = true;
-                break;
-              case Event::Kind::SpinUp:
-                // Spin-up finished: the instance starts accepting
-                // work this cycle (power was counted at the decision).
-                accels[e.accel].life = Life::Active;
-                break;
-              case Event::Kind::Fault:
-                // Deferred past the service sweep: a batch completing
-                // at the crash instant completes (deterministic rule).
-                faultDue.push_back(e.stamp);
-                break;
-              case Event::Kind::Retry: {
-                pendingRetries -= 1;
-                const Request &rr = retrySlots[e.stamp];
-                ReqFaultState &st = rstate[rr.id];
-                if (st.done)
-                    break; // a hedge copy finished it while we waited
-                if (!queue.pushUncounted(rr)) {
-                    // Re-admission shed on a full queue is a terminal
-                    // failure, never a second `dropped` (satellite:
-                    // retries must not double-count drop accounting).
-                    st.failed = true;
-                    report.failed += 1;
-                    fstats.retryShed += 1;
-                }
-                break;
-              }
-              case Event::Kind::Hedge: {
-                const Request &hr = hedgeSlots[e.stamp];
-                const ReqFaultState &st =
-                    rstate[hr.id & ~kHedgeIdBit];
-                if (st.done || st.failed)
-                    break; // validEv raced a same-tick completion
-                fstats.hedges += 1;
-                if (queue.pushUncounted(hr))
-                    hedgedInQueue += 1;
-                else
-                    fstats.hedgesLost += 1; // shed copy, original lives
-                break;
-              }
+            if (fire(e) && !live) {
+                live = true;
+                clock = e.at;
             }
         }
+        if (!live)
+            break; // pipelines drained, no arrivals, no pending timer
+        report.loopEvents += 1;
 
-        // Stage transitions first, in instance order (the seed's
-        // service sweep order — same-cycle completions across
-        // instances record in index order): a request arriving at the
-        // same cycle can reuse the capacity that just freed up.
+        // Stage transitions first, in instance order (the seed's sweep
+        // order: same-instant completions record in index order), so
+        // a request arriving now can reuse the capacity just freed.
         std::sort(due.begin(), due.end());
         due.erase(std::unique(due.begin(), due.end()), due.end());
         for (const std::uint32_t a : due)
             service(a, clock);
 
-        // Faults land after the service sweep (same-tick completions
-        // win) and before scaling/dispatch, so the policy sees the
-        // capacity loss and no new work is placed on dead hardware.
-        for (const std::uint64_t f : faultDue)
-            applyFault(faultEvents[f], clock);
-
-        // Scale decisions land before dispatch: a zero-spin-up
-        // activation serves this very cycle, and a decommissioned
-        // instance stops accepting before new work is placed.
-        if (evalDue)
-            evaluateScaling(clock);
+        // Faults, then scaling, land after the service sweep and
+        // before dispatch: the policy sees the capacity loss (a crash
+        // is a power loss), nothing is placed on dead hardware, a
+        // zero-spin-up activation serves at once and a decommissioned
+        // instance stops accepting first.
+        if (faults)
+            faults->applyDue(clock, [&](AccelState &down) {
+                if (scaler)
+                    scaler->powerLoss(down, clock);
+            });
+        if (scaler)
+            scaler->evaluateDue(clock, queue.size());
 
         // Drain backlog onto freed stages before admitting, so a
         // same-cycle arrival is not dropped against queue space the
@@ -1649,11 +1690,9 @@ FleetScheduler::run(RequestSource &source) const
     report.horizonCycles = clock;
     report.admitted = queue.admitted();
     report.dropped = queue.dropped();
-    // Hedged duplicates still in admission are not requests of record:
-    // the conservation identity admitted = completed + failed +
-    // leftoverQueued counts each request exactly once.
-    report.leftoverQueued = queue.size() - hedgedInQueue;
-    report.faults = fstats;
+    report.leftoverQueued = queue.size();
+    if (faults)
+        faults->finish(report);
     report.mapCache = mapCache.stats();
     for (auto &acc : accels) {
         report.accelerators.push_back(acc.pipe.usage);
@@ -1661,15 +1700,8 @@ FleetScheduler::run(RequestSource &source) const
         report.runAheadPeakStaged =
             std::max(report.runAheadPeakStaged, acc.pipe.peakStaged);
     }
-    if (asEnabled) {
-        notePower(clock, 0); // close the powered-instance integral
-        asStats.enabled = true;
-        asStats.minInstances = asCfg.minInstances;
-        asStats.maxInstances = asCfg.maxInstances;
-        asStats.finalProvisioned = decisionProvisioned();
-        asStats.timeline.bucketCycles = asCfg.evalIntervalCycles;
-        report.autoscaler = std::move(asStats);
-    }
+    if (scaler)
+        report.autoscaler = scaler->finish(clock);
     return report;
 }
 

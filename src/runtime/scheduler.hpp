@@ -5,101 +5,67 @@
  *
  * The per-inference simulator (sim/accelerator) prices one run of one
  * network; this layer composes those prices into a serving system. A
- * global wall-clock axis in nanoseconds (uint64_t ticks) advances
- * through a single binary-heap event queue — request arrivals (pulled
- * lazily from a RequestSource), mapping-phase completions, back-end
- * completions, batcher timers (wait-for-K holds), autoscaler policy
- * evaluations and instance spin-ups, and — when a fault program is
- * configured — instance crashes/recoveries, straggler windows, retry
- * re-admissions and hedge re-dispatches (runtime/faults); entries are
- * sequence-numbered and lazily invalidated by per-instance dispatch
- * serials and timer generation stamps, so the loop is O(log events)
- * per step instead of the seed's per-iteration rescan of every
- * instance (the seed loop survives verbatim in runtime/reference for
- * differential testing, and docs/PERFORMANCE.md carries the
- * complexity budget). Whenever an accelerator can accept work and
- * the admission queue is non-empty, the batcher forms a dispatch and
- * the scheduler places it on the accelerator that would finish it
- * soonest (greedy, which on a heterogeneous fleet naturally prefers
- * the server-class instance and spills to edge-class ones under
- * load).
+ * global wall-clock axis in nanoseconds advances through one binary
+ * event heap: arrivals (pulled lazily from a RequestSource), mapping
+ * and back-end completions, the wait-for-K timer, and the autoscaler
+ * (ScaleEval, SpinUp) and fault (Fault, Retry, Hedge) events. Entries
+ * are sequence-numbered and lazily invalidated by dispatch serials and
+ * generation stamps. Each step pops every entry due at the next live
+ * instant, asking each entry once whether it is still live, then
+ * services the due pipelines, applies faults, scales, dispatches,
+ * admits arrivals and dispatches again (docs/PERFORMANCE.md has the
+ * complexity budget). A dispatch goes to the accepting instance that
+ * would finish it soonest (on a heterogeneous fleet: the server class
+ * first, spilling to edge ones).
  *
- * Each instance is modeled as the two decoupled resources PointAcc
- * actually has (Section 5 of the paper): a Mapping Unit front-end and
- * a Matrix Unit + memory back-end. A batch first occupies the front
- * end for its mapping phase, then hands its mapped output to the
- * back-end for compute + exposed DRAM. Each instance holds its
- * batches in one FIFO in dispatch order: the head may be running on
- * the back-end, mapped batches wait behind it, and the tail may still
- * be mapping. SchedulerConfig::runAheadDepth bounds the wait: the
- * Mapping Unit keeps hold of a mapped tail until at most depth - 1
- * batches wait behind the running head, and takes a new dispatch only
- * once it lets go. At the default depth 1 the handoff blocks and at
- * most two batches are in flight per instance — one mapping, one
- * executing (the frozen reference engine's behavior, byte-identical).
- * At depth k the front-end runs up to k batches ahead, so a long
- * back-end run no longer stalls the Mapping Unit (the buffer-sizing
- * question PointAcc answers in hardware, exposed as a knob). That
- * overlap is exactly the paper's decoupled orchestration lifted
- * across requests: the mapping of request i+1 hides behind the
- * back-end of request i. OccupancyModel::Monolithic disables the
- * overlap (whole-run busy interval, the pre-pipelining behavior) for
- * apples-to-apples comparisons: the same FIFO with a zero-length map
- * phase that accepts a dispatch only when empty, so run-ahead never
- * engages. A crash (runtime/faults) kills the whole FIFO, oldest
- * first, and routes every victim through the retry policy.
+ * Each instance is the two decoupled resources PointAcc has (Section
+ * 5): a Mapping Unit front-end and a Matrix Unit + memory back-end,
+ * holding its batches in one FIFO in dispatch order (the running head,
+ * mapped batches waiting behind it, a tail that may still be mapping).
+ * SchedulerConfig::runAheadDepth bounds the wait: the Mapping Unit
+ * keeps a mapped tail until at most depth - 1 batches wait behind the
+ * head, and takes a new dispatch only once it lets go. Depth 1 is the
+ * blocking handoff of the frozen reference engine (byte-identical);
+ * depth k lets the front-end run k batches ahead, so the mapping of
+ * request i+1 hides behind the back-end of request i.
+ * OccupancyModel::Monolithic is the same FIFO with a zero-length map
+ * phase that accepts only when empty (no overlap).
  *
- * Service times come from a ServiceModel: the production implementation
- * (SimServiceModel) runs sim::Accelerator once per (network, cloud-size
- * bucket, accelerator class) and memoizes RunResult::totalCycles — the
- * profiled-cost-table approach real serving stacks use, which keeps a
- * million-request simulation cheap while staying anchored to the
- * validated per-layer model. Tests inject fixed tables instead.
+ * Service times come from a ServiceModel: SimServiceModel runs
+ * sim::Accelerator once per (network, size bucket, accelerator class)
+ * and memoizes it; tests inject fixed tables. A batch is charged
+ * sum(per-request cycles) minus one weight-stream reload per extra
+ * member, floored at its largest member (priceBatch). With
+ * SchedulerConfig::mapCache, a batch of map-cache hits collapses its
+ * map phase to min(hitReadCycles * |B|, full map phase) and a batch of
+ * misses publishes its maps when mapped (runtime/map_cache).
  *
- * Batching credit: requests in one batch share network weights, so the
- * batch is charged sum(per-request cycles) minus one weight-stream
- * reload per extra member, floored at the largest member (a batch can
- * never beat its slowest request). This mirrors how PointAcc's fusion
- * amortizes DRAM traffic within one inference.
+ * The fault and autoscaler mechanisms are each one type in
+ * scheduler.cpp, built only when configured: FaultInjector (timeline,
+ * crash kills, retries, hedges, failovers; runtime/faults) and
+ * Autoscaler (policy, power lifecycle, drain; runtime/autoscaler). A
+ * crash kills the instance's whole FIFO, oldest first, and routes
+ * every victim through the retry policy; with the autoscaler on it is
+ * a power loss. The autoscaler only powers instances that are not
+ * crashed and restores its floor after a crash; once every instance
+ * is crashed with no recovery scheduled, evaluations stop and the
+ * stranded requests end as leftover.
  *
- * Kernel-map caching: with SchedulerConfig::mapCache enabled, the
- * scheduler consults a content-addressed map cache (runtime/map_cache)
- * at dispatch. A batch of cache hits collapses its front-end phase to
- * a clamped cache-read cost (min(hitReadCycles * |B|, full map phase),
- * so a hit is never slower than a miss); a batch of misses runs the
- * full mapping and inserts its members' maps when the mapping phase
- * completes. Hits and misses never share a batch (the batcher's extra
- * compatibility rule), and the report carries the cache counters.
- *
- * Autoscaling (runtime/autoscaler) only powers instances that are
- * not crashed. A crash that drops the fleet below the autoscaler's
- * floor is replaced at the next evaluation; once every instance is
- * crashed with no recovery scheduled, evaluations stop and the
- * stranded requests end as leftover, exactly as without autoscaling.
- *
- * Invariants (fuzzed by test_runtime_properties): requests are
- * conserved (generated = admitted + dropped, admitted = completed +
- * failed + leftover with failed == 0 on a fault-free run, and a
- * fault-free simulation always drains to leftover == 0);
+ * Invariants (fuzzed by test_runtime_properties): generated = admitted
+ * + dropped and admitted = completed + failed + leftover, with failed
+ * == 0 on a fault-free run, which always drains to leftover == 0;
  * per-stage busy cycles never exceed the simulated span; completion
  * timestamps are non-decreasing; equal seeds give byte-identical
  * reports; pipelined occupancy never finishes later than monolithic,
  * and an enabled map cache never finishes later than a disabled one
  * (single-instance FIFO, batching off).
  *
- * Clock domains: each fleet member carries its own
- * AcceleratorConfig::freqGHz, and mixed-frequency fleets are first-
- * class (the paper's server-vs-edge split, Table 3). Profiled costs
- * live in per-instance cycles; the scheduler converts them to the ns
- * event axis at dispatch (cyclesToNs / phasesToNs below), so two
- * instances of different clocks interleave on one queue exactly.
- * Request timestamps, deadlines, config knobs named *Cycles
- * (batcher.maxWaitCycles, mapCache.hitReadCycles, autoscaler
- * intervals) and every ServingReport timestamp are event-axis ticks —
- * nanoseconds. At 1 GHz one cycle is one ns, the conversion is the
- * identity, and the ns-domain engine is byte-identical to the frozen
- * cycle-domain seed engine (runtime/reference); the differential
- * suite in test_runtime_properties pins that on every CI run.
+ * Clock domains: each fleet member has its own freqGHz, and its
+ * profiled cycles convert to the ns event axis at dispatch (cyclesToNs,
+ * phasesToNs). Request timestamps, deadlines, knobs named *Cycles and
+ * every ServingReport timestamp are ns. At 1 GHz the conversion is the
+ * identity and the engine is byte-identical to the cycle-domain seed
+ * engine, kept verbatim in runtime/reference for differential tests.
  */
 
 #ifndef POINTACC_RUNTIME_SCHEDULER_HPP
@@ -254,11 +220,8 @@ class ServiceModel
  * lock, re-checks, and simulates. Each distinct triple is therefore
  * still simulated exactly once per process, whatever the thread
  * count, and profiledRuns() keeps its memoization-meter meaning.
- * The lock is not free under sharing: when every dispatch asked the
- * model, perfbench serve_stream (4 threads) spent 2.2 s of 12.5 s of
- * scheduler time in 11.2M calls, about 195 ns each. FleetScheduler
- * now asks once per (class, network, bucket) per run, 96 profile
- * calls per repetition (docs/PERFORMANCE.md).
+ * The lock is not free under sharing, so FleetScheduler asks once
+ * per (class, network, bucket) per run (docs/PERFORMANCE.md).
  */
 class SimServiceModel : public ServiceModel
 {
@@ -334,19 +297,15 @@ struct SchedulerConfig
      *  Monolithic occupancy, which never overlaps stages. */
     std::uint32_t runAheadDepth = 1;
     /** Reactive fleet scaling (runtime/autoscaler). Disabled by
-     *  default: the whole fleet serves from cycle 0 and the scheduler
-     *  output is byte-identical to pre-autoscaler builds. */
+     *  default: the whole fleet serves from time 0. */
     AutoscalerConfig autoscaler;
-    /** Fault injection (runtime/faults): scheduled/stochastic instance
-     *  crashes, recoveries and straggler slowdowns on the ns axis.
-     *  Disabled by default — and a program that materializes no
-     *  events injects nothing, so the fault-free path stays
-     *  byte-identical to pre-fault builds. */
+    /** Fault injection (runtime/faults): scheduled or stochastic
+     *  crashes, recoveries and straggler slowdowns. Disabled by
+     *  default; a program that materializes no events, with retries
+     *  off, injects nothing. */
     FaultProgram faults;
-    /** What happens to requests a crash kills in flight: bounded
-     *  exponential-backoff retries, per-request timeout, optional
-     *  hedged duplicates (runtime/faults). Disabled: crash victims
-     *  fail terminally. */
+    /** Bounded-backoff retries, a timeout and hedging for crash
+     *  victims (runtime/faults). Disabled: they fail terminally. */
     RetryPolicy retry;
 };
 
@@ -370,12 +329,9 @@ class FleetScheduler
 
     const SchedulerConfig &config() const { return cfg; }
 
-    /**
-     * Serve `arrivals` (any order; sorted internally) to completion:
-     * the simulation always drains, so every admitted request either
-     * completes or — never, by construction — lingers; the report's
-     * conservation counters make that checkable.
-     */
+    /** Serve `arrivals` (any order; sorted internally) until no live
+     *  event is left; the report's conservation counters account for
+     *  every admitted request. */
     ServingReport run(std::vector<Request> arrivals) const;
 
     /**

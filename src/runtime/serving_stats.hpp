@@ -9,14 +9,14 @@
  * (p50/p95/p99), throughput, per-accelerator utilization, drop and
  * deadline-miss accounting, and the conservation counters the runtime
  * tests check (generated = admitted + dropped; admitted = completed +
- * still queued at end of simulation).
+ * failed + leftoverQueued).
  *
  * Latency aggregation reuses core/stats' Summary (nearest-rank
  * percentiles over raw samples) rather than inventing a new histogram.
  *
- * Invariants (fuzzed by test_runtime_properties): generated ==
- * admitted + dropped; admitted == completed + leftoverQueued with
- * leftoverQueued == 0 after a drained run; completionCycles is
+ * Invariants (fuzzed by test_runtime_properties): both identities,
+ * with failed == 0 on a fault-free run and leftoverQueued == 0 after a
+ * drained one (only a crash can strand requests); completionCycles is
  * non-decreasing with exactly one entry per completion; per-stage busy
  * cycles never exceed horizonCycles (so every utilization is <= 1);
  * mapCache.hits + mapCache.misses equals the requests priced against

@@ -2149,6 +2149,113 @@ TEST(CrossFeatureProperties, FeatureProductHoldsInvariantsAndDigest)
         << std::hex << "digest 0x" << digest;
 }
 
+TEST(CrossFeatureProperties, CrashedAtZeroInstanceIsAbsent)
+{
+    // An instance that crashes at t = 0 and never recovers takes no
+    // dispatch, so the run must equal the run of the fleet without it,
+    // sample for sample and counter for counter, whatever the config.
+    // It sits at index k >= 1: instance 0 prices admission estimates.
+    forEachSeed(7000, 7256, [&](std::uint64_t seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        const auto spec = randomSpec(rng, seed);
+        const auto scfg = [&] {
+            auto c = randomConfig(rng);
+            c.runAheadDepth = 1 + static_cast<std::uint32_t>(rng.range(4));
+            c.batcher.costAware = rng.range(2) == 0;
+            return c;
+        }();
+        const auto fleet = randomMixedClockFleet(rng);
+        const std::size_t k = 1 + rng.range(fleet.size());
+        auto withDead = fleet;
+        withDead.insert(withDead.begin() + static_cast<std::ptrdiff_t>(k),
+                        randomMixedClockFleet(rng).front());
+        auto deadCfg = scfg;
+        deadCfg.faults.enabled = true;
+        deadCfg.faults.crashes.push_back(
+            CrashWindow{static_cast<std::uint32_t>(k), 0, 0});
+
+        const auto trace = WorkloadGenerator(spec).generate();
+        const auto base =
+            FleetScheduler(fleet, model, {1.0, 2.0}, scfg).run(trace);
+        const auto dead =
+            FleetScheduler(withDead, model, {1.0, 2.0}, deadCfg).run(trace);
+
+        // An empty trace leaves no work, so the t = 0 crash is dead.
+        EXPECT_EQ(dead.faults.crashes, trace.empty() ? 0u : 1u);
+        EXPECT_EQ(dead.faults.inflightFailed, 0u);
+        EXPECT_EQ(dead.horizonCycles, base.horizonCycles);
+        EXPECT_EQ(dead.completionCycles, base.completionCycles);
+        EXPECT_EQ(dead.latencyCycles.data(), base.latencyCycles.data());
+        EXPECT_EQ(dead.queueWaitCycles.data(), base.queueWaitCycles.data());
+        EXPECT_EQ(dead.batchSize.data(), base.batchSize.data());
+        const auto counters = [](const ServingReport &r) {
+            return std::vector<std::uint64_t>{
+                r.generated, r.admitted, r.dropped, r.completed, r.failed,
+                r.leftoverQueued, r.deadlineMisses, r.batchHolds,
+                r.holdTrackingPeak, r.costHolds, r.costDispatches,
+                r.runAheadStaged, r.runAheadPeakStaged, r.mapCache.hits,
+                r.mapCache.misses, r.mapCache.insertions,
+                r.mapCache.evictions, r.mapCache.bytesSaved,
+                r.mapCache.cyclesSaved};
+        };
+        EXPECT_EQ(counters(dead), counters(base));
+        const auto busy = [](const AcceleratorUsage &u) {
+            return std::vector<std::uint64_t>{u.busyCycles, u.mapBusyCycles,
+                                              u.backendBusyCycles, u.batches,
+                                              u.requests};
+        };
+        ASSERT_EQ(dead.accelerators.size(), base.accelerators.size() + 1);
+        for (std::size_t i = 0; i < base.accelerators.size(); ++i)
+            EXPECT_EQ(busy(dead.accelerators[i < k ? i : i + 1]),
+                      busy(base.accelerators[i]))
+                << "instance " << i;
+        EXPECT_EQ(busy(dead.accelerators[k]),
+                  std::vector<std::uint64_t>(5, 0));
+    });
+}
+
+TEST(CrossFeatureProperties, PinnedAutoscalerIsInert)
+{
+    // An autoscaler pinned at the whole fleet (floor = ceiling =
+    // initial = fleet size) can never act, so apart from its own block
+    // the report must be byte-identical to the unscaled run. Cost-aware
+    // dispatch stays off: it counts cost_aware_holds once per dispatch
+    // pass, and ScaleEval instants add passes.
+    forEachSeed(8000, 8256, [&](std::uint64_t seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        const auto spec = randomSpec(rng, seed);
+        auto scfg = randomConfig(rng);
+        scfg.runAheadDepth = 1 + static_cast<std::uint32_t>(rng.range(4));
+        const auto fleet = randomMixedClockFleet(rng);
+        auto pinned = scfg;
+        AutoscalerConfig &as = pinned.autoscaler;
+        as.enabled = true;
+        as.minInstances = as.maxInstances = as.initialInstances =
+            static_cast<std::uint32_t>(fleet.size());
+        as.evalIntervalCycles = 1 + rng.range(200'000);
+        as.spinUpCycles = rng.range(80'000);
+
+        const auto trace = WorkloadGenerator(spec).generate();
+        const auto base =
+            FleetScheduler(fleet, model, {1.0, 2.0}, scfg).run(trace);
+        auto scaled =
+            FleetScheduler(fleet, model, {1.0, 2.0}, pinned).run(trace);
+
+        const AutoscalerStats stats = scaled.autoscaler;
+        EXPECT_EQ(stats.scaleUps, 0u);
+        EXPECT_EQ(stats.scaleDowns, 0u);
+        for (const auto &s : stats.timeline.samples)
+            EXPECT_EQ(s.action, 0);
+        EXPECT_EQ(stats.instanceCycles, fleet.size() * base.horizonCycles);
+        scaled.autoscaler = AutoscalerStats{};
+        EXPECT_EQ(servingJsonOf(scaled), servingJsonOf(base));
+    });
+}
+
 // ---------------------------------------------------------------- //
 //                   Bench row-order independence                    //
 // ---------------------------------------------------------------- //
