@@ -2,8 +2,8 @@
 # CI entry point: configure + build + test, with warnings-as-errors on
 # every library source under src/, the perfbench digest gates
 # (a short run of each repository-benchmark workload — serve_overload,
-# serve_stream and infer_zoo — must match its stored output digests,
-# and infer_zoo must match on all ten stored seeds)
+# serve_stream and infer_zoo — must match its stored output digests
+# on all ten stored seeds)
 # with perfbench's unit tests, the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
@@ -90,20 +90,25 @@ for workload in serve_overload serve_stream infer_zoo; do
     fi
     echo "perfbench ${workload}: correct, 0 failed"
 done
-# infer_zoo's digests are what pin the exactness of the functional
-# mapping searches (pruned FPS, ring-search kNN, ball query) against
-# their full-scan results, so it gates on every stored seed; one
-# repetition per extra seed is enough for a digest check.
-for seed in 1 2 3 4 5 6 7 8 9; do
-    echo "== perfbench infer_zoo seed ${seed} digest gate =="
-    result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
-        --workload infer_zoo --seed "${seed}" --seconds 1 --trace 0 |
-        tail -n 1)"
-    if ! grep -q '"correct": true' <<<"${result}" ||
-       ! grep -q '"failed": 0[,}]' <<<"${result}"; then
-        echo "error: perfbench infer_zoo seed ${seed} digests do not match: ${result}"
-        exit 1
-    fi
+# Every workload also gates on the other nine stored seeds, one short
+# run each (a digest check needs one repetition). infer_zoo's digests
+# pin the exactness of the functional mapping searches (pruned FPS,
+# ring-search kNN, ball query) against their full-scan results;
+# serve_stream's pin every served byte of the wait-for-K, map-cache,
+# run-ahead and mixed-clock paths, which only it runs; serve_overload's
+# pin the admission and batch-formation core with every feature off.
+for workload in serve_overload serve_stream infer_zoo; do
+    for seed in 1 2 3 4 5 6 7 8 9; do
+        echo "== perfbench ${workload} seed ${seed} digest gate =="
+        result="$(CARGO_TARGET_DIR="${PERFBENCH_DIR}" python3 perfbench/run.py \
+            --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0 |
+            tail -n 1)"
+        if ! grep -q '"correct": true' <<<"${result}" ||
+           ! grep -q '"failed": 0[,}]' <<<"${result}"; then
+            echo "error: perfbench ${workload} seed ${seed} digests do not match: ${result}"
+            exit 1
+        fi
+    done
 done
 cmake --build "${PERFBENCH_DIR}" --target perfbench_tests -j "${JOBS}"
 ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \

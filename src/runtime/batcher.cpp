@@ -97,39 +97,16 @@ Batcher::probeGroup(
 BatchHold
 Batcher::holdForHead(
     const AdmissionQueue &queue, const Request &head, std::uint64_t now,
-    const std::function<bool(const Request &)> &excluded) const
-{
-    BatchHold decision;
-    if (!cfg.enabled || cfg.targetK <= 1 || cfg.maxWaitCycles == 0)
-        return decision;
-
-    const std::size_t want =
-        std::min<std::size_t>(cfg.targetK, cfg.maxBatchSize);
-    const GroupProbe probe = probeGroup(queue, head, want, excluded);
-    if (probe.reached)
-        return decision; // K reached: dispatch now
-
-    const std::uint64_t deadline = probe.oldest + cfg.maxWaitCycles;
-    if (now >= deadline)
-        return decision; // waited long enough: dispatch undersized
-
-    decision.hold = true;
-    decision.until = deadline;
-    return decision;
-}
-
-BatchHold
-Batcher::costAwareHold(
-    const AdmissionQueue &queue, const Request &head, std::uint64_t now,
-    const DispatchCost &price,
-    const std::function<bool(const Request &)> &excluded) const
+    const std::function<bool(const Request &)> &excluded,
+    const DispatchCost *price) const
 {
     BatchHold decision;
     if (!cfg.enabled || cfg.targetK <= 1)
         return decision;
-    // No observed arrival cadence means no basis to price waiting:
-    // dispatch eagerly rather than hold on a guess.
-    if (price.arrivalGapNs == 0)
+    // A deadline hold needs a deadline. A priced hold needs an observed
+    // arrival cadence: without one there is no basis to price waiting,
+    // so dispatch eagerly rather than hold on a guess.
+    if (price ? price->arrivalGapNs == 0 : cfg.maxWaitCycles == 0)
         return decision;
 
     const std::size_t want =
@@ -138,31 +115,34 @@ Batcher::costAwareHold(
     if (probe.reached)
         return decision; // K reached: dispatch now
 
-    // Optional hard cap: with maxWaitCycles configured, the priced
-    // hold still honors the operator's absolute latency bound.
+    // The hard cap: the deadline of a plain hold and, when
+    // maxWaitCycles is set, the operator's absolute latency bound on a
+    // priced one.
     const std::uint64_t hardCap =
         cfg.maxWaitCycles > 0 ? probe.oldest + cfg.maxWaitCycles
                               : std::numeric_limits<std::uint64_t>::max();
     if (now >= hardCap)
-        return decision;
+        return decision; // waited long enough: dispatch undersized
+    if (price == nullptr)
+        return BatchHold{true, hardCap};
 
     // The trade, priced in event-axis ns. Each member still missing
     // from K amortizes away one weight reload (the cost model credits
     // min-weight-load per extra member — see batchServiceCycles):
     const std::uint64_t missing =
         static_cast<std::uint64_t>(want - probe.have);
-    const std::uint64_t gain = missing * price.weightLoadNs;
+    const std::uint64_t gain = missing * price->weightLoadNs;
     // Waiting forfeits front/back overlap only once the back-end's
     // committed backlog (running remainder + staged run-ahead batches)
     // is thinner than the mapping a dispatch would overlap with it:
     const std::uint64_t slack =
-        price.backlogNs > price.mapNs ? price.backlogNs - price.mapNs
-                                      : 0;
+        price->backlogNs > price->mapNs ? price->backlogNs - price->mapNs
+                                        : 0;
     // Expected cost of reaching K: the group has already waited since
     // its oldest arrival, and filling the gap takes an expected
     // missing * gap more — minus the slack that was forfeited anyway.
     const std::uint64_t spent =
-        (now - probe.oldest) + missing * price.arrivalGapNs;
+        (now - probe.oldest) + missing * price->arrivalGapNs;
     const std::uint64_t cost = spent > slack ? spent - slack : 0;
     if (gain <= cost)
         return decision; // amortization no longer pays: dispatch
@@ -173,11 +153,9 @@ Batcher::costAwareHold(
     // gain > cost implies breakEven > now, so every candidate is
     // strictly in the future and the hold can never arm a stale timer.
     const std::uint64_t breakEven =
-        probe.oldest + slack + gain - missing * price.arrivalGapNs;
-    decision.hold = true;
-    decision.until = std::min({now + price.arrivalGapNs, breakEven,
-                               hardCap});
-    return decision;
+        probe.oldest + slack + gain - missing * price->arrivalGapNs;
+    return BatchHold{
+        true, std::min({now + price->arrivalGapNs, breakEven, hardCap})};
 }
 
 Batch

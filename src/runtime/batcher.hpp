@@ -43,13 +43,20 @@
  * K exceeds the pipeline-overlap time the wait forfeits, with the
  * back-end's committed backlog counted as free slack (holding the
  * front-end costs nothing while the back-end could not have started
- * the work anyway — the run-ahead buffer deepens that slack). See
- * costAwareHold.
+ * the work anyway — the run-ahead buffer deepens that slack).
+ *
+ * Both disciplines are one hold rule, holdForHead: without a price it
+ * is the deadline hold, with a DispatchCost it is the priced one. The
+ * guard, the K count, the oldest-member anchor and the maxWaitCycles
+ * cap are shared. The scheduler's WaitForK type (scheduler.cpp) owns
+ * what the rule runs against: the timer, the held groups, the hold
+ * bookkeeping and, when priced, the arrival cadence and the price.
  *
  * Invariants (fuzzed by test_runtime_properties): every batch formLedBy
  * returns is non-empty, within maxBatchSize, led by the given head, and
  * pairwise compatible with it; holdForHead never holds past the group's
- * oldest member's arrival + maxWaitCycles, so held work always
+ * oldest member's arrival + maxWaitCycles when that is set, and an
+ * uncapped priced hold's cost outgrows its gain, so held work always
  * dispatches eventually.
  */
 
@@ -84,11 +91,12 @@ struct BatcherConfig
      *  dispatches undersized. */
     std::uint64_t maxWaitCycles = 0;
     /** Cost-aware dispatch: replace the blind maxWaitCycles timer with
-     *  a priced hold-vs-dispatch decision (costAwareHold) — hold only
-     *  while the weight-reload amortization still expected from
-     *  reaching K exceeds the pipeline-overlap time forfeited by
-     *  waiting. maxWaitCycles then acts only as an optional hard cap
-     *  (0 = uncapped); targetK > 1 is still required for any hold. */
+     *  a priced hold-vs-dispatch decision (holdForHead with a
+     *  DispatchCost) — hold only while the weight-reload amortization
+     *  still expected from reaching K exceeds the pipeline-overlap time
+     *  forfeited by waiting. maxWaitCycles then acts only as an
+     *  optional hard cap (0 = uncapped); targetK > 1 is still required
+     *  for any hold. */
     bool costAware = false;
 };
 
@@ -117,10 +125,12 @@ struct BatchHold
 };
 
 /**
- * Dispatch-time inputs to the cost-aware hold decision, priced by the
- * scheduler on the event axis (ns) for the head's (network, bucket)
- * class. The batcher owns the decision rule; the scheduler owns the
- * simulator state the rule prices against.
+ * Dispatch-time inputs to the priced hold (holdForHead with a price),
+ * priced by the scheduler's WaitForK on the event axis (ns) for the
+ * head's (network, bucket) class. The batcher owns the decision rule;
+ * WaitForK owns the simulator state the rule prices against: the
+ * reference class's prices, the network's arrival cadence and the
+ * least-loaded accepting instance's back-end backlog.
  */
 struct DispatchCost
 {
@@ -169,46 +179,39 @@ class Batcher
 
     /**
      * Wait-for-K probe: should the scheduler hold a batch led by
-     * `head` at time `now` instead of dispatching it? Holds only
-     * while fewer than min(targetK, maxBatchSize) compatible requests
-     * are queued AND the group's oldest member arrived less than
-     * maxWaitCycles ago;
-     * the returned deadline is a timer the event loop must honor so
-     * held work always dispatches eventually. A hold applies to the
-     * head's compatibility group only — the scheduler keeps
-     * dispatching other groups around it. `excluded` (empty = none)
-     * marks requests that would not actually join a batch led by
-     * `head` (members of other held groups): they must not count
-     * toward K, or the probe would green-light a dispatch that
-     * formLedBy then forms undersized.
-     */
-    BatchHold holdForHead(const AdmissionQueue &queue,
-                          const Request &head, std::uint64_t now,
-                          const std::function<bool(const Request &)>
-                              &excluded = nullptr) const;
-
-    /**
-     * Cost-aware hold-vs-dispatch probe (BatcherConfig::costAware):
-     * instead of holding blindly until maxWaitCycles, price the trade
-     * directly in event-axis ns —
+     * `head` at time `now` instead of dispatching it? Never once
+     * min(targetK, maxBatchSize) compatible requests are queued, nor
+     * once the group's oldest member arrived maxWaitCycles ago (when
+     * set). `excluded` (empty = none) marks requests that would not
+     * actually join a batch led by `head` (members of other held
+     * groups): they must not count toward K, or the probe would
+     * green-light a dispatch that formLedBy then forms undersized. A
+     * hold applies to the head's compatibility group only — the
+     * scheduler keeps dispatching other groups around it — and the
+     * returned deadline is a timer the event loop must honor, so held
+     * work always dispatches eventually.
+     *
+     * Without a `price` (the deadline hold) the head holds until that
+     * cap, and a zero maxWaitCycles never holds. With one
+     * (BatcherConfig::costAware) the trade is priced in event-axis ns,
      *
      *   gain = (K - have) * weightLoadNs      amortization still to win
      *   slack = max(0, backlogNs - mapNs)     overlap forfeited anyway
      *   cost = max(0, waited + (K - have) * gapNs - slack)
      *
-     * and hold only while gain > cost and the arrival gap is known
-     * (two arrivals seen). The returned deadline is the earliest of
-     * the expected next arrival (re-evaluate with fresh facts), the
-     * break-even time at which cost catches gain, and the optional
-     * maxWaitCycles hard cap — each strictly in the future, and cost
-     * grows with the clock while gain cannot grow without new
-     * arrivals, so every held group still dispatches eventually.
+     * and the head holds only while gain > cost and the arrival gap
+     * is known (two arrivals seen); maxWaitCycles is an optional cap
+     * (0 = uncapped). The deadline is then the earliest of the
+     * expected next arrival (re-evaluate with fresh facts), the
+     * break-even time at which cost catches gain, and the cap — each
+     * strictly in the future, and cost grows with the clock while gain
+     * cannot grow without new arrivals.
      */
-    BatchHold costAwareHold(const AdmissionQueue &queue,
-                            const Request &head, std::uint64_t now,
-                            const DispatchCost &price,
-                            const std::function<bool(const Request &)>
-                                &excluded = nullptr) const;
+    BatchHold holdForHead(const AdmissionQueue &queue,
+                          const Request &head, std::uint64_t now,
+                          const std::function<bool(const Request &)>
+                              &excluded = nullptr,
+                          const DispatchCost *price = nullptr) const;
 
     /**
      * Form a batch led by `head` (which must be queued): the head

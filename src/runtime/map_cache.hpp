@@ -18,8 +18,8 @@
  *  - keys are value-identities: equal MapCacheKey => identical kernel
  *    maps; the cache never compares geometry itself;
  *  - a hit is never slower than a miss: the scheduler clamps the
- *    modelled read cost into the full map phase (see
- *    FleetScheduler::run), so enabling the cache can only shorten a
+ *    modelled read cost into the full map phase (see CacheBooking in
+ *    scheduler.cpp), so enabling the cache can only shorten a
  *    dispatch, never lengthen it;
  *  - capacity is enforced on every insert: size() <= capacityEntries
  *    always, with deterministic victim selection so equal seeds give
@@ -117,11 +117,13 @@ struct MapCacheStats
     std::uint64_t evictions = 0;
     /** Kernel-map bytes whose recomputation a hit avoided. */
     std::uint64_t bytesSaved = 0;
-    /** Mapping-phase event-axis ns hits actually removed from the
-     *  schedule: the scheduler credits, once per hit batch, exactly
-     *  the batch-level mapping it skipped net of the clamped read
-     *  cost (see creditSavedCycles) — so this counter matches the
-     *  simulated schedule, not a per-request approximation. */
+    /** Mapping-phase event-axis ns hits removed from the schedule at
+     *  nominal speed: the scheduler credits, once per hit batch, the
+     *  batch-level mapping it skipped net of the clamped read cost
+     *  (see creditSavedCycles), not a per-request approximation. Under
+     *  a straggler window the schedule stretches the hit's phases by
+     *  the instance's slowdown but the credit does not, so there it
+     *  differs from the simulated schedule. */
     std::uint64_t cyclesSaved = 0;
 
     double
@@ -170,11 +172,11 @@ class MapCache
     /**
      * Credit `saved` event-axis ns to cyclesSaved: the batch-level
      * mapping a hit dispatch skipped, net of the clamped read cost,
-     * priced against the instance it dispatched to (a heterogeneous
-     * fleet prices mapping differently per class, so the saving is
-     * known only at dispatch time, not at insertion). Called once per
-     * hit batch so the counter equals what the simulation actually
-     * removed from the schedule.
+     * priced against the class of the instance it dispatched to (a
+     * heterogeneous fleet prices mapping differently per class, so the
+     * saving is known only at dispatch time, not at insertion) at that
+     * class's nominal speed, unstretched by any straggler slowdown.
+     * Called once per hit batch, never per member.
      */
     void creditSavedCycles(std::uint64_t saved);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -438,11 +439,13 @@ class EventQueue
 class Pipeline
 {
   public:
+    /** `cache_` is null without a map cache; no dispatch then carries
+     *  inserts to publish. */
     Pipeline(std::uint32_t self_, OccupancyModel occupancy,
-             std::uint32_t run_ahead_depth, MapCache &cache_)
+             std::uint32_t run_ahead_depth, MapCache *cache_)
         : self(self_), monolithic(occupancy == OccupancyModel::Monolithic),
           stagedCap(monolithic ? 0 : run_ahead_depth - std::size_t{1}),
-          cache(&cache_)
+          cache(cache_)
     {}
 
     AcceleratorUsage usage;
@@ -457,14 +460,10 @@ class Pipeline
     bool accepts() const { return monolithic ? fifo.empty() : !mapperHeld; }
 
     /** The stage phases a batch priced `full` (ns) occupies here: a
-     *  map-cache hit's mapping collapses to the cache read, clamped so
-     *  a hit is never slower than the miss it avoids; a monolithic
-     *  dispatch is one opaque back-end interval. */
+     *  monolithic dispatch is one opaque back-end interval. */
     PhaseProfile
-    stagePhases(PhaseProfile full, bool hit, std::uint64_t read_cost) const
+    stagePhases(PhaseProfile full) const
     {
-        if (hit)
-            full.mapCycles = std::min(full.mapCycles, read_cost);
         if (monolithic) {
             full.backendCycles += full.mapCycles;
             full.mapCycles = 0;
@@ -1205,6 +1204,320 @@ class Autoscaler
     std::vector<std::uint64_t> windowLat; ///< latencies since last eval
 };
 
+/**
+ * Wait-for-K batching of one run (BatcherConfig::targetK): the hold
+ * timer, the groups held in the current dispatch pass, the hold-episode
+ * count and, when cost-aware, the arrival cadence and the price each
+ * hold is decided on (Batcher::holdForHead owns the rule). A run builds
+ * one only when a head can hold: batching on, targetK > 1, and a
+ * deadline (maxWaitCycles) or a price (costAware). Otherwise no Timer
+ * entry exists and every batch dispatches at once.
+ */
+class WaitForK
+{
+  public:
+    WaitForK(const Batcher &batcher_, PriceTable &prices_,
+             const std::vector<AccelState> &accels_, EventQueue &events_,
+             double reference_ghz)
+        : batcher(batcher_), prices(prices_), accels(accels_),
+          events(events_), referenceGHz(reference_ghz),
+          priced(batcher_.config().costAware),
+          want(std::min<std::size_t>(batcher_.config().targetK,
+                                     batcher_.config().maxBatchSize))
+    {}
+
+    /** Does `r` belong to a group held this pass? A hold freezes only
+     *  its leader's compatibility group: the members neither lead nor
+     *  join batches until the group reaches K or the deadline passes,
+     *  while every other group keeps dispatching around it. */
+    bool
+    inHeldGroup(const Request &r) const
+    {
+        for (const auto &h : heldLeaders)
+            if (h.id == r.id || batcher.compatible(h, r))
+                return true;
+        return false;
+    }
+
+    /** Is a Timer entry the armed one? Nothing to apply: the dispatch
+     *  pass re-probes every hold against the clock. */
+    bool
+    timerLive(const Event &e) const
+    {
+        return timerAt != kNever && e.stamp == timerGen;
+    }
+
+    /** Start a dispatch pass. Every pass re-decides every hold, so the
+     *  timer first disarms (a hold resolved by new arrivals must not
+     *  leave a stale event inflating the horizon; while no stage can
+     *  accept, stage completions drive re-evaluation). */
+    void
+    beginPass()
+    {
+        timerAt = kNever;
+        heldLeaders.clear();
+    }
+
+    /**
+     * Hold the group led by `head` at `now` instead of dispatching it
+     * undersized? Held-group members are excluded from the K count just
+     * as formLedBy excludes them from the batch. A hold arms the timer
+     * at its deadline and counts one episode per leader, however many
+     * passes re-evaluate it.
+     */
+    bool
+    holds(const AdmissionQueue &queue, const Request &head,
+          std::uint64_t now, const std::function<bool(const Request &)> &held)
+    {
+        DispatchCost price;
+        if (priced)
+            price = priceOf(head, now);
+        const BatchHold hold = batcher.holdForHead(
+            queue, head, now, held, priced ? &price : nullptr);
+        if (!hold.hold)
+            return false;
+        if (priced)
+            costHolds += 1;
+        if (countedHolds.insert(head.id).second) {
+            batchHolds += 1;
+            holdTrackingPeak = std::max(
+                holdTrackingPeak,
+                static_cast<std::uint64_t>(countedHolds.size()));
+        }
+        timerAt = std::min(timerAt, hold.until);
+        heldLeaders.push_back(head);
+        return true;
+    }
+
+    /** `batch` dispatched. Its members' hold episodes end: dropping
+     *  their ids keeps the dedup set bounded by queue depth however long
+     *  the trace runs (a re-queued id later starts a fresh, separately
+     *  counted episode). A priced dispatch below K is booked. */
+    void
+    dispatched(const Batch &batch)
+    {
+        if (!countedHolds.empty())
+            for (const auto &r : batch.requests)
+                countedHolds.erase(r.id);
+        if (priced && batch.size() < want)
+            costDispatches += 1;
+    }
+
+    /** End a dispatch pass: arm the timer at the earliest deadline of
+     *  its holds. Re-arming or disarming bumps the generation, which
+     *  orphans any queued entry. */
+    void
+    endPass()
+    {
+        if (timerAt == armedAt)
+            return;
+        timerGen += 1;
+        armedAt = timerAt;
+        if (timerAt != kNever)
+            events.push(timerAt, Event::Kind::Timer, 0, timerGen);
+    }
+
+    /** Track the offered arrival process for the priced hold (drops
+     *  included; retries and hedges are re-admissions, not arrivals,
+     *  and never pass through here). */
+    void
+    noteArrival(const Request &r)
+    {
+        if (!priced)
+            return;
+        ArrivalCadence &c = cadence[r.networkId];
+        if (c.count == 0)
+            c.firstNs = r.arrivalCycle;
+        c.lastNs = r.arrivalCycle;
+        c.count += 1;
+    }
+
+    void
+    finish(ServingReport &report) const
+    {
+        report.batchHolds = batchHolds;
+        report.holdTrackingPeak = holdTrackingPeak;
+        report.costHolds = costHolds;
+        report.costDispatches = costDispatches;
+    }
+
+  private:
+    struct ArrivalCadence
+    {
+        std::uint64_t count = 0;
+        std::uint64_t firstNs = 0;
+        std::uint64_t lastNs = 0;
+    };
+
+    /** Mean inter-arrival gap of one network's requests; 0 until two
+     *  arrivals have been seen (no cadence, no priced hold). */
+    std::uint64_t
+    gapOf(std::uint32_t network_id) const
+    {
+        const auto it = cadence.find(network_id);
+        if (it == cadence.end() || it->second.count < 2)
+            return 0;
+        return (it->second.lastNs - it->second.firstNs) /
+               (it->second.count - 1);
+    }
+
+    /** Price one hold-vs-dispatch decision for a batch led by `head`
+     *  from the lead accelerator's prices (class 0, in ns). The backlog
+     *  is the committed back-end work on the least-loaded accepting
+     *  instance; while it outlasts the head's mapping, holding forfeits
+     *  no overlap, so a deeper run-ahead buffer makes holding cheaper
+     *  exactly when the back-end is the bottleneck. */
+    DispatchCost
+    priceOf(const Request &head, std::uint64_t now)
+    {
+        DispatchCost price;
+        const ServiceProfile &p =
+            prices.profile(0, head.networkId, head.sizeBucket);
+        price.weightLoadNs = cyclesToNs(p.weightLoadCycles, referenceGHz);
+        price.mapNs = cyclesToNs(p.phases().mapCycles, referenceGHz);
+        price.arrivalGapNs = gapOf(head.networkId);
+        std::uint64_t backlog = kNever;
+        for (const auto &acc : accels)
+            if (acc.canAccept())
+                backlog = std::min(backlog, acc.pipe.backendFreeAt(now) - now);
+        price.backlogNs = backlog == kNever ? 0 : backlog;
+        return price;
+    }
+
+    const Batcher &batcher;
+    PriceTable &prices;
+    const std::vector<AccelState> &accels;
+    EventQueue &events;
+    const double referenceGHz;
+    const bool priced; ///< cost-aware: holds are priced, not timed
+    const std::size_t want; ///< min(targetK, maxBatchSize)
+    std::vector<Request> heldLeaders; ///< leaders held this pass
+    /** Earliest hold deadline this pass; the armed one and its stamp. */
+    std::uint64_t timerAt = kNever;
+    std::uint64_t armedAt = kNever;
+    std::uint64_t timerGen = 0;
+    /** Leaders whose hold episodes were already counted. */
+    std::unordered_set<std::uint64_t> countedHolds;
+    std::map<std::uint32_t, ArrivalCadence> cadence;
+    std::uint64_t batchHolds = 0;
+    std::uint64_t holdTrackingPeak = 0;
+    std::uint64_t costHolds = 0;
+    std::uint64_t costDispatches = 0;
+};
+
+/**
+ * Kernel-map cache booking of one run (runtime/map_cache): the cache,
+ * each request's content key and the hit/miss purity rule on the
+ * batcher, and per dispatch the hit classification, a hit's read-cost
+ * clamp, the hit and miss counters, the saved-ns credit and the entries
+ * a miss publishes. A run builds one only when the cache is enabled;
+ * otherwise nothing is classified and no Pipeline publishes.
+ */
+class CacheBooking
+{
+  public:
+    CacheBooking(const MapCacheConfig &cfg, PriceTable &prices_,
+                 Batcher &batcher)
+        : cache(cfg), prices(prices_)
+    {
+        // A hit's collapsed map phase and a miss's full mapping can
+        // never share one dispatch price: keep batches hit-pure or
+        // miss-pure (evaluated against the cache state at decision
+        // time, like every other compatibility check).
+        batcher.setExtraCompatibility(
+            [this](const Request &a, const Request &b) {
+                return cache.contains(keyOf(a)) == cache.contains(keyOf(b));
+            });
+    }
+    /** The batcher's rule holds `this`. */
+    CacheBooking(const CacheBooking &) = delete;
+    CacheBooking &operator=(const CacheBooking &) = delete;
+
+    /** The store a miss publishes into when mapped (Pipeline). */
+    MapCache &store() { return cache; }
+
+    const MapCacheStats &stats() const { return cache.stats(); }
+
+    /** Is `batch` a hit batch? Classified at dispatch time: contents
+     *  evolve as misses publish. The batcher's rule keeps batches
+     *  hit-pure or miss-pure; the all-of scan is the honest check of
+     *  that invariant. */
+    bool
+    hits(const Batch &batch)
+    {
+        for (const auto &r : batch.requests)
+            if (!cache.contains(keyOf(r)))
+                return false;
+        return true;
+    }
+
+    /** A hit batch's phases from its full ones (ns): mapping collapses
+     *  to streaming the cached maps back, clamped so a hit is never
+     *  slower than the miss it avoids. */
+    PhaseProfile
+    hitPhases(PhaseProfile full, const Batch &batch) const
+    {
+        full.mapCycles = std::min(full.mapCycles, readNs(batch));
+        return full;
+    }
+
+    /**
+     * Book `batch`, dispatched to an instance of class `cls` clocked at
+     * `freq_ghz` whose full batch mapping is `full_map_ns`. Recency,
+     * frequency and bytes book per member. A hit batch credits once the
+     * mapping it skipped, net of the clamped read cost, at the class's
+     * nominal speed. A miss returns the entries it publishes when
+     * mapped, priced against that class. cloudId 0 means "no content
+     * identity" (hand-built traces): the miss counts but publishes no
+     * map, so distinct geometries never alias one entry.
+     */
+    std::vector<std::pair<MapCacheKey, MapCacheEntry>>
+    book(const Batch &batch, bool hit, std::size_t cls,
+         std::uint64_t full_map_ns, double freq_ghz)
+    {
+        std::vector<std::pair<MapCacheKey, MapCacheEntry>> inserts;
+        if (hit) {
+            for (const auto &r : batch.requests)
+                cache.recordHit(keyOf(r));
+            cache.creditSavedCycles(full_map_ns -
+                                    std::min(full_map_ns, readNs(batch)));
+            return inserts;
+        }
+        for (const auto &r : batch.requests) {
+            cache.recordMiss();
+            if (r.cloudId == 0)
+                continue;
+            const ServiceProfile p =
+                prices.profile(cls, r.networkId, r.sizeBucket);
+            inserts.emplace_back(
+                keyOf(r),
+                MapCacheEntry{cyclesToNs(p.phases().mapCycles, freq_ghz),
+                              p.mapBytes});
+        }
+        return inserts;
+    }
+
+  private:
+    /** Keys take the per-network layer-config hash from the prices. */
+    MapCacheKey
+    keyOf(const Request &r)
+    {
+        return MapCacheKey{r.cloudId, r.networkId,
+                           prices.layerHash(r.networkId)};
+    }
+
+    /** Modelled cost of streaming a batch's cached maps back. */
+    std::uint64_t
+    readNs(const Batch &batch) const
+    {
+        return cache.config().hitReadCycles *
+               static_cast<std::uint64_t>(batch.size());
+    }
+
+    MapCache cache;
+    PriceTable &prices;
+};
+
 } // namespace
 
 ServingReport
@@ -1229,33 +1542,18 @@ FleetScheduler::run(RequestSource &source) const
 
     PriceTable prices(model, fleet);
 
-    // Cross-request kernel-map cache. Keys take the per-network
-    // layer-config hash from the price table; lookups classify
-    // requests as hits or misses *at dispatch time* (cache contents
-    // evolve as misses publish).
-    MapCache mapCache(cfg.mapCache);
-    const auto keyOf = [&](const Request &r) {
-        return MapCacheKey{r.cloudId, r.networkId,
-                           prices.layerHash(r.networkId)};
-    };
-    if (mapCache.enabled()) {
-        // A hit's collapsed map phase and a miss's full mapping can
-        // never share one dispatch price: keep batches hit-pure or
-        // miss-pure (evaluated against the cache state at decision
-        // time, like every other compatibility check).
-        batcher.setExtraCompatibility(
-            [&](const Request &a, const Request &b) {
-                return mapCache.contains(keyOf(a)) ==
-                       mapCache.contains(keyOf(b));
-            });
-    }
+    // The cross-request kernel-map cache exists only when enabled; it
+    // installs its hit/miss purity rule on the batcher as it is built.
+    std::optional<CacheBooking> cache;
+    if (cfg.mapCache.enabled)
+        cache.emplace(cfg.mapCache, prices, batcher);
 
     std::vector<AccelState> accels;
     accels.reserve(fleet.size());
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-        accels.push_back(AccelState{Pipeline(static_cast<std::uint32_t>(i),
-                                             cfg.occupancy,
-                                             cfg.runAheadDepth, mapCache)});
+        accels.push_back(AccelState{Pipeline(
+            static_cast<std::uint32_t>(i), cfg.occupancy, cfg.runAheadDepth,
+            cache ? &cache->store() : nullptr)});
         accels[i].pipe.usage.name = fleet[i].name + "#" + std::to_string(i);
         accels[i].pipe.usage.freqGHz = fleet[i].freqGHz;
     }
@@ -1284,59 +1582,16 @@ FleetScheduler::run(RequestSource &source) const
     // cost-aware prices. Relative ordering is what matters, and
     // network cost ratios are stable across classes.
     const double referenceGHz = fleet.front().freqGHz;
-    const auto referenceOf = [&](const Request &r) -> const ServiceProfile & {
-        return prices.profile(0, r.networkId, r.sizeBucket);
-    };
 
-    // ---- Cost-aware dispatch (BatcherConfig::costAware) ----------- //
-    // Off (the default): none of this state is touched. On: each hold
-    // decision is priced (Batcher::costAwareHold) from the head's class
-    // prices, its network's observed arrival cadence, and the back-end
-    // backlog of the least-loaded accepting instance.
-    const bool costAwareOn = cfg.batcher.enabled &&
-                             cfg.batcher.costAware &&
-                             cfg.batcher.targetK > 1;
-    struct ArrivalCadence
-    {
-        std::uint64_t count = 0;
-        std::uint64_t firstNs = 0;
-        std::uint64_t lastNs = 0;
-    };
-    std::map<std::uint32_t, ArrivalCadence> cadence;
-    const auto noteArrival = [&](const Request &r) {
-        ArrivalCadence &c = cadence[r.networkId];
-        if (c.count == 0)
-            c.firstNs = r.arrivalCycle;
-        c.lastNs = r.arrivalCycle;
-        c.count += 1;
-    };
-    // Mean inter-arrival gap of one network's requests; 0 until two
-    // arrivals have been seen (no cadence, no priced hold).
-    const auto gapOf = [&](std::uint32_t network_id) -> std::uint64_t {
-        const auto it = cadence.find(network_id);
-        if (it == cadence.end() || it->second.count < 2)
-            return 0;
-        return (it->second.lastNs - it->second.firstNs) /
-               (it->second.count - 1);
-    };
-
-    // Batcher timer: earliest pending wait-for-K hold deadline.
-    // timerGen stamps the currently armed timer event; re-arming or
-    // disarming bumps it, orphaning any queued timer entry.
-    std::uint64_t timerAt = kNever;
-    std::uint64_t timerGen = 0;
-    std::uint64_t armedAt = kNever;
-    const auto syncTimer = [&]() {
-        if (timerAt == armedAt)
-            return;
-        timerGen += 1;
-        armedAt = timerAt;
-        if (timerAt != kNever)
-            events.push(timerAt, Event::Kind::Timer, 0, timerGen);
-    };
-    // Leaders whose hold episodes were already counted in batchHolds
-    // (one episode per leader, however many events re-evaluate it).
-    std::unordered_set<std::uint64_t> countedHolds;
+    // Wait-for-K exists only when a head can hold. Members of the
+    // groups it holds this pass neither lead nor join a batch.
+    std::optional<WaitForK> waitForK;
+    std::function<bool(const Request &)> held;
+    if (cfg.batcher.enabled && cfg.batcher.targetK > 1 &&
+        (cfg.batcher.costAware || cfg.batcher.maxWaitCycles > 0)) {
+        waitForK.emplace(batcher, prices, accels, events, referenceGHz);
+        held = [&](const Request &r) { return waitForK->inHeldGroup(r); };
+    }
 
     // Record a batch the back-end of instance `idx` just finished.
     const auto complete = [&](std::size_t idx, const InFlight &unit) {
@@ -1365,111 +1620,29 @@ FleetScheduler::run(RequestSource &source) const
             scaler->serviced(accels[idx], now);
     };
 
-    // Price one hold-vs-dispatch decision for a batch led by `head`.
-    // The backlog is the committed back-end work on the least-loaded
-    // accepting instance; while it outlasts the head's mapping, holding
-    // forfeits no overlap, so a deeper run-ahead buffer makes holding
-    // cheaper exactly when the back-end is the bottleneck.
-    const auto dispatchCostOf = [&](const Request &head,
-                                    std::uint64_t now) {
-        DispatchCost price;
-        const ServiceProfile &p = referenceOf(head);
-        price.weightLoadNs = cyclesToNs(p.weightLoadCycles, referenceGHz);
-        price.mapNs = cyclesToNs(p.phases().mapCycles, referenceGHz);
-        price.arrivalGapNs = gapOf(head.networkId);
-        std::uint64_t backlog = kNever;
-        for (const auto &acc : accels)
-            if (acc.canAccept())
-                backlog =
-                    std::min(backlog, acc.pipe.backendFreeAt(now) - now);
-        price.backlogNs = backlog == kNever ? 0 : backlog;
-        return price;
-    };
-
     // The dispatch being placed, priced per class in ns: one buffer
     // for the whole run.
     std::vector<std::optional<PhaseProfile>> classPhases(prices.classes());
 
     const auto dispatch = [&](std::uint64_t now) {
-        // The timer mirrors the holds outstanding now: every pass
-        // re-decides, so first disarm (a hold resolved by new arrivals
-        // must not leave a stale event inflating the horizon; while no
-        // stage can accept, stage completions drive re-evaluation).
-        timerAt = kNever;
-        // Leaders held this pass. A hold freezes only the leader's
-        // compatibility group: its members neither lead nor join
-        // batches until the group reaches K or the deadline passes,
-        // while every other group keeps dispatching around it.
-        std::vector<Request> heldLeaders;
-        const auto inHeldGroup = [&](const Request &r) {
-            for (const auto &h : heldLeaders)
-                if (h.id == r.id || batcher.compatible(h, r))
-                    return true;
-            return false;
-        };
+        if (waitForK)
+            waitForK->beginPass();
         while (!queue.empty()) {
             if (std::none_of(
                     accels.begin(), accels.end(),
                     [](const AccelState &a) { return a.canAccept(); }))
-                return;
+                break;
 
-            const Request *head = queue.peekEligible(inHeldGroup);
+            const Request *head = queue.peekEligible(held);
             if (head == nullptr)
-                return; // everything queued belongs to a held group
-
-            // Wait-for-K: hold this group and arm a timer instead of
-            // dispatching undersized, unless the deadline passed (or,
-            // cost-aware, unless waiting no longer pays). Held-group
-            // members are excluded from the K count just as formLedBy
-            // excludes them from the batch.
-            const BatchHold hold =
-                costAwareOn
-                    ? batcher.costAwareHold(queue, *head, now,
-                                            dispatchCostOf(*head, now),
-                                            inHeldGroup)
-                    : batcher.holdForHead(queue, *head, now,
-                                          inHeldGroup);
-            if (hold.hold) {
-                if (costAwareOn)
-                    report.costHolds += 1;
-                if (countedHolds.insert(head->id).second) {
-                    report.batchHolds += 1;
-                    report.holdTrackingPeak = std::max(
-                        report.holdTrackingPeak,
-                        static_cast<std::uint64_t>(
-                            countedHolds.size()));
-                }
-                timerAt = std::min(timerAt, hold.until);
-                heldLeaders.push_back(*head);
+                break; // everything queued belongs to a held group
+            if (waitForK && waitForK->holds(queue, *head, now, held))
                 continue; // other groups may still dispatch
-            }
 
-            Batch batch = batcher.formLedBy(queue, *head, inHeldGroup);
-            // Hold episodes end at dispatch: dropping the members'
-            // ids keeps the dedup set bounded by queue depth however
-            // long the trace runs (a re-queued id later starts a
-            // fresh, separately counted episode).
-            if (!countedHolds.empty())
-                for (const auto &r : batch.requests)
-                    countedHolds.erase(r.id);
-            if (costAwareOn &&
-                batch.size() <
-                    std::min<std::size_t>(cfg.batcher.targetK,
-                                          cfg.batcher.maxBatchSize))
-                report.costDispatches += 1;
-
-            // Classify the batch against the map cache. The batcher's
-            // extra rule keeps batches hit-pure or miss-pure; the
-            // all-of scan is the honest check of that invariant.
-            bool hitBatch = mapCache.enabled();
-            if (mapCache.enabled())
-                for (const auto &r : batch.requests)
-                    hitBatch = hitBatch && mapCache.contains(keyOf(r));
-            // Modelled cost of streaming the cached maps back (clamped
-            // into the mapping it replaces, see Pipeline::stagePhases).
-            const std::uint64_t readCost =
-                cfg.mapCache.hitReadCycles *
-                static_cast<std::uint64_t>(batch.size());
+            Batch batch = batcher.formLedBy(queue, *head, held);
+            if (waitForK)
+                waitForK->dispatched(batch);
+            const bool hit = cache && cache->hits(batch);
 
             // Place on the accepting instance that finishes soonest.
             // Phases depend only on the accelerator class, so price once
@@ -1490,7 +1663,7 @@ FleetScheduler::run(RequestSource &source) const
                         prices.batchPhases(prices.classOf(i), batch),
                         fleet[i].freqGHz);
                 PhaseProfile ph = accels[i].pipe.stagePhases(
-                    *memo, hitBatch, readCost);
+                    hit ? cache->hitPhases(*memo, batch) : *memo);
                 // Straggler windows stretch this instance's service
                 // time (an effective frequency derate). The exact
                 // ==1.0 comparison keeps the fault-free path free of
@@ -1521,40 +1694,11 @@ FleetScheduler::run(RequestSource &source) const
 
             InFlight unit;
             unit.phases = bestPhases;
-            if (mapCache.enabled()) {
-                if (hitBatch) {
-                    // Recency, frequency and bytes book per member; the
-                    // ns saved book once per batch: the mapping this
-                    // dispatch skipped on its own instance's class, net
-                    // of the clamped read cost.
-                    for (const auto &r : batch.requests)
-                        mapCache.recordHit(keyOf(r));
-                    const std::uint64_t batchMap =
-                        classPhases[prices.classOf(best)]->mapCycles;
-                    mapCache.creditSavedCycles(
-                        batchMap - std::min(batchMap, readCost));
-                } else {
-                    // Misses publish their maps at mapping completion;
-                    // price the entries against the chosen instance.
-                    // cloudId 0 means "no content identity" (hand-built
-                    // traces): count the miss but never publish a map
-                    // — distinct geometries must not alias one entry.
-                    for (const auto &r : batch.requests) {
-                        mapCache.recordMiss();
-                        if (r.cloudId == 0)
-                            continue;
-                        const ServiceProfile p = prices.profile(
-                            prices.classOf(best), r.networkId,
-                            r.sizeBucket);
-                        unit.inserts.emplace_back(
-                            keyOf(r),
-                            MapCacheEntry{
-                                cyclesToNs(p.phases().mapCycles,
-                                           fleet[best].freqGHz),
-                                p.mapBytes});
-                    }
-                }
-            }
+            if (cache)
+                unit.inserts = cache->book(
+                    batch, hit, prices.classOf(best),
+                    classPhases[prices.classOf(best)]->mapCycles,
+                    fleet[best].freqGHz);
             report.batchSize.record(static_cast<double>(batch.size()));
             for (const auto &r : batch.requests)
                 report.queueWaitCycles.record(
@@ -1567,6 +1711,8 @@ FleetScheduler::run(RequestSource &source) const
             // whole dispatch in the monolithic model).
             service(best, now);
         }
+        if (waitForK)
+            waitForK->endPass();
     };
 
     // Is there anything left to serve? Scaling and fault events on a
@@ -1593,9 +1739,7 @@ FleetScheduler::run(RequestSource &source) const
             due.push_back(e.accel);
             return true;
           case Event::Kind::Timer:
-            // Nothing to apply: the dispatch pass re-probes every hold
-            // against the clock.
-            return timerAt != kNever && e.stamp == timerGen;
+            return waitForK->timerLive(e);
           case Event::Kind::Arrival:
             arrivalQueued = false;
             return true;
@@ -1662,19 +1806,16 @@ FleetScheduler::run(RequestSource &source) const
         // same-cycle arrival is not dropped against queue space the
         // completion just made available.
         dispatch(clock);
-        syncTimer();
 
         while (source.peek() != nullptr &&
                source.peek()->arrivalCycle <= clock) {
             Request r = source.take();
             report.generated += 1;
-            r.estimatedCycles =
-                cyclesToNs(referenceOf(r).totalCycles, referenceGHz);
-            // The cadence tracks the offered arrival process (drops
-            // included; retries and hedges are re-admissions, not
-            // arrivals, and never pass through here).
-            if (costAwareOn)
-                noteArrival(r);
+            r.estimatedCycles = cyclesToNs(
+                prices.profile(0, r.networkId, r.sizeBucket).totalCycles,
+                referenceGHz);
+            if (waitForK)
+                waitForK->noteArrival(r);
             queue.push(r); // drop accounting lives in the queue
         }
         if (!arrivalQueued && source.peek() != nullptr) {
@@ -1684,7 +1825,6 @@ FleetScheduler::run(RequestSource &source) const
         }
 
         dispatch(clock);
-        syncTimer();
     }
 
     report.horizonCycles = clock;
@@ -1693,7 +1833,10 @@ FleetScheduler::run(RequestSource &source) const
     report.leftoverQueued = queue.size();
     if (faults)
         faults->finish(report);
-    report.mapCache = mapCache.stats();
+    if (waitForK)
+        waitForK->finish(report);
+    if (cache)
+        report.mapCache = cache->stats();
     for (auto &acc : accels) {
         report.accelerators.push_back(acc.pipe.usage);
         report.runAheadStaged += acc.pipe.staged;

@@ -40,13 +40,18 @@
  * map phase to min(hitReadCycles * |B|, full map phase) and a batch of
  * misses publishes its maps when mapped (runtime/map_cache).
  *
- * The fault and autoscaler mechanisms are each one type in
- * scheduler.cpp, built only when configured: FaultInjector (timeline,
- * crash kills, retries, hedges, failovers; runtime/faults) and
- * Autoscaler (policy, power lifecycle, drain; runtime/autoscaler). A
- * crash kills the instance's whole FIFO, oldest first, and routes
- * every victim through the retry policy; with the autoscaler on it is
- * a power loss. The autoscaler only powers instances that are not
+ * Every optional feature is one type in scheduler.cpp, built only when
+ * it can act, so run() keeps the core loop, admission, placement and
+ * completion: WaitForK (the hold timer, held groups, hold-episode count
+ * and, when cost-aware, the arrival cadence and price fed to
+ * Batcher::holdForHead, the one hold rule), CacheBooking (map-cache
+ * keys, the hit/miss purity rule, hit classification, the read-cost
+ * clamp, hit/miss counters, the saved-ns credit and miss inserts),
+ * FaultInjector (timeline, crash kills, retries, hedges, failovers;
+ * runtime/faults) and Autoscaler (policy, power lifecycle, drain;
+ * runtime/autoscaler). A crash kills the instance's whole FIFO, oldest
+ * first, and routes every victim through the retry policy; with the
+ * autoscaler on it is a power loss. The autoscaler only powers instances that are not
  * crashed and restores its floor after a crash; once every instance
  * is crashed with no recovery scheduled, evaluations stop and the
  * stranded requests end as leftover.

@@ -1174,6 +1174,73 @@ TEST(Batcher, HoldDeadlineAnchorsAtOldestGroupMember)
     EXPECT_FALSE(batcher.holdForHead(q, head, 100).hold);
 }
 
+TEST(Batcher, PricedHoldForHeadTable)
+{
+    // targetK 4 on one network, FIFO, so K = 4 and the oldest queued
+    // arrival anchors the wait. With missing = 4 - have:
+    //   gain = missing * W, slack = max(0, B - M),
+    //   cost = max(0, (now - oldest) + missing * G - slack),
+    // hold while gain > cost, until min(now + G, break-even, cap) where
+    // break-even = oldest + slack + gain - missing * G and
+    // cap = oldest + maxWait (none when maxWait is 0).
+    struct Row
+    {
+        const char *name;
+        std::uint64_t maxWait;
+        std::vector<std::uint64_t> arrivals;
+        std::uint64_t now;
+        bool priced;
+        DispatchCost price; ///< {W, M, B, G} in ns
+        bool hold;
+        std::uint64_t until;
+    };
+    const std::vector<Row> rows = {
+        // No cadence seen yet: no basis to price waiting.
+        {"gap 0 dispatches", 0, {0}, 10, true, {1000, 0, 0, 0}, false, 0},
+        {"K reached dispatches", 0, {0, 1, 2, 3}, 10, true,
+         {1000, 0, 0, 10}, false, 0},
+        // missing 2: gain 200; cost = 100 + 2 * 50 - 0 = 200.
+        {"gain == cost dispatches", 0, {0, 40}, 100, true,
+         {100, 100, 0, 50}, false, 0},
+        // Same, with slack 500 - 100 = 400: cost 0 < 200. Until
+        // min(100 + 50, 0 + 400 + 200 - 100 = 500, none) = 150.
+        {"backlog slack holds until now + gap", 0, {0, 40}, 100, true,
+         {100, 100, 500, 50}, true, 150},
+        // missing 3: gain 300; cost = 50 + 3 * 70 = 260. Until
+        // min(50 + 70, 0 + 0 + 300 - 210 = 90, none) = 90.
+        {"holds until break-even", 0, {0}, 50, true, {100, 0, 0, 70}, true,
+         90},
+        // gain 300, cost = 50 + 3 * 10 = 80. Until
+        // min(50 + 10, 0 + 300 - 30 = 270, 0 + 55) = 55.
+        {"holds until the hard cap", 55, {0}, 50, true, {100, 0, 0, 10},
+         true, 55},
+        {"hard cap passed dispatches", 55, {0}, 55, true, {100, 0, 0, 10},
+         false, 0},
+        // No price: the plain deadline hold, until oldest + maxWait.
+        {"unpriced holds until the deadline", 55, {0}, 50, false, {}, true,
+         55},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        BatcherConfig bcfg;
+        bcfg.targetK = 4;
+        bcfg.maxWaitCycles = row.maxWait;
+        bcfg.costAware = row.priced;
+        const Batcher batcher(bcfg, {1.0});
+        AdmissionQueue q(16, QueuePolicy::Fifo);
+        for (std::size_t i = 0; i < row.arrivals.size(); ++i)
+            q.push(makeRequest(i, row.arrivals[i]));
+        const BatchHold hold =
+            batcher.holdForHead(q, *q.peekEligible(nullptr), row.now,
+                                nullptr, row.priced ? &row.price : nullptr);
+        EXPECT_EQ(hold.hold, row.hold);
+        if (row.hold) {
+            EXPECT_EQ(hold.until, row.until);
+            EXPECT_GT(hold.until, row.now);
+        }
+    }
+}
+
 TEST(FleetScheduler, WaitForKCoalescesSpreadArrivals)
 {
     // Two same-network requests 50 cycles apart. Immediate batching

@@ -2067,6 +2067,57 @@ TEST(AutoscalerProperties, ScaledRunsConserveAndAreByteIdentical)
 //                      Cross-feature product                        //
 // ---------------------------------------------------------------- //
 
+/** One feature-product scenario: a workload, a config with every
+ *  feature drawn at once and a mixed-clock fleet. */
+struct FeatureProduct
+{
+    WorkloadSpec spec;
+    SchedulerConfig scfg;
+    std::vector<AcceleratorConfig> fleet;
+};
+
+/** Draw a feature-product scenario: randomConfig plus run-ahead depths
+ *  1-4 and cost-aware dispatch, and on half the seeds each a fault
+ *  program with a retry policy and the autoscaler. The draw order is
+ *  pinned by FeatureProductHoldsInvariantsAndDigest. */
+FeatureProduct
+drawFeatureProduct(Rng &rng, std::uint64_t seed)
+{
+    FeatureProduct fp;
+    fp.spec = randomSpec(rng, seed);
+    fp.scfg = randomConfig(rng);
+    fp.fleet = randomMixedClockFleet(rng);
+    SchedulerConfig &scfg = fp.scfg;
+    const std::uint32_t size = static_cast<std::uint32_t>(fp.fleet.size());
+    scfg.runAheadDepth = 1 + static_cast<std::uint32_t>(rng.range(4));
+    scfg.batcher.costAware = rng.range(2) == 0;
+    if (rng.range(2) == 0) {
+        scfg.faults =
+            randomFaultProgram(rng, fp.spec.horizonCycles, fp.fleet.size());
+        scfg.retry = randomRetryPolicy(rng);
+    }
+    if (rng.range(2) == 0) {
+        AutoscalerConfig &as = scfg.autoscaler;
+        as.enabled = true;
+        as.minInstances = 1 + static_cast<std::uint32_t>(rng.range(size));
+        as.maxInstances =
+            as.minInstances + static_cast<std::uint32_t>(rng.range(
+                                  size - as.minInstances + 1));
+        as.initialInstances =
+            as.minInstances +
+            static_cast<std::uint32_t>(
+                rng.range(as.maxInstances - as.minInstances + 1));
+        as.evalIntervalCycles = 20'000 + rng.range(150'000);
+        as.queueHighDepth = 4 + rng.range(28);
+        as.queueLowDepth = rng.range(4);
+        as.p99HighCycles =
+            rng.range(2) == 0 ? 100'000 + rng.range(400'000) : 0;
+        as.spinUpCycles = rng.range(80'000);
+        as.cooldownCycles = rng.range(150'000);
+    }
+    return fp;
+}
+
 TEST(CrossFeatureProperties, FeatureProductHoldsInvariantsAndDigest)
 {
     // Every feature drawn at once, which no single-feature sweep does:
@@ -2084,37 +2135,10 @@ TEST(CrossFeatureProperties, FeatureProductHoldsInvariantsAndDigest)
     forEachSeed(kFirstSeed, kFirstSeed + kSeeds, [&](std::uint64_t seed) {
         Rng rng(seed * 0x9e3779b9ULL);
         const RandomPhasedServiceModel model(seed);
-        const auto spec = randomSpec(rng, seed);
-        auto scfg = randomConfig(rng);
-        const auto fleet = randomMixedClockFleet(rng);
-        const std::uint32_t size = static_cast<std::uint32_t>(fleet.size());
-        scfg.runAheadDepth = 1 + static_cast<std::uint32_t>(rng.range(4));
-        scfg.batcher.costAware = rng.range(2) == 0;
-        if (rng.range(2) == 0) {
-            scfg.faults =
-                randomFaultProgram(rng, spec.horizonCycles, fleet.size());
-            scfg.retry = randomRetryPolicy(rng);
-        }
-        if (rng.range(2) == 0) {
-            AutoscalerConfig &as = scfg.autoscaler;
-            as.enabled = true;
-            as.minInstances =
-                1 + static_cast<std::uint32_t>(rng.range(size));
-            as.maxInstances =
-                as.minInstances + static_cast<std::uint32_t>(rng.range(
-                                      size - as.minInstances + 1));
-            as.initialInstances =
-                as.minInstances +
-                static_cast<std::uint32_t>(
-                    rng.range(as.maxInstances - as.minInstances + 1));
-            as.evalIntervalCycles = 20'000 + rng.range(150'000);
-            as.queueHighDepth = 4 + rng.range(28);
-            as.queueLowDepth = rng.range(4);
-            as.p99HighCycles =
-                rng.range(2) == 0 ? 100'000 + rng.range(400'000) : 0;
-            as.spinUpCycles = rng.range(80'000);
-            as.cooldownCycles = rng.range(150'000);
-        }
+        const FeatureProduct fp = drawFeatureProduct(rng, seed);
+        const auto &spec = fp.spec;
+        const auto &scfg = fp.scfg;
+        const auto &fleet = fp.fleet;
 
         const auto trace = WorkloadGenerator(spec).generate();
         std::string runs[2];
@@ -2253,6 +2277,70 @@ TEST(CrossFeatureProperties, PinnedAutoscalerIsInert)
         EXPECT_EQ(stats.instanceCycles, fleet.size() * base.horizonCycles);
         scaled.autoscaler = AutoscalerStats{};
         EXPECT_EQ(servingJsonOf(scaled), servingJsonOf(base));
+    });
+}
+
+TEST(CrossFeatureProperties, UnreachableHoldIsInert)
+{
+    // Wait-for-K with neither a deadline (maxWaitCycles 0) nor a price
+    // (cost-aware off) can never hold a head, so any targetK must serve
+    // byte-identically to targetK 1, whatever else is on.
+    forEachSeed(9000, 9256, [&](std::uint64_t seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        FeatureProduct fp = drawFeatureProduct(rng, seed);
+        fp.scfg.batcher.costAware = false;
+        fp.scfg.batcher.maxWaitCycles = 0;
+        auto eager = fp.scfg;
+        eager.batcher.targetK = 1;
+        auto unreachable = fp.scfg;
+        unreachable.batcher.targetK =
+            2 + static_cast<std::uint32_t>(rng.range(7));
+
+        const auto trace = WorkloadGenerator(fp.spec).generate();
+        const auto base =
+            FleetScheduler(fp.fleet, model, {1.0, 2.0}, eager).run(trace);
+        const auto held =
+            FleetScheduler(fp.fleet, model, {1.0, 2.0}, unreachable)
+                .run(trace);
+        EXPECT_EQ(held.batchHolds, 0u);
+        EXPECT_EQ(servingJsonOf(held), servingJsonOf(base));
+    });
+}
+
+TEST(CrossFeatureProperties, IdentitylessCacheIsInert)
+{
+    // With every cloudId 0 no request has a content identity: each
+    // dispatched request is a miss that publishes nothing, so no hit
+    // ever happens and, apart from its counters, a cache-on run must
+    // be byte-identical to the cache-off run.
+    forEachSeed(10000, 10256, [&](std::uint64_t seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        const FeatureProduct fp = drawFeatureProduct(rng, seed);
+        auto off = fp.scfg;
+        off.mapCache.enabled = false;
+        auto on = fp.scfg;
+        on.mapCache.enabled = true;
+
+        auto trace = WorkloadGenerator(fp.spec).generate();
+        for (auto &r : trace)
+            r.cloudId = 0;
+        const auto base =
+            FleetScheduler(fp.fleet, model, {1.0, 2.0}, off).run(trace);
+        auto cached =
+            FleetScheduler(fp.fleet, model, {1.0, 2.0}, on).run(trace);
+
+        std::uint64_t dispatched = 0;
+        for (const auto &u : cached.accelerators)
+            dispatched += u.requests;
+        EXPECT_EQ(cached.mapCache.misses, dispatched);
+        EXPECT_EQ(cached.mapCache.hits, 0u);
+        EXPECT_EQ(cached.mapCache.insertions, 0u);
+        cached.mapCache = MapCacheStats{};
+        EXPECT_EQ(servingJsonOf(cached), servingJsonOf(base));
     });
 }
 
