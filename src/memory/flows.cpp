@@ -40,6 +40,7 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
 {
     simAssert(shape.inChannels > 0 && shape.outChannels > 0,
               "layer must have channels");
+    simAssert(ic_tile > 0, "input-channel tile must be positive");
 
     CacheConfig cfg = cache_cfg;
     cfg.blockChannels = std::max<std::uint32_t>(shape.inChannels, 1);
@@ -59,6 +60,11 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
     const std::uint32_t icTiles =
         (shape.inChannels + ic_tile - 1) / ic_tile;
 
+    // One block spans every input channel, so each map's icTiles
+    // channel-tile fetches all hit the block its first tile touches:
+    // look the block up once per map and credit the other tiles as
+    // hits below.
+    //
     // Per-weight cursors: maps inside one weight group are sorted by
     // output index, so each output tile consumes a contiguous run.
     std::vector<std::size_t> cursor(maps.numWeights(), 0);
@@ -71,11 +77,7 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
             std::size_t &pos = cursor[w];
             while (pos < group.size() &&
                    static_cast<std::uint32_t>(group[pos].out) < limit) {
-                for (std::uint32_t ict = 0; ict < icTiles; ++ict) {
-                    cache.access(
-                        static_cast<std::uint32_t>(group[pos].in),
-                        ict * ic_tile);
-                }
+                cache.access(static_cast<std::uint32_t>(group[pos].in), 0);
                 ++pos;
             }
         }
@@ -83,6 +85,7 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
 
     FetchOnDemandResult result;
     result.cache = cache.stats();
+    result.cache.accesses *= icTiles;
     result.traffic.inputReadBytes = cache.stats().missBytes;
     // Partial sums never leave the chip; outputs stream out once.
     result.traffic.outputWriteBytes =

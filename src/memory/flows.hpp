@@ -78,7 +78,8 @@ struct FetchOnDemandResult
  * @param cache_cfg   input-buffer cache geometry (blockChannels is
  *                    overridden to the full channel width: one fill
  *                    brings all channels of a point block)
- * @param ic_tile     input-channel tile width (systolic rows)
+ * @param ic_tile     input-channel tile width (systolic rows); must
+ *                    be positive
  * @param out_tile    output-stationary tile size in points (0 = derive
  *                    from cache capacity)
  */

@@ -1,6 +1,7 @@
 #include "nn/executor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/logging.hpp"
 #include "mapping/fps.hpp"
@@ -12,6 +13,14 @@ namespace pointacc {
 
 namespace {
 
+/** One open encoder level: the finer cloud, plus the maps of the
+ *  downsample that left it (empty after a set abstraction). */
+struct Level
+{
+    PointCloud cloud;
+    MapSet downMaps;
+};
+
 /** Execution state threaded through the layer walk. */
 struct ExecState
 {
@@ -19,11 +28,24 @@ struct ExecState
     std::uint32_t channels;    ///< current feature width
     std::int32_t chainId = 0;  ///< next dense-chain id
     bool inDenseChain = false;
-    /** Encoder clouds for U-Net upsampling / FP skip levels. */
-    std::vector<PointCloud> levelStack;
+    /** Encoder levels for U-Net upsampling / FP skip levels. */
+    std::vector<Level> levelStack;
+    /** Submanifold maps of `cloud`, shared by every submanifold conv
+     *  of one stage; valid while stageKernel > 0. */
+    MapSet stageMaps;
+    int stageKernel = 0;
 
     const LayerVisitor *visit = nullptr;
 };
+
+/** Release the current stage's submanifold maps. Called before
+ *  `cloud` is replaced, ahead of building any new map. */
+void
+dropStageMaps(ExecState &st)
+{
+    st.stageMaps = MapSet();
+    st.stageKernel = 0;
+}
 
 void
 emit(ExecState &st, LayerWork &&work)
@@ -73,73 +95,80 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
     simAssert(d.inChannels == st.channels + d.skipChannels,
               ("channel mismatch at " + layer.name).c_str());
 
-    PointCloud output;
-    MapSet maps;
+    const std::uint64_t numIn = st.cloud.size();
+    const MapSet *maps = nullptr;
+    MapSet upMaps;
     std::vector<MappingOpInfo> mappingOps;
 
     if (d.transposed) {
-        // Upsample back to the finest stashed encoder level: the maps
-        // are the transpose of the corresponding downsample's maps.
+        // Upsample back to the finest open encoder level: the maps are
+        // the transpose of that level's downsample maps.
         simAssert(!st.levelStack.empty(),
                   "transposed conv without a matching downsample");
-        output = std::move(st.levelStack.back());
+        dropStageMaps(st);
+        Level level = std::move(st.levelStack.back());
         st.levelStack.pop_back();
-
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = output.tensorStride();
-        kcfg.outStride = st.cloud.tensorStride();
-        const MapSet down = sortKernelMap(output, st.cloud, kcfg);
-        maps = transposeMaps(down, d.kernelSize);
-        mappingOps.push_back({MappingOpKind::KernelMap, output.size(),
-                              st.cloud.size(), 0,
-                              static_cast<int>(maps.numWeights())});
+        simAssert(level.downMaps.numWeights() ==
+                      d.kernelSize * d.kernelSize * d.kernelSize,
+                  ("transposed conv kernel differs from its downsample at " +
+                   layer.name).c_str());
+        upMaps = transposeMaps(level.downMaps, d.kernelSize);
+        maps = &upMaps;
+        st.cloud = std::move(level.cloud);
     } else if (d.strideMultiplier > 1) {
-        // Strided downsample: quantize then kernel-map.
+        // Strided downsample: quantize then kernel-map. The fine cloud
+        // and the maps stay open for the mirroring transposed conv.
+        dropStageMaps(st);
         const std::int32_t outStride =
             st.cloud.tensorStride() * d.strideMultiplier;
-        output = quantizeDownsample(st.cloud, outStride);
-        mappingOps.push_back({MappingOpKind::Quantize, st.cloud.size(),
+        PointCloud output = quantizeDownsample(st.cloud, outStride);
+        mappingOps.push_back({MappingOpKind::Quantize, numIn,
                               output.size(), 0, 0});
 
         KernelMapConfig kcfg;
         kcfg.kernelSize = d.kernelSize;
         kcfg.inStride = st.cloud.tensorStride();
         kcfg.outStride = outStride;
-        maps = sortKernelMap(st.cloud, output, kcfg);
-        mappingOps.push_back({MappingOpKind::KernelMap, st.cloud.size(),
-                              output.size(), 0,
-                              static_cast<int>(maps.numWeights())});
-
-        // Stash the fine cloud for the mirroring transposed conv.
-        st.levelStack.push_back(st.cloud);
+        MapSet down = sortKernelMap(st.cloud, output, kcfg);
+        st.levelStack.push_back(
+            {std::exchange(st.cloud, std::move(output)), std::move(down)});
+        maps = &st.levelStack.back().downMaps;
     } else {
-        // Submanifold convolution at the same resolution.
-        output = st.cloud;
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = st.cloud.tensorStride();
-        kcfg.outStride = st.cloud.tensorStride();
-        maps = sortKernelMap(st.cloud, output, kcfg);
-        mappingOps.push_back({MappingOpKind::KernelMap, st.cloud.size(),
-                              output.size(), 0,
-                              static_cast<int>(maps.numWeights())});
+        // Submanifold convolution at the same resolution: the cloud is
+        // unchanged, so one map build serves the whole stage.
+        if (st.stageKernel != d.kernelSize) {
+            dropStageMaps(st);
+            KernelMapConfig kcfg;
+            kcfg.kernelSize = d.kernelSize;
+            kcfg.inStride = st.cloud.tensorStride();
+            kcfg.outStride = st.cloud.tensorStride();
+            st.stageMaps = sortKernelMap(st.cloud, st.cloud, kcfg);
+            st.stageKernel = d.kernelSize;
+        }
+        maps = &st.stageMaps;
     }
+
+    // Every layer models its own kernel mapping, reused maps included.
+    // A transposed conv's search is its downsample's: fine to coarse.
+    const std::uint64_t numOut = st.cloud.size();
+    mappingOps.push_back({MappingOpKind::KernelMap,
+                          d.transposed ? numOut : numIn,
+                          d.transposed ? numIn : numOut, 0,
+                          static_cast<int>(maps->numWeights())});
 
     LayerWork w;
     w.name = layer.name;
     w.isDense = false;
-    w.numIn = st.cloud.size();
-    w.numOut = output.size();
+    w.numIn = numIn;
+    w.numOut = numOut;
     w.cin = d.inChannels;
     w.cout = d.outChannels;
-    w.maps = &maps;
+    w.maps = maps;
     w.mappingOps = std::move(mappingOps);
-    w.macs = maps.size() * static_cast<std::uint64_t>(d.inChannels) *
+    w.macs = maps->size() * static_cast<std::uint64_t>(d.inChannels) *
              d.outChannels;
     emit(st, std::move(w));
 
-    st.cloud = std::move(output);
     st.channels = d.outChannels;
 }
 
@@ -149,6 +178,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
 {
     simAssert(d.inChannels == st.channels,
               ("channel mismatch at " + layer.name).c_str());
+    dropStageMaps(st);
 
     if (d.numCenters == 0) {
         // Group-all: one global region, MLP over every point, max-pool.
@@ -158,7 +188,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
                       st.cloud.size(), cur, d.scales[0].mlp[i]);
             cur = d.scales[0].mlp[i];
         }
-        st.levelStack.push_back(st.cloud); // FP layers climb back up
+        st.levelStack.push_back({st.cloud, {}}); // FP climbs back up
         st.cloud = PointCloud({Coord3{0, 0, 0}});
         st.channels = cur;
         return;
@@ -223,7 +253,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         outChannels += cur; // MSG concatenates scale outputs
     }
 
-    st.levelStack.push_back(st.cloud); // FP layers climb back up
+    st.levelStack.push_back({st.cloud, {}}); // FP layers climb back up
     st.cloud = queryCloud;
     st.channels = outChannels;
 }
@@ -234,7 +264,8 @@ runFeaturePropagation(ExecState &st, const LayerDesc &layer,
 {
     simAssert(!st.levelStack.empty(),
               "feature propagation without a matching abstraction");
-    PointCloud fine = std::move(st.levelStack.back());
+    dropStageMaps(st);
+    PointCloud fine = std::move(st.levelStack.back().cloud);
     st.levelStack.pop_back();
 
     // 3-NN interpolation: each fine point finds 3 coarse neighbors.
@@ -327,8 +358,10 @@ runGlobalPool(ExecState &st, const LayerDesc &layer, const GlobalPoolDesc &d)
     // the cloud (the pooled vector is repeated per point and typically
     // concatenated by a following Concat layer).
     st.inDenseChain = false;
-    if (!d.broadcast)
+    if (!d.broadcast) {
+        dropStageMaps(st);
         st.cloud = PointCloud({Coord3{0, 0, 0}});
+    }
 }
 
 } // namespace

@@ -6,8 +6,15 @@
  *
  * Both the PointAcc simulator and the baseline platform models consume
  * LayerWork. Emitting through a visitor keeps memory bounded: maps of
- * a full-scale MinkowskiUNet level are tens of MB and only one layer's
- * maps are alive at a time.
+ * a full-scale MinkowskiUNet level are tens of MB, and the maps alive
+ * at a time are the current stage's submanifold maps plus the maps of
+ * each open downsample (one per encoder level not yet upsampled).
+ *
+ * Each distinct kernel map is built once. Submanifold convs leave the
+ * cloud unchanged, so every one of a stage with the same kernel size
+ * shares one MapSet; a transposed conv transposes the maps its
+ * downsample built. Every layer still reports its own KernelMap
+ * mapping op, so the modelled mapping cost is per layer.
  */
 
 #ifndef POINTACC_NN_EXECUTOR_HPP
@@ -60,7 +67,8 @@ struct LayerWork
     std::uint64_t numOut = 0; ///< output points (scatter domain)
     std::uint32_t cin = 0;
     std::uint32_t cout = 0;
-    /** Maps of sparse layers; nullptr for dense layers. */
+    /** Maps of sparse layers; nullptr for dense layers. Valid only
+     *  during the visit: later layers may share or drop them. */
     const MapSet *maps = nullptr;
     /** Mapping operations executed before this matrix op. */
     std::vector<MappingOpInfo> mappingOps;

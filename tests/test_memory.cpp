@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "datasets/synthetic.hpp"
 #include "mapping/kernel_map.hpp"
 #include "mapping/quantize.hpp"
@@ -263,6 +267,88 @@ TEST_F(FlowFixture, MissRateFallsWithKernelSize)
     const auto k2 = fetchOnDemandTraffic(maps2, shape, ccfg);
     const auto k3 = fetchOnDemandTraffic(maps, shape, ccfg);
     EXPECT_LT(k3.cache.missRate(), k2.cache.missRate());
+}
+
+/**
+ * Reference pricing: the loop nest of fetchOnDemandTraffic written out
+ * in full, one FeatureCache access per map and input-channel tile.
+ */
+FetchOnDemandResult
+perTileFetchOnDemand(const MapSet &maps, const SparseLayerShape &shape,
+                     const CacheConfig &cache_cfg, std::uint32_t ic_tile)
+{
+    CacheConfig cfg = cache_cfg;
+    cfg.blockChannels = shape.inChannels;
+    const std::uint32_t out_tile = std::max<std::uint32_t>(
+        cfg.blockPoints,
+        cfg.capacityBytes / (shape.inChannels * shape.bytesPerFeature));
+    FeatureCache cache(cfg, shape.numInputs, shape.inChannels);
+    const std::uint32_t icTiles =
+        (shape.inChannels + ic_tile - 1) / ic_tile;
+    std::vector<std::size_t> cursor(maps.numWeights(), 0);
+    for (std::uint32_t base = 0; base < shape.numOutputs; base += out_tile) {
+        for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
+            const auto &group = maps.forWeight(w);
+            std::size_t &pos = cursor[w];
+            for (; pos < group.size() &&
+                   static_cast<std::uint32_t>(group[pos].out) <
+                       base + out_tile;
+                 ++pos) {
+                for (std::uint32_t ict = 0; ict < icTiles; ++ict)
+                    cache.access(static_cast<std::uint32_t>(group[pos].in),
+                                 ict * ic_tile);
+            }
+        }
+    }
+    FetchOnDemandResult r;
+    r.cache = cache.stats();
+    r.traffic.inputReadBytes = cache.stats().missBytes;
+    r.traffic.outputWriteBytes = static_cast<std::uint64_t>(
+                                     shape.numOutputs) *
+                                 shape.outChannels * shape.bytesPerFeature;
+    r.traffic.weightReadBytes =
+        static_cast<std::uint64_t>(maps.numWeights()) * shape.inChannels *
+        shape.outChannels * shape.bytesPerFeature;
+    return r;
+}
+
+TEST_F(FlowFixture, OneLookupPerMapMatchesPerTilePricing)
+{
+    for (std::uint32_t channels : {4u, 64u, 65u, 384u}) {
+        for (std::uint32_t block : {4u, 16u, 64u}) {
+            for (std::uint32_t icTile : {16u, 64u}) {
+                auto s = shape;
+                s.inChannels = channels;
+                CacheConfig ccfg;
+                ccfg.blockPoints = block;
+                const auto got = fetchOnDemandTraffic(maps, s, ccfg, icTile);
+                const auto want = perTileFetchOnDemand(maps, s, ccfg, icTile);
+                const std::string at = "channels=" +
+                                       std::to_string(channels) +
+                                       " block=" + std::to_string(block) +
+                                       " ic_tile=" + std::to_string(icTile);
+                EXPECT_EQ(got.cache.accesses, want.cache.accesses) << at;
+                EXPECT_EQ(got.cache.misses, want.cache.misses) << at;
+                EXPECT_EQ(got.cache.missBytes, want.cache.missBytes) << at;
+                EXPECT_EQ(got.traffic.inputReadBytes,
+                          want.traffic.inputReadBytes) << at;
+                EXPECT_EQ(got.traffic.scratchWriteBytes,
+                          want.traffic.scratchWriteBytes) << at;
+                EXPECT_EQ(got.traffic.scratchReadBytes,
+                          want.traffic.scratchReadBytes) << at;
+                EXPECT_EQ(got.traffic.outputWriteBytes,
+                          want.traffic.outputWriteBytes) << at;
+                EXPECT_EQ(got.traffic.weightReadBytes,
+                          want.traffic.weightReadBytes) << at;
+            }
+        }
+    }
+}
+
+TEST_F(FlowFixture, ZeroChannelTileIsRejected)
+{
+    EXPECT_DEATH(fetchOnDemandTraffic(maps, shape, CacheConfig{}, 0),
+                 "input-channel tile must be positive");
 }
 
 TEST(DenseTraffic, InOutOnce)

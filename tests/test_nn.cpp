@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <variant>
+
 #include "datasets/synthetic.hpp"
 #include "mapping/kernel_map.hpp"
+#include "mapping/quantize.hpp"
 #include "nn/executor.hpp"
 #include "nn/functional.hpp"
 #include "nn/zoo.hpp"
@@ -133,6 +138,97 @@ TEST(Executor, DownsamplingShrinksCloud)
     ASSERT_EQ(downOutputs.size(), 4u);
     for (std::size_t i = 1; i < downOutputs.size(); ++i)
         EXPECT_LT(downOutputs[i], downOutputs[i - 1]);
+}
+
+/**
+ * Walk a MinkowskiUNet beside the executor and check every sparse
+ * layer's maps against a fresh build from that layer's own clouds:
+ * sortKernelMap, transposed for up convs, with no reuse. One
+ * full-resolution submanifold layer is also cross-checked against
+ * hashKernelMap. Returns how many submanifold layers shared the
+ * previous layer's maps.
+ */
+int
+expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
+{
+    std::map<std::string, SparseConvDesc> convs;
+    for (const auto &layer : net.layers)
+        if (const auto *d = std::get_if<SparseConvDesc>(&layer.desc))
+            convs.emplace(layer.name, *d);
+
+    PointCloud cloud = input;
+    std::vector<PointCloud> fine; // open encoder levels
+    const MapSet *prevSubmanifold = nullptr;
+    const Map *prevData = nullptr;
+    bool hashChecked = false;
+    int shared = 0;
+    executeNetwork(net, input, [&](const LayerWork &w) {
+        if (w.isDense)
+            return;
+        const auto &d = convs.at(w.name);
+        const bool submanifold = !d.transposed && d.strideMultiplier == 1;
+        KernelMapConfig kcfg;
+        kcfg.kernelSize = d.kernelSize;
+        MapSet fresh;
+        if (d.transposed) {
+            PointCloud out = std::move(fine.back());
+            fine.pop_back();
+            kcfg.inStride = out.tensorStride();
+            kcfg.outStride = cloud.tensorStride();
+            fresh = transposeMaps(sortKernelMap(out, cloud, kcfg),
+                                  d.kernelSize);
+            cloud = std::move(out);
+        } else if (!submanifold) {
+            PointCloud out = quantizeDownsample(
+                cloud, cloud.tensorStride() * d.strideMultiplier);
+            kcfg.inStride = cloud.tensorStride();
+            kcfg.outStride = out.tensorStride();
+            fresh = sortKernelMap(cloud, out, kcfg);
+            fine.push_back(std::exchange(cloud, std::move(out)));
+        } else {
+            kcfg.inStride = cloud.tensorStride();
+            kcfg.outStride = cloud.tensorStride();
+            fresh = sortKernelMap(cloud, cloud, kcfg);
+            if (!hashChecked && cloud.tensorStride() == 1) {
+                const MapSet hashed = hashKernelMap(cloud, cloud, kcfg);
+                ASSERT_EQ(hashed.numWeights(), fresh.numWeights());
+                for (std::int32_t g = 0; g < fresh.numWeights(); ++g)
+                    EXPECT_EQ(hashed.forWeight(g), fresh.forWeight(g))
+                        << w.name << " weight " << g;
+                hashChecked = true;
+            }
+        }
+
+        ASSERT_NE(w.maps, nullptr) << w.name;
+        EXPECT_EQ(w.numOut, cloud.size()) << w.name;
+        ASSERT_EQ(w.maps->numWeights(), fresh.numWeights()) << w.name;
+        for (std::int32_t g = 0; g < fresh.numWeights(); ++g)
+            EXPECT_EQ(w.maps->forWeight(g), fresh.forWeight(g))
+                << w.name << " weight " << g;
+
+        // Consecutive submanifold layers of one stage see one MapSet:
+        // the same object, holding the same map storage.
+        if (submanifold && prevSubmanifold != nullptr) {
+            EXPECT_EQ(w.maps, prevSubmanifold) << w.name;
+            EXPECT_EQ(w.maps->forWeight(0).data(), prevData) << w.name;
+            ++shared;
+        }
+        prevSubmanifold = submanifold ? w.maps : nullptr;
+        prevData = submanifold ? w.maps->forWeight(0).data() : nullptr;
+    });
+    EXPECT_TRUE(fine.empty());
+    EXPECT_TRUE(hashChecked);
+    return shared;
+}
+
+TEST(Executor, MinkUNetReusedMapsMatchFreshBuilds)
+{
+    const auto cloud = generate(DatasetKind::S3DIS, 23, 0.05);
+    // 34 submanifold convs over 9 stages (strides 1-8 entered twice,
+    // stride 16 once) build 9 map sets; the other 25 reuse them.
+    EXPECT_EQ(expectMapsMatchFreshBuilds(minkowskiUNetIndoor(), cloud), 25);
+    // 13 submanifold convs over 7 stages.
+    EXPECT_EQ(expectMapsMatchFreshBuilds(miniMinkowskiUNet(), cloud), 6);
 }
 
 TEST(Executor, PointNetPPEmitsMappingOps)
