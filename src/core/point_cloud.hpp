@@ -109,7 +109,12 @@ class PointCloud
      */
     double density() const;
 
-    /** Sort points lexicographically by coordinate (features follow). */
+    /**
+     * Sort points lexicographically by coordinate (features follow).
+     * The sort is stable: points with equal coordinates keep their
+     * input order, so a following dedupSorted() keeps, of each
+     * coordinate, the point with the lowest input index.
+     */
     void sortByCoord();
 
     /** True when coordinates are lexicographically sorted. */

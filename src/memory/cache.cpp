@@ -4,8 +4,7 @@
 
 namespace pointacc {
 
-FeatureCache::FeatureCache(const CacheConfig &cfg_, std::uint32_t num_points,
-                           std::uint32_t num_channels)
+FeatureCache::FeatureCache(const CacheConfig &cfg_, std::uint32_t num_channels)
     : cfg(cfg_),
       channelBlocks(std::max<std::uint32_t>(
           1, (num_channels + cfg_.blockChannels - 1) / cfg_.blockChannels)),
@@ -15,33 +14,7 @@ FeatureCache::FeatureCache(const CacheConfig &cfg_, std::uint32_t num_points,
                     cfg_.bytesPerFeature),
       blockCount(std::max<std::uint32_t>(
           1, cfg_.capacityBytes / std::max<std::uint32_t>(bytesPerBlock, 1))),
-      tags(blockCount, MirMode::TagArray)
-{
-    (void)num_points;
-}
-
-bool
-FeatureCache::access(std::uint32_t point, std::uint32_t channel_base)
-{
-    ++cacheStats.accesses;
-    // Block id: (point block, channel block) flattened. The tag array
-    // direct-maps it onto the MIR slots.
-    const std::uint32_t pointBlock = point / cfg.blockPoints;
-    const std::uint32_t channelBlock = channel_base / cfg.blockChannels;
-    const std::int32_t blockId = static_cast<std::int32_t>(
-        pointBlock * channelBlocks + channelBlock);
-
-    if (tags.lookup(blockId))
-        return true;
-
-    ++cacheStats.misses;
-    cacheStats.missBytes += bytesPerBlock;
-    Mir mir;
-    mir.tileId = blockId;
-    mir.capacity = bytesPerBlock;
-    mir.occupancy = bytesPerBlock;
-    tags.install(mir);
-    return false;
-}
+      tags(blockCount, -1)
+{}
 
 } // namespace pointacc

@@ -17,8 +17,7 @@
 #define POINTACC_MEMORY_CACHE_HPP
 
 #include <cstdint>
-
-#include "memory/mir.hpp"
+#include <vector>
 
 namespace pointacc {
 
@@ -49,28 +48,46 @@ struct CacheStats
 };
 
 /**
- * Direct-mapped feature cache over (point, channel) blocks, tags held
- * in a MirContainer operating as Tag Array.
+ * Direct-mapped feature cache over (point, channel) blocks. The tag
+ * array is one flat block id per slot (-1 when empty): block b lives
+ * in slot b % numBlocks().
  */
 class FeatureCache
 {
   public:
     /**
      * @param cfg           geometry of the cache
-     * @param num_points    points in the input feature map
      * @param num_channels  channels in the input feature map
      */
-    FeatureCache(const CacheConfig &cfg, std::uint32_t num_points,
-                 std::uint32_t num_channels);
+    FeatureCache(const CacheConfig &cfg, std::uint32_t num_channels);
 
     /**
      * Access the features of `point` for channel tile `channel_base`
      * (one map-driven fetch of blockChannels channels). Updates stats
      * and fills on miss.
      *
+     * Defined here so that the pricing loops, which call it once per
+     * map, can inline it.
+     *
      * @return true on hit
      */
-    bool access(std::uint32_t point, std::uint32_t channel_base);
+    bool
+    access(std::uint32_t point, std::uint32_t channel_base)
+    {
+        ++cacheStats.accesses;
+        // Block id: (point block, channel block) flattened, then
+        // direct-mapped onto the tag slots.
+        const std::uint32_t blockId =
+            point / cfg.blockPoints * channelBlocks +
+            channel_base / cfg.blockChannels;
+        std::int32_t &tag = tags[blockId % blockCount];
+        if (tag == static_cast<std::int32_t>(blockId))
+            return true;
+        ++cacheStats.misses;
+        cacheStats.missBytes += bytesPerBlock;
+        tag = static_cast<std::int32_t>(blockId);
+        return false;
+    }
 
     const CacheStats &stats() const { return cacheStats; }
     std::uint32_t blockBytes() const { return bytesPerBlock; }
@@ -83,7 +100,10 @@ class FeatureCache
     std::uint32_t channelBlocks; ///< channel tiles per point
     std::uint32_t bytesPerBlock;
     std::uint32_t blockCount;
-    MirContainer tags;
+    /** Block id per slot, -1 if empty. Block id 2^32 - 1 would read
+     *  as empty; with one channel block, as every pricing walk uses,
+     *  int32 point indices cannot reach it. */
+    std::vector<std::int32_t> tags;
     CacheStats cacheStats;
 };
 

@@ -56,7 +56,7 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
             cfg.blockPoints, cfg.capacityBytes / std::max(rowBytes, 1u));
     }
 
-    FeatureCache cache(cfg, shape.numInputs, shape.inChannels);
+    FeatureCache cache(cfg, shape.inChannels);
     const std::uint32_t icTiles =
         (shape.inChannels + ic_tile - 1) / ic_tile;
 

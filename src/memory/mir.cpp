@@ -3,7 +3,7 @@
 namespace pointacc {
 
 MirContainer::MirContainer(std::size_t num_entries, MirMode mode)
-    : entries(num_entries), containerMode(mode), slots(num_entries)
+    : entries(num_entries), containerMode(mode)
 {
     simAssert(num_entries > 0, "MIR container needs at least one entry");
 }
@@ -13,30 +13,6 @@ MirContainer::setMode(MirMode mode)
 {
     simAssert(live.empty(), "cannot switch MIR mode with live tiles");
     containerMode = mode;
-    slots.assign(entries, std::nullopt);
-}
-
-std::optional<std::size_t>
-MirContainer::lookup(std::int32_t tag) const
-{
-    simAssert(containerMode == MirMode::TagArray,
-              "lookup requires TagArray mode");
-    const std::size_t slot = static_cast<std::size_t>(
-        static_cast<std::uint32_t>(tag)) % entries;
-    if (slots[slot] && slots[slot]->tileId == tag)
-        return slot;
-    return std::nullopt;
-}
-
-std::size_t
-MirContainer::install(const Mir &mir)
-{
-    simAssert(containerMode == MirMode::TagArray,
-              "install requires TagArray mode");
-    const std::size_t slot = static_cast<std::size_t>(
-        static_cast<std::uint32_t>(mir.tileId)) % entries;
-    slots[slot] = mir;
-    return slot;
 }
 
 void

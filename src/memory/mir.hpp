@@ -9,7 +9,8 @@
  * is re-interpreted per workload:
  *
  *  - Tag Array  -> input buffers become a direct-mapped cache (sparse
- *                  computation, fetch-on-demand flow);
+ *                  computation, fetch-on-demand flow); modelled by
+ *                  FeatureCache (memory/cache.hpp) as a flat tag array;
  *  - FIFO       -> double-buffered scratchpad (dense layers);
  *  - Stack      -> temporal layer fusion of consecutive FC layers
  *                  (Fig. 12), with the active layer's tile on top.
@@ -20,8 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
-#include <vector>
 
 #include "core/logging.hpp"
 
@@ -40,7 +39,6 @@ struct Mir
 /** Operating mode of the MIR container. */
 enum class MirMode
 {
-    TagArray,
     Fifo,
     Stack,
 };
@@ -63,16 +61,6 @@ class MirContainer
     /** Switch mode between layers; requires the container be drained. */
     void setMode(MirMode mode);
 
-    // --- Tag Array interface (cache) --------------------------------
-    /**
-     * Look up `tag`; returns the slot index on hit. In tag-array mode
-     * the slot is determined by tag % capacity (direct mapping).
-     */
-    std::optional<std::size_t> lookup(std::int32_t tag) const;
-
-    /** Install `tag` into its direct-mapped slot (evicting silently). */
-    std::size_t install(const Mir &mir);
-
     // --- FIFO interface (scratchpad) ---------------------------------
     void pushBack(const Mir &mir);
     Mir popFront();
@@ -89,8 +77,7 @@ class MirContainer
   private:
     std::size_t entries;
     MirMode containerMode;
-    std::deque<Mir> live;              ///< FIFO/Stack storage
-    std::vector<std::optional<Mir>> slots; ///< TagArray storage
+    std::deque<Mir> live; ///< FIFO/Stack storage
 };
 
 } // namespace pointacc

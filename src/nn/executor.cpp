@@ -34,17 +34,24 @@ struct ExecState
      *  of one stage; valid while stageKernel > 0. */
     MapSet stageMaps;
     int stageKernel = 0;
+    /** EdgeConv kNN maps of `cloud`, shared by every EdgeConv with the
+     *  same k; valid while edgeK > 0. */
+    MapSet edgeMaps;
+    int edgeK = 0;
 
     const LayerVisitor *visit = nullptr;
 };
 
-/** Release the current stage's submanifold maps. Called before
- *  `cloud` is replaced, ahead of building any new map. */
+/** Release the maps kept for the current cloud: the stage's
+ *  submanifold maps and the EdgeConv maps. Called before `cloud` is
+ *  replaced, ahead of building any new map. */
 void
 dropStageMaps(ExecState &st)
 {
     st.stageMaps = MapSet();
     st.stageKernel = 0;
+    st.edgeMaps = MapSet();
+    st.edgeK = 0;
 }
 
 void
@@ -305,8 +312,16 @@ runEdgeConv(ExecState &st, const LayerDesc &layer, const EdgeConvDesc &d)
 
     // Feature-space kNN; geometry stands in for the feature metric
     // (identical cost structure — Section 2, graph-based special case).
-    const auto lists = kNearestNeighbors(st.cloud, st.cloud, d.k);
-    MapSet maps = neighborsToMaps(lists, d.k);
+    // EdgeConv never replaces the cloud, so the search depends only on
+    // k: one build serves every EdgeConv of a stack. Each layer still
+    // models its own search below.
+    if (st.edgeK != d.k) {
+        dropStageMaps(st);
+        st.edgeMaps =
+            neighborsToMaps(kNearestNeighbors(st.cloud, st.cloud, d.k), d.k);
+        st.edgeK = d.k;
+    }
+    const MapSet &maps = st.edgeMaps;
 
     LayerWork w;
     w.name = layer.name + ".mlp0";

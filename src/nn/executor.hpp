@@ -7,13 +7,15 @@
  * Both the PointAcc simulator and the baseline platform models consume
  * LayerWork. Emitting through a visitor keeps memory bounded: maps of
  * a full-scale MinkowskiUNet level are tens of MB, and the maps alive
- * at a time are the current stage's submanifold maps plus the maps of
- * each open downsample (one per encoder level not yet upsampled).
+ * at a time are the current stage's submanifold or EdgeConv maps plus
+ * the maps of each open downsample (one per encoder level not yet
+ * upsampled).
  *
- * Each distinct kernel map is built once. Submanifold convs leave the
- * cloud unchanged, so every one of a stage with the same kernel size
- * shares one MapSet; a transposed conv transposes the maps its
- * downsample built. Every layer still reports its own KernelMap
+ * Each distinct map is built once. Submanifold convs leave the cloud
+ * unchanged, so every one of a stage with the same kernel size shares
+ * one MapSet; likewise every EdgeConv over one cloud with the same k
+ * shares one kNN MapSet. A transposed conv transposes the maps its
+ * downsample built. Every layer still reports its own KernelMap or Knn
  * mapping op, so the modelled mapping cost is per layer.
  */
 

@@ -7,7 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/point_cloud.hpp"
 #include "core/rng.hpp"
@@ -194,6 +200,106 @@ TEST(PointCloud, DedupKeepsFirstOccurrence)
     EXPECT_FLOAT_EQ(pc.feature(0, 0), 0.0f);
     EXPECT_FLOAT_EQ(pc.feature(1, 0), 2.0f);
     EXPECT_FLOAT_EQ(pc.feature(2, 0), 4.0f);
+}
+
+/**
+ * Differential check of sortByCoord against std::stable_sort with
+ * Coord3::operator<: coordinates, the features carried with them, and
+ * the duplicate that a following dedupSorted keeps (the lowest input
+ * index of each coordinate).
+ */
+void
+expectSortMatchesStableSort(const std::vector<Coord3> &coords,
+                            const std::string &what)
+{
+    PointCloud pc(coords, 2);
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+        pc.setFeature(static_cast<PointIndex>(i), 0, static_cast<float>(i));
+        pc.setFeature(static_cast<PointIndex>(i), 1, -static_cast<float>(i));
+    }
+    std::vector<std::size_t> order(coords.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return coords[a] < coords[b];
+                     });
+
+    pc.sortByCoord();
+    ASSERT_EQ(pc.size(), coords.size()) << what;
+    ASSERT_TRUE(pc.isSorted()) << what;
+    for (std::size_t j = 0; j < order.size(); ++j) {
+        const auto at = static_cast<PointIndex>(j);
+        ASSERT_EQ(pc.coord(at), coords[order[j]]) << what << " at " << j;
+        ASSERT_EQ(pc.feature(at, 0), static_cast<float>(order[j]))
+            << what << " at " << j;
+        ASSERT_EQ(pc.feature(at, 1), -static_cast<float>(order[j]))
+            << what << " at " << j;
+    }
+
+    std::map<Coord3, std::size_t> firstIndex;
+    for (std::size_t i = 0; i < coords.size(); ++i)
+        firstIndex.emplace(coords[i], i);
+    pc.dedupSorted();
+    ASSERT_EQ(pc.size(), firstIndex.size()) << what;
+    std::size_t j = 0;
+    for (const auto &[coord, index] : firstIndex) {
+        const auto at = static_cast<PointIndex>(j++);
+        EXPECT_EQ(pc.coord(at), coord) << what;
+        EXPECT_EQ(pc.feature(at, 0), static_cast<float>(index)) << what;
+    }
+}
+
+TEST(PointCloud, SortByCoordMatchesStableSort)
+{
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    Rng rng(29);
+    // Uniform in [lo, hi] (inclusive, any int32 bounds).
+    const auto draw = [&](std::int32_t lo, std::int32_t hi) {
+        const auto span = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(hi) - lo + 1);
+        return static_cast<std::int32_t>(lo +
+                                         static_cast<std::int64_t>(
+                                             rng.range(span)));
+    };
+    const auto cloud = [&](std::size_t n, std::int32_t lo, std::int32_t hi) {
+        std::vector<Coord3> c(n);
+        for (auto &p : c)
+            p = {draw(lo, hi), draw(lo, hi), draw(lo, hi)};
+        return c;
+    };
+
+    expectSortMatchesStableSort({}, "empty");
+    expectSortMatchesStableSort({{7, -8, 9}}, "single point");
+    expectSortMatchesStableSort(std::vector<Coord3>(100, {-5, 3, kMin}),
+                                "all equal");
+    expectSortMatchesStableSort(cloud(3000, -3, 3), "heavy duplicates");
+    expectSortMatchesStableSort(cloud(3000, -1000000, 1000000),
+                                "negative and positive");
+    // 96 key bits: both key words, every byte pass live.
+    expectSortMatchesStableSort(cloud(3000, kMin, kMax), "full int32 range");
+
+    // INT32_MIN and INT32_MAX on one axis, then on every axis, mixed
+    // with duplicated small values on the others.
+    const std::int32_t extremes[] = {kMin, kMax, kMin + 1, kMax - 1, 0, -1};
+    for (int axis = 0; axis <= 3; ++axis) {
+        std::vector<Coord3> c = cloud(2000, -2, 2);
+        for (auto &p : c) {
+            std::int32_t *v[] = {&p.x, &p.y, &p.z};
+            for (int a = 0; a < 3; ++a)
+                if (a == axis || axis == 3)
+                    *v[a] = extremes[rng.range(6)];
+        }
+        expectSortMatchesStableSort(c, "extremes on axis " +
+                                           std::to_string(axis));
+    }
+    // x and y span all of int32, z is constant: exactly 64 key bits.
+    std::vector<Coord3> wide = cloud(2000, kMin, kMax);
+    for (auto &p : wide)
+        p.z = 42;
+    wide.push_back({kMin, kMax, 42});
+    wide.push_back({kMax, kMin, 42});
+    expectSortMatchesStableSort(wide, "64 key bits");
 }
 
 TEST(Rng, DeterministicAcrossInstances)

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "datasets/synthetic.hpp"
 #include "mapping/kernel_map.hpp"
 #include "mapping/quantize.hpp"
@@ -80,21 +83,6 @@ TEST(Dram, ResetClears)
 //                         MIR container                             //
 // ---------------------------------------------------------------- //
 
-TEST(MirContainer, TagArrayHitMiss)
-{
-    MirContainer tags(8, MirMode::TagArray);
-    EXPECT_FALSE(tags.lookup(3).has_value());
-    Mir mir;
-    mir.tileId = 3;
-    tags.install(mir);
-    EXPECT_TRUE(tags.lookup(3).has_value());
-    // Conflicting tag (3 + 8 maps to the same slot) evicts.
-    mir.tileId = 11;
-    tags.install(mir);
-    EXPECT_FALSE(tags.lookup(3).has_value());
-    EXPECT_TRUE(tags.lookup(11).has_value());
-}
-
 TEST(MirContainer, FifoOrder)
 {
     MirContainer fifo(4, MirMode::Fifo);
@@ -128,8 +116,8 @@ TEST(MirContainer, ModeSwitchRequiresDrain)
     Mir mir;
     c.push(mir);
     c.pop();
-    c.setMode(MirMode::TagArray); // legal when drained
-    EXPECT_EQ(c.mode(), MirMode::TagArray);
+    c.setMode(MirMode::Fifo); // legal when drained
+    EXPECT_EQ(c.mode(), MirMode::Fifo);
 }
 
 // ---------------------------------------------------------------- //
@@ -142,7 +130,7 @@ TEST(FeatureCache, SequentialAccessHitsWithinBlock)
     cfg.capacityBytes = 16 * 1024;
     cfg.blockPoints = 8;
     cfg.blockChannels = 64;
-    FeatureCache cache(cfg, 1000, 64);
+    FeatureCache cache(cfg, 64);
     for (std::uint32_t p = 0; p < 64; ++p)
         cache.access(p, 0);
     // 64 points / 8 per block = 8 misses, rest hits.
@@ -155,11 +143,27 @@ TEST(FeatureCache, RepeatAccessHits)
 {
     CacheConfig cfg;
     cfg.blockPoints = 1;
-    FeatureCache cache(cfg, 100, 64);
+    FeatureCache cache(cfg, 64);
     EXPECT_FALSE(cache.access(5, 0));
     EXPECT_TRUE(cache.access(5, 0));
     EXPECT_TRUE(cache.access(5, 0));
     EXPECT_DOUBLE_EQ(cache.stats().missRate(), 1.0 / 3.0);
+}
+
+TEST(FeatureCache, TagArrayHitMiss)
+{
+    CacheConfig cfg;
+    cfg.capacityBytes = 8 * 128; // 8 slots of one point x 64ch x 2B
+    cfg.blockPoints = 1;
+    cfg.blockChannels = 64;
+    FeatureCache cache(cfg, 64);
+    ASSERT_EQ(cache.numBlocks(), 8u);
+    EXPECT_FALSE(cache.access(3, 0));
+    EXPECT_TRUE(cache.access(3, 0));
+    // Conflicting tag (3 + 8 maps to the same slot) evicts.
+    EXPECT_FALSE(cache.access(11, 0));
+    EXPECT_FALSE(cache.access(3, 0));
+    EXPECT_FALSE(cache.access(11, 0));
 }
 
 TEST(FeatureCache, ConflictEviction)
@@ -168,12 +172,100 @@ TEST(FeatureCache, ConflictEviction)
     cfg.capacityBytes = 4 * 128; // 4 blocks of one point x 64ch x 2B
     cfg.blockPoints = 1;
     cfg.blockChannels = 64;
-    FeatureCache cache(cfg, 100, 64);
+    FeatureCache cache(cfg, 64);
     ASSERT_EQ(cache.numBlocks(), 4u);
     cache.access(0, 0);
     cache.access(4, 0); // same slot as 0 -> evicts
     EXPECT_FALSE(cache.access(0, 0));
     EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+/**
+ * Direct-mapped reference: block b = (point block, channel block)
+ * flattened, held in slot b % numBlocks, one tag per slot in a map.
+ */
+class DirectMappedModel
+{
+  public:
+    DirectMappedModel(const CacheConfig &cfg, std::uint32_t channels)
+        : cfg(cfg), channelBlocks((channels + cfg.blockChannels - 1) /
+                                  cfg.blockChannels),
+          blockBytes(cfg.blockPoints * std::min(cfg.blockChannels, channels) *
+                     cfg.bytesPerFeature),
+          blocks(std::max<std::uint32_t>(1, cfg.capacityBytes / blockBytes))
+    {}
+
+    bool
+    access(std::uint32_t point, std::uint32_t channel_base)
+    {
+        const std::uint64_t block =
+            static_cast<std::uint64_t>(point / cfg.blockPoints) *
+                channelBlocks +
+            channel_base / cfg.blockChannels;
+        ++stats.accesses;
+        const auto it = tagOf.find(block % blocks);
+        if (it != tagOf.end() && it->second == block)
+            return true;
+        tagOf[block % blocks] = block;
+        ++stats.misses;
+        stats.missBytes += blockBytes;
+        return false;
+    }
+
+    CacheConfig cfg;
+    std::uint32_t channelBlocks;
+    std::uint32_t blockBytes;
+    std::uint32_t blocks;
+    std::map<std::uint64_t, std::uint64_t> tagOf;
+    CacheStats stats;
+};
+
+TEST(FeatureCache, MatchesDirectMappedModel)
+{
+    // {channels, blockChannels}: one channel block, and four.
+    const std::pair<std::uint32_t, std::uint32_t> widths[] = {{64, 64},
+                                                              {128, 32}};
+    for (std::uint32_t blockPoints : {1u, 4u, 16u, 64u}) {
+        for (const auto &[channels, blockChannels] : widths) {
+            for (std::uint32_t capBlocks : {1u, 2u, 3u, 7u, 64u, 1000u}) {
+                CacheConfig cfg;
+                cfg.blockPoints = blockPoints;
+                cfg.blockChannels = blockChannels;
+                const std::uint32_t blockBytes =
+                    blockPoints * blockChannels * cfg.bytesPerFeature;
+                // Half a block of slack must not add a slot.
+                cfg.capacityBytes = capBlocks * blockBytes + blockBytes / 2;
+                FeatureCache cache(cfg, channels);
+                DirectMappedModel model(cfg, channels);
+                const std::string at =
+                    "blockPoints=" + std::to_string(blockPoints) +
+                    " channels=" + std::to_string(channels) +
+                    " capBlocks=" + std::to_string(capBlocks);
+                ASSERT_EQ(cache.numBlocks(), capBlocks) << at;
+                ASSERT_EQ(cache.blockBytes(), blockBytes) << at;
+
+                // Runs of nearby points (map-like locality) mixed with
+                // random jumps over a cloud of 4096 points.
+                Rng rng(blockPoints * 1000 + channels + capBlocks);
+                std::uint32_t point = 0;
+                for (int i = 0; i < 5000; ++i) {
+                    point = rng.range(4) == 0
+                                ? static_cast<std::uint32_t>(rng.range(4096))
+                                : (point + static_cast<std::uint32_t>(
+                                               rng.range(8))) % 4096;
+                    const std::uint32_t channel =
+                        static_cast<std::uint32_t>(rng.range(channels));
+                    ASSERT_EQ(cache.access(point, channel),
+                              model.access(point, channel))
+                        << at << " access " << i;
+                }
+                EXPECT_EQ(cache.stats().accesses, model.stats.accesses) << at;
+                EXPECT_EQ(cache.stats().misses, model.stats.misses) << at;
+                EXPECT_EQ(cache.stats().missBytes, model.stats.missBytes)
+                    << at;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -282,7 +374,7 @@ perTileFetchOnDemand(const MapSet &maps, const SparseLayerShape &shape,
     const std::uint32_t out_tile = std::max<std::uint32_t>(
         cfg.blockPoints,
         cfg.capacityBytes / (shape.inChannels * shape.bytesPerFeature));
-    FeatureCache cache(cfg, shape.numInputs, shape.inChannels);
+    FeatureCache cache(cfg, shape.inChannels);
     const std::uint32_t icTiles =
         (shape.inChannels + ic_tile - 1) / ic_tile;
     std::vector<std::size_t> cursor(maps.numWeights(), 0);

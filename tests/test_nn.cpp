@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <utility>
 #include <variant>
 
 #include "datasets/synthetic.hpp"
 #include "mapping/kernel_map.hpp"
+#include "mapping/knn.hpp"
 #include "mapping/quantize.hpp"
 #include "nn/executor.hpp"
 #include "nn/functional.hpp"
@@ -229,6 +231,101 @@ TEST(Executor, MinkUNetReusedMapsMatchFreshBuilds)
     EXPECT_EQ(expectMapsMatchFreshBuilds(minkowskiUNetIndoor(), cloud), 25);
     // 13 submanifold convs over 7 stages.
     EXPECT_EQ(expectMapsMatchFreshBuilds(miniMinkowskiUNet(), cloud), 6);
+}
+
+/**
+ * Walk a network beside the executor and check every EdgeConv layer's
+ * maps against a fresh kNN build over that layer's cloud, and that the
+ * layer emits exactly one Knn op. Strided sparse convs replace the
+ * tracked cloud as the executor does. Returns how many EdgeConv layers
+ * shared the previous EdgeConv's MapSet (same cloud, same k).
+ */
+int
+expectEdgeMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
+{
+    std::map<std::string, EdgeConvDesc> edges;
+    std::map<std::string, SparseConvDesc> convs;
+    for (const auto &layer : net.layers) {
+        if (const auto *d = std::get_if<EdgeConvDesc>(&layer.desc))
+            edges.emplace(layer.name + ".mlp0", *d);
+        if (const auto *d = std::get_if<SparseConvDesc>(&layer.desc))
+            convs.emplace(layer.name, *d);
+    }
+
+    PointCloud cloud = input;
+    const MapSet *prevMaps = nullptr;
+    const Map *prevData = nullptr;
+    int prevK = 0;
+    int checked = 0;
+    int shared = 0;
+    executeNetwork(net, input, [&](const LayerWork &w) {
+        if (const auto conv = convs.find(w.name); conv != convs.end()) {
+            const auto &d = conv->second;
+            ASSERT_FALSE(d.transposed) << w.name;
+            if (d.strideMultiplier > 1) {
+                cloud = quantizeDownsample(
+                    cloud, cloud.tensorStride() * d.strideMultiplier);
+                prevMaps = nullptr;
+            }
+            return;
+        }
+        const auto edge = edges.find(w.name);
+        if (edge == edges.end())
+            return;
+        const int k = edge->second.k;
+        ++checked;
+        ASSERT_EQ(w.mappingOps.size(), 1u) << w.name;
+        EXPECT_EQ(w.mappingOps[0].kind, MappingOpKind::Knn) << w.name;
+        EXPECT_EQ(w.mappingOps[0].k, k) << w.name;
+        EXPECT_EQ(w.numIn, cloud.size()) << w.name;
+
+        const MapSet fresh =
+            neighborsToMaps(kNearestNeighbors(cloud, cloud, k), k);
+        ASSERT_NE(w.maps, nullptr) << w.name;
+        ASSERT_EQ(w.maps->numWeights(), fresh.numWeights()) << w.name;
+        for (std::int32_t g = 0; g < fresh.numWeights(); ++g)
+            EXPECT_EQ(w.maps->forWeight(g), fresh.forWeight(g))
+                << w.name << " weight " << g;
+
+        // EdgeConvs over one cloud with one k see one MapSet: the same
+        // object, holding the same map storage.
+        if (prevMaps != nullptr && prevK == k) {
+            EXPECT_EQ(w.maps, prevMaps) << w.name;
+            EXPECT_EQ(w.maps->forWeight(0).data(), prevData) << w.name;
+            ++shared;
+        }
+        prevMaps = w.maps;
+        prevData = w.maps->forWeight(0).data();
+        prevK = k;
+    });
+    EXPECT_EQ(checked, static_cast<int>(edges.size()));
+    return shared;
+}
+
+TEST(Executor, EdgeConvReusedMapsMatchFreshBuilds)
+{
+    const auto cloud = generate(DatasetKind::ShapeNet, 23, 0.25);
+    // edge1 builds the k = 20 maps; edge2 and edge3 reuse them.
+    EXPECT_EQ(expectEdgeMapsMatchFreshBuilds(dgcnn(), cloud), 2);
+
+    // A change of k rebuilds: only e2 and e4 reuse.
+    Network kChange;
+    kChange.inputChannels = 3;
+    kChange.layers = {makeEdgeConv("e1", 3, 20, {16}),
+                      makeEdgeConv("e2", 16, 20, {16}),
+                      makeEdgeConv("e3", 16, 10, {16}),
+                      makeEdgeConv("e4", 16, 10, {16})};
+    EXPECT_EQ(expectEdgeMapsMatchFreshBuilds(kChange, cloud), 2);
+
+    // A downsample between EdgeConvs replaces the cloud: e2 rebuilds
+    // over the coarse cloud with the same k, and e3 reuses that build.
+    Network cloudChange;
+    cloudChange.inputChannels = 3;
+    cloudChange.layers = {makeEdgeConv("e1", 3, 8, {16}),
+                          makeSparseConv("down", 16, 16, 2, 2),
+                          makeEdgeConv("e2", 16, 8, {16}),
+                          makeEdgeConv("e3", 16, 8, {16})};
+    EXPECT_EQ(expectEdgeMapsMatchFreshBuilds(cloudChange, cloud), 1);
 }
 
 TEST(Executor, PointNetPPEmitsMappingOps)
