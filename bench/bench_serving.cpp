@@ -39,7 +39,7 @@
  * command line.
  *
  * `--threads N` (default 1 = serial, 0 = one per hardware thread) runs
- * each sweep's scenarios on a work-stealing ProbeExecutor and hands the
+ * each sweep's scenarios on a one-queue ProbeExecutor and hands the
  * planners the same budget for speculative probes. Rows come back in
  * declaration order whatever the interleaving, and every scenario is a
  * pure function of its (spec, config) inputs, so BENCH_serving.json is
@@ -1362,7 +1362,7 @@ main(int argc, char **argv)
         ProbeExecutor::resolveThreads(threadsArg);
     ProbeExecutor pool(poolThreads);
     std::printf("threads: %zu (%s)\n", poolThreads,
-                poolThreads == 0 ? "serial, inline" : "work-stealing pool");
+                poolThreads == 0 ? "serial, inline" : "one-queue pool");
 
     // Price the mix against one PointAcc to express offered load in
     // fractions of single-instance capacity.

@@ -26,7 +26,7 @@
  *    cross-check trace.
  *
  * `--threads N` (default 1 = serial, 0 = one per hardware thread)
- * runs the matrix rows and the sharded tier on a work-stealing
+ * runs the matrix rows and the sharded tier on a one-queue
  * ProbeExecutor. Beyond the matrix, the parallel path adds a *sharded*
  * tier: fleet 256 as 16 disjoint sub-fleets of 16, each serving an
  * independent 1/16 slice of a 10^7-request offered load in its own
@@ -347,7 +347,7 @@ main(int argc, char **argv)
     ProbeExecutor pool(poolThreads);
     std::printf("threads: %zu (%s)\n", poolThreads,
                 poolThreads == 0 ? "serial, inline"
-                                 : "work-stealing pool");
+                                 : "one-queue pool");
 
     std::vector<std::pair<std::size_t, std::uint64_t>> matrix;
     if (smoke) {

@@ -119,7 +119,7 @@ ctest --test-dir "${PERFBENCH_DIR}" --output-on-failure --no-tests=error \
 # fleet size, the kernel-map cache must strictly improve p99 or
 # throughput at reuse >= 0.5, and profiling must stay memoized across
 # rows (the bench exits non-zero on violation). --threads 4 routes the
-# sweep rows through the work-stealing pool; declaration-order merge
+# sweep rows through the one-queue pool; declaration-order merge
 # keeps the JSON byte-identical to a serial run, which the cmp below
 # checks against a --threads 1 run of the same sweeps.
 "${BUILD_DIR}/bench_serving" --threads 4 \
@@ -253,9 +253,10 @@ for sweep in ${SWEEPS}; do
     "${SAN_BUILD_DIR}/bench_serving" --sweep "${sweep}" --smoke --no-json
 done
 
-# TSan pass over the threaded paths: the executor unit suite (steal
-# races, exception propagation, nested get, destructor drain), the
-# property sweeps with a 4-worker pool (the seed loops shard, and
+# TSan pass over the threaded paths: the executor unit suite, repeated
+# 20 times so its wait/notify paths (enqueue and completion wakeups,
+# helping get(), nested get, destructor drain) meet many interleavings,
+# the property sweeps with a 4-worker pool (the seed loops shard, and
 # PlannerProperties runs speculative planning — including the hetero
 # composition lattice — against SimServiceModel's shared_mutex-guarded
 # memo caches), a threaded hetero-lattice smoke, which is the one
@@ -281,7 +282,7 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
     --target test_executor test_runtime_properties test_mapping test_mpu \
              bench_serving
 
-"${TSAN_BUILD_DIR}/test_executor"
+"${TSAN_BUILD_DIR}/test_executor" --gtest_repeat=20
 "${TSAN_BUILD_DIR}/test_mapping"
 "${TSAN_BUILD_DIR}/test_mpu"
 

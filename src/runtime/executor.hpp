@@ -1,41 +1,32 @@
 /**
  * @file
- * Work-stealing probe executor: the parallel engine behind planner
- * probes, bench sweep matrices and the sharded property suites.
+ * Probe executor: the thread pool behind planner probes, bench sweep
+ * matrices, the sharded property suites and perfbench's serving shards.
  *
- * Every planner probe, bench matrix row and property-suite seed is an
- * independent deterministic simulation, so the repo's sweeps are
- * embarrassingly parallel — what they need is a pool that (a) keeps
- * every core busy under unbalanced task costs (a fleet-10 probe can
- * cost 10x a fleet-1 probe) and (b) never lets parallelism leak into
- * results. ProbeExecutor provides both:
+ * Each task is an independent deterministic simulation of milliseconds
+ * to seconds, so ProbeExecutor is one FIFO of tasks behind one mutex
+ * and one condition variable:
  *
- *  - submission is deterministic: tasks get monotonically increasing
- *    ids in submission order and are dealt round-robin to per-worker
- *    deques; map() returns results in submission order, whatever
- *    order the workers finished in (the deterministic-merge step
- *    every consumer relies on for byte-identical output);
- *  - workers pop their own deque front; an idle worker steals from
- *    the back of a victim's deque, so a worker stuck behind one
- *    expensive probe sheds its backlog to the others (the
- *    executor-manager discipline of keeping every lane fed);
- *  - a thread blocked in Future::get() helps: it executes pending
- *    tasks (its own wait target included) instead of sleeping, so
+ *  - idle workers pull the front task, so a worker stuck behind one
+ *    expensive probe strands none of the work queued after it;
+ *  - a thread blocked in Future::get() runs queued tasks from the
+ *    front until its own task is done, then sleeps on the condition
+ *    variable, which every enqueue and every completion notifies — so
  *    nested waits make progress even on a single-worker pool;
- *  - exceptions propagate: a throwing task stores its exception and
- *    Future::get() rethrows it on the consumer thread;
- *  - threadCount() == 0 is inline mode: submit() runs the task on
- *    the calling thread immediately — the serial baseline the
- *    differential gates compare parallel runs against, with zero
- *    threads created.
+ *  - map() returns results in submission order, whatever order the
+ *    tasks finished in (the merge behind every byte-identical output);
+ *  - a throwing task's exception is rethrown by Future::get();
+ *  - threadCount() == 0 is inline mode: submit() runs the task on the
+ *    caller — the serial baseline the differential gates compare
+ *    parallel runs against, with zero threads created.
  *
  * Determinism contract: the executor schedules *when* tasks run,
  * never *what they compute* — tasks must not share mutable state
  * (SimServiceModel's memo is internally synchronized for exactly this
- * reason), and consumers must merge by task id, not completion order.
- * Under that contract a parallel sweep is byte-identical to the
- * serial one, which bench_serving, bench_simperf and the property
- * suite all enforce with differential gates.
+ * reason), and consumers must merge in submission order, not
+ * completion order. Under that contract a parallel sweep is
+ * byte-identical to the serial one, which bench_serving, bench_simperf
+ * and the property suite all enforce with differential gates.
  */
 
 #ifndef POINTACC_RUNTIME_EXECUTOR_HPP
@@ -61,14 +52,11 @@ namespace pointacc {
 class ProbeExecutor
 {
   public:
-    /**
-     * @param thread_count  worker threads to spawn; 0 = inline mode
-     *                      (no threads, submit() executes on the
-     *                      caller — the serial baseline)
-     */
+    /** @param thread_count  worker threads to spawn; 0 = inline mode
+     *  (no threads, submit() executes on the caller). */
     explicit ProbeExecutor(std::size_t thread_count);
 
-    /** Drains every submitted task, then joins the workers. */
+    /** Runs every submitted task, then joins the workers. */
     ~ProbeExecutor();
 
     ProbeExecutor(const ProbeExecutor &) = delete;
@@ -82,21 +70,15 @@ class ProbeExecutor
      *  1 = serial inline mode, N = N workers. */
     static std::size_t resolveThreads(std::size_t requested);
 
-    std::size_t threadCount() const { return workers.size(); }
+    std::size_t threadCount() const { return threads.size(); }
 
     /** Tasks executed so far (all modes). */
     std::uint64_t executed() const { return numExecuted.load(); }
 
-    /** Tasks executed by a thread other than their home worker —
-     *  worker steals and helper runs alike. The unit suite asserts
-     *  this is non-zero in schedules that can only terminate through
-     *  a steal. */
-    std::uint64_t stolen() const { return numStolen.load(); }
-
     template <class T> class Future;
 
-    /** Submit a callable; returns a typed future with a deterministic
-     *  task id. In inline mode the task runs before submit returns. */
+    /** Submit a callable; returns a typed future. In inline mode the
+     *  task runs before submit returns. */
     template <class F, class T = std::invoke_result_t<F>>
     Future<T>
     submit(F fn)
@@ -144,55 +126,36 @@ class ProbeExecutor
     }
 
   private:
-    /** One queued task: the erased work plus its completion latch. */
+    /** One queued task: the erased work plus its completion flag. */
     struct Task
     {
-        std::uint64_t id = 0;
-        std::size_t home = 0;
         std::function<void()> run;
-        std::mutex doneMutex;
-        std::condition_variable doneCv;
-        bool done = false;
-    };
-
-    struct Worker
-    {
-        std::mutex mutex;
-        std::deque<std::shared_ptr<Task>> deque;
+        bool done = false; ///< guarded by `mutex`
     };
 
     std::shared_ptr<Task> enqueue(std::function<void()> run);
-    void runTask(Task &task, std::size_t runner);
-    /** Pop own deque front, else steal a victim's back; true if a
-     *  task was run. `self` is the runner's home index (workers.size()
-     *  for helper threads, which always "steal"). */
-    bool tryRunOne(std::size_t self);
-    void workerLoop(std::size_t index);
-    void waitFor(Task &task);
+    /** Pop and run the front task. `lock` holds `mutex` on entry and
+     *  on return; it is released while the task runs. */
+    void runFront(std::unique_lock<std::mutex> &lock);
+    void workerLoop();
+    void waitFor(const Task &task);
 
-    std::vector<std::unique_ptr<Worker>> workers;
-    std::vector<std::thread> threads;
-    std::mutex sleepMutex;
-    std::condition_variable sleepCv;
-    bool stopping = false;
-    std::uint64_t nextId = 0;
+    std::mutex mutex;
+    /** Notified on every enqueue and every completion. */
+    std::condition_variable cv;
+    std::deque<std::shared_ptr<Task>> queue; ///< guarded by `mutex`
+    bool stopping = false;                   ///< guarded by `mutex`
     std::atomic<std::uint64_t> numExecuted{0};
-    std::atomic<std::uint64_t> numStolen{0};
+    /** Last: the workers use every member above. */
+    std::vector<std::thread> threads;
 
   public:
     /** Handle to a submitted task's result. get() blocks — helping
-     *  execute pending tasks, not sleeping — then returns the value
+     *  run queued tasks while any are queued — then returns the value
      *  or rethrows the task's exception. */
     template <class T> class Future
     {
       public:
-        Future() = default;
-
-        bool valid() const { return state != nullptr; }
-
-        /** Task id in submission order (the deterministic merge key). */
-        std::uint64_t id() const { return task->id; }
-
         T
         get()
         {

@@ -286,7 +286,7 @@ PlanSearchSpace::compositionCount() const
  *  Parallelism (PlannerConfig::threads > 1) is pure *speculation*: the
  *  search pre-submits probes it expects to need (gallop chains for
  *  every combo, bisection brackets, spot picks, scan ranges) to a
- *  work-stealing executor, then runs the exact serial search logic,
+ *  one-queue executor, then runs the exact serial search logic,
  *  which consumes a finished future when one exists and simulates
  *  inline when not. Only serially-requested probes enter the log, in
  *  serial order — speculative misses burn cycles, never bytes — so

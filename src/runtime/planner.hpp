@@ -303,7 +303,7 @@ struct PlannerConfig
      *  behavior), 0 = one worker per hardware thread, N = N workers.
      *  Parallel plans issue *speculative* probes ahead of the serial
      *  search (gallop chains, bisection brackets, spot picks) on a
-     *  work-stealing ProbeExecutor, but the search consumes results in
+     *  one-queue ProbeExecutor, but the search consumes results in
      *  serial order and logs only the probes the serial search asks
      *  for — the PlanReport is byte-identical to threads == 1
      *  (enforced by bench_serving's differential gate and

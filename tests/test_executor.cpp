@@ -1,8 +1,8 @@
-// Unit suite for the work-stealing probe executor
-// (src/runtime/executor.hpp). Covers the four contract points every
-// consumer leans on: deterministic submission-order merge, work
-// stealing under unbalanced schedules, exception propagation with
-// pool survival, and inline serial mode.
+// Unit suite for the probe executor (src/runtime/executor.hpp), one
+// FIFO of tasks under one lock. Covers the contract points every
+// consumer leans on: deterministic submission-order merge, no queued
+// work stranded behind a blocked worker or a missed wakeup, exception
+// propagation with pool survival, and inline serial mode.
 
 #include <atomic>
 #include <chrono>
@@ -57,13 +57,12 @@ TEST(ProbeExecutor, MapIsDeterministicAcrossRepeatsAndThreadCounts)
         EXPECT_EQ(runWith(threads), serial) << "threads=" << threads;
 }
 
-TEST(ProbeExecutor, IdleWorkerStealsFromBusyWorkersBacklog)
+TEST(ProbeExecutor, BlockedWorkerDoesNotStrandQueuedWork)
 {
-    // Round-robin homes with 2 workers: tasks 0,2 land on worker 0 and
-    // tasks 1,3 on worker 1. Task 0 blocks worker 0 until `release` is
-    // set — and only task 2 (queued behind it on worker 0) sets it. The
-    // schedule can therefore only terminate if another thread steals
-    // task 2 from worker 0's backlog.
+    // Task 0 blocks whichever worker takes it until `release` is set —
+    // and only task 2, queued behind it, sets it. The schedule can
+    // therefore only terminate if another thread takes task 2 while
+    // task 0 still holds its worker.
     ProbeExecutor pool(2);
     std::atomic<bool> release{false};
     auto blocker = pool.submit([&release] {
@@ -81,7 +80,27 @@ TEST(ProbeExecutor, IdleWorkerStealsFromBusyWorkersBacklog)
     EXPECT_EQ(filler1.get(), 1);
     EXPECT_EQ(unblocker.get(), 2);
     EXPECT_EQ(filler2.get(), 3);
-    EXPECT_GE(pool.stolen(), 1u);
+}
+
+TEST(ProbeExecutor, IdleWorkerWakesForEverySubmission)
+{
+    // Each task goes to an idle one-worker pool and is awaited by
+    // spinning on its side effect, never through get(), so only the
+    // worker can run it: a worker that misses the enqueue's wakeup
+    // strands the task until the next submission, which never comes.
+    constexpr int kSubmissions = 5000;
+    std::atomic<int> ran{0};
+    ProbeExecutor pool(1);
+    for (int i = 0; i < kSubmissions; ++i) {
+        pool.submit([&ran] { ran.fetch_add(1); });
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (ran.load() <= i) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "submission " << i << " not run within 1 s";
+            std::this_thread::yield();
+        }
+    }
 }
 
 TEST(ProbeExecutor, TaskExceptionPropagatesAndPoolSurvives)
@@ -126,11 +145,10 @@ TEST(ProbeExecutor, InlineModeRunsOnCallerWithNoThreads)
         return 42;
     });
     // Inline mode executes during submit: the result is ready and ran
-    // on the calling thread, and nothing counts as stolen.
+    // on the calling thread.
     EXPECT_EQ(ran, caller);
     EXPECT_EQ(fut.get(), 42);
     EXPECT_EQ(pool.executed(), 1u);
-    EXPECT_EQ(pool.stolen(), 0u);
 }
 
 TEST(ProbeExecutor, ResolveThreadsMapsKnobToPoolSize)

@@ -70,7 +70,7 @@
  * memory check) runs only when the binary is invoked with `--scale`
  * (scripts/ci.sh does), so the quick ctest pass stays fast.
  *
- * `--threads N` shards the big seeded loops across a work-stealing
+ * `--threads N` shards the big seeded loops across a one-queue
  * ProbeExecutor (each seed is an independent scenario; gtest assertion
  * recording is thread-safe on pthread platforms). The default is 1 —
  * plain ctest runs stay serial — and results are seed-for-seed the
@@ -294,7 +294,7 @@ checkInvariants(const ServingReport &report, std::uint64_t seed)
 
 /**
  * Run fn(seed) for every seed in [first, last), sharded across a
- * work-stealing pool when the binary runs with --threads N (serial
+ * one-queue pool when the binary runs with --threads N (serial
  * otherwise: resolveThreads(1) is inline execution). Each seed is an
  * independent scenario — its own Rng, model and scheduler — and gtest
  * assertion recording is thread-safe on pthread platforms, so the
@@ -2534,7 +2534,7 @@ TEST(RuntimePropertiesScale, MillionRequestStreamStaysBounded)
  * additions over the stock runner: the --scale flag gating the scale
  * tier above (CI's Release and sanitized stages pass it; plain ctest
  * stays fast), and --threads N sharding the big seed loops across a
- * work-stealing pool (CI's TSan stage passes 4; the default of 1
+ * one-queue pool (CI's TSan stage passes 4; the default of 1
  * keeps plain runs serial and results are identical either way).
  */
 int
