@@ -10,8 +10,11 @@
 
 namespace pointacc {
 
+namespace {
+
+/** Bounding box of `coords`; zero box when empty. */
 BoundingBox
-PointCloud::boundingBox() const
+boxOf(const std::vector<Coord3> &coords)
 {
     BoundingBox box;
     if (coords.empty())
@@ -28,18 +31,6 @@ PointCloud::boundingBox() const
     return box;
 }
 
-double
-PointCloud::density() const
-{
-    if (coords.empty())
-        return 0.0;
-    const auto box = boundingBox();
-    return static_cast<double>(coords.size()) /
-           static_cast<double>(box.volume());
-}
-
-namespace {
-
 /** Bits needed to hold every offset in [0, hi - lo]. */
 int
 offsetBits(std::int32_t lo, std::int32_t hi)
@@ -54,20 +45,38 @@ offsetBits(std::int32_t lo, std::int32_t hi)
 
 } // namespace
 
-void
-PointCloud::sortByCoord()
+BoundingBox
+PointCloud::boundingBox() const
+{
+    return boxOf(coords);
+}
+
+double
+PointCloud::density() const
+{
+    if (coords.empty())
+        return 0.0;
+    const auto box = boundingBox();
+    return static_cast<double>(coords.size()) /
+           static_cast<double>(box.volume());
+}
+
+std::vector<std::uint32_t>
+coordSortOrder(const std::vector<Coord3> &coords)
 {
     const std::size_t n = coords.size();
+    simAssert(n <= UINT32_MAX, "coordSortOrder indexes points with 32 bits");
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
     if (n < 2)
-        return;
-    simAssert(n <= UINT32_MAX, "sortByCoord indexes points with 32 bits");
+        return order;
 
     // Key: the offsets from the bounding box's low corner, x | y | z
     // from the most significant bit down, each as wide as its axis'
     // span. Offsets are non-negative, so keys order like Coord3's
     // lexicographic operator<. Keys reach 96 bits; they are sorted one
     // 64-bit word at a time, low word first.
-    const BoundingBox box = boundingBox();
+    const BoundingBox box = boxOf(coords);
     const int wy = offsetBits(box.lo.y, box.hi.y);
     const int wz = offsetBits(box.lo.z, box.hi.z);
     const int totalBits = offsetBits(box.lo.x, box.hi.x) + wy + wz;
@@ -80,8 +89,7 @@ PointCloud::sortByCoord()
     // Points with equal keys keep their input order. A byte that every
     // key shares cannot change the order, so its pass is skipped.
     std::vector<std::uint64_t> keyWord(n);
-    std::vector<std::uint32_t> order(n), next(n);
-    std::iota(order.begin(), order.end(), 0);
+    std::vector<std::uint32_t> next(n);
     for (int word = 0; 64 * word < totalBits; ++word) {
         const int bytes = (std::min(totalBits - 64 * word, 64) + 7) / 8;
         std::array<std::array<std::uint32_t, 256>, 8> counts{};
@@ -106,7 +114,16 @@ PointCloud::sortByCoord()
             order.swap(next);
         }
     }
+    return order;
+}
 
+void
+PointCloud::sortByCoord()
+{
+    const std::size_t n = coords.size();
+    if (n < 2)
+        return;
+    const std::vector<std::uint32_t> order = coordSortOrder(coords);
     std::vector<Coord3> newCoords(n);
     std::vector<float> newFeatures(features.size());
     for (std::size_t i = 0; i < n; ++i) {

@@ -12,6 +12,7 @@
 #define POINTACC_CORE_POINT_CLOUD_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
@@ -110,10 +111,10 @@ class PointCloud
     double density() const;
 
     /**
-     * Sort points lexicographically by coordinate (features follow).
-     * The sort is stable: points with equal coordinates keep their
-     * input order, so a following dedupSorted() keeps, of each
-     * coordinate, the point with the lowest input index.
+     * Sort points lexicographically by coordinate (features follow),
+     * in coordSortOrder. The sort is stable: points with equal
+     * coordinates keep their input order, so a following dedupSorted()
+     * keeps, of each coordinate, the point with the lowest input index.
      */
     void sortByCoord();
 
@@ -132,6 +133,14 @@ class PointCloud
     int numChannels = 0;
     int stride = 1;
 };
+
+/**
+ * The stable permutation that sorts `coords` lexicographically:
+ * position i of the sorted sequence holds coords[order[i]], and equal
+ * coordinates keep their input order. A radix sort over each point's
+ * offset from the bounding box's low corner; at most 2^32 points.
+ */
+std::vector<std::uint32_t> coordSortOrder(const std::vector<Coord3> &coords);
 
 } // namespace pointacc
 

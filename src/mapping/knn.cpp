@@ -39,16 +39,23 @@ searchCellPoints(std::size_t k)
  * query must count every in-radius point, so its reach is the radius.
  * Both comparisons are strict: a point at exactly the k-th distance can
  * still enter on a lower index.
+ *
+ * `innerCounts[s]` (when given) gains, over all queries, the points
+ * within the squared radius `innerRadii2[s]`, each at most radius2: the
+ * in-radius counts of a multi-scale ball query's smaller scales.
  */
 std::vector<NeighborList>
 nearestWithin(const PointCloud &input, const PointCloud &queries,
-              std::size_t k, std::int64_t radius2)
+              std::size_t k, std::int64_t radius2,
+              const std::vector<std::int64_t> &innerRadii2 = {},
+              std::uint64_t *innerCounts = nullptr)
 {
     const std::size_t n = input.size();
     k = std::min(k, n); // no list holds more than the whole input
     std::vector<NeighborList> result(queries.size());
     if (n == 0 || queries.empty())
         return result;
+    const std::size_t inner = innerRadii2.size();
 
     const SpatialGrid grid(input, queries, searchCellPoints(k));
     const bool countsEveryPoint =
@@ -78,6 +85,8 @@ nearestWithin(const PointCloud &input, const PointCloud &queries,
                 if (d > radius2)
                     continue;
                 ++candidates;
+                for (std::size_t s = 0; s < inner; ++s)
+                    innerCounts[s] += d <= innerRadii2[s];
                 const PointIndex i = grid.index[j];
                 if (m == k) {
                     if (d > topD[k - 1] ||
@@ -162,22 +171,72 @@ kNearestNeighbors(const PointCloud &input, const PointCloud &queries, int k)
                          std::numeric_limits<std::int64_t>::max());
 }
 
+BallQueryResult
+ballQuery(const PointCloud &input, const PointCloud &queries,
+          const std::vector<BallScale> &scales)
+{
+    simAssert(!scales.empty(), "ball query requires a scale");
+    std::size_t maxK = 0;
+    std::int64_t maxRadius2 = 0;
+    for (const auto &scale : scales) {
+        simAssert(scale.k >= 1, "ball query requires k >= 1");
+        maxK = std::max(maxK, static_cast<std::size_t>(scale.k));
+        maxRadius2 = std::max(maxRadius2, scale.radius2);
+    }
+    // The walk counts the largest radius per query; every smaller
+    // radius is counted over all queries beside it.
+    std::vector<std::int64_t> innerRadii2;
+    for (const auto &scale : scales)
+        if (scale.radius2 < maxRadius2)
+            innerRadii2.push_back(scale.radius2);
+    std::vector<std::uint64_t> innerCounts(innerRadii2.size(), 0);
+
+    BallQueryResult result;
+    result.lists = nearestWithin(input, queries, maxK, maxRadius2,
+                                 innerRadii2, innerCounts.data());
+    std::uint64_t outer = 0;
+    for (const auto &list : result.lists)
+        outer += list.candidates;
+    std::size_t next = 0;
+    for (const auto &scale : scales)
+        result.survivors.push_back(scale.radius2 < maxRadius2
+                                       ? innerCounts[next++]
+                                       : outer);
+    return result;
+}
+
 std::vector<NeighborList>
 ballQuery(const PointCloud &input, const PointCloud &queries, int k,
           std::int64_t radius2)
 {
-    simAssert(k >= 1, "ball query requires k >= 1");
-    return nearestWithin(input, queries, static_cast<std::size_t>(k),
-                         radius2);
+    return ballQuery(input, queries, {BallScale{k, radius2}}).lists;
 }
 
 MapSet
-neighborsToMaps(const std::vector<NeighborList> &lists, int k)
+neighborsToMaps(const std::vector<NeighborList> &lists, int k,
+                std::int64_t radius2)
 {
+    // Each list keeps its first `kept[q]` entries; rank n's group holds
+    // one map per list that keeps more than n.
+    std::vector<std::uint32_t> kept(lists.size());
+    std::vector<std::size_t> ranks(static_cast<std::size_t>(k) + 1, 0);
+    for (std::size_t q = 0; q < lists.size(); ++q) {
+        const auto &d = lists[q].distances2;
+        const std::size_t inRadius = static_cast<std::size_t>(
+            std::upper_bound(d.begin(), d.end(), radius2) - d.begin());
+        kept[q] = static_cast<std::uint32_t>(
+            std::min(inRadius, static_cast<std::size_t>(k)));
+        ++ranks[kept[q]];
+    }
     MapSet maps(k);
+    std::size_t longer = lists.size();
+    for (std::int32_t n = 0; n < k; ++n) {
+        longer -= ranks[static_cast<std::size_t>(n)];
+        maps.reserveWeight(n, longer);
+    }
     for (std::size_t q = 0; q < lists.size(); ++q) {
         const auto &list = lists[q];
-        for (std::size_t n = 0; n < list.indices.size(); ++n) {
+        for (std::uint32_t n = 0; n < kept[q]; ++n) {
             maps.add(Map{list.indices[n], static_cast<PointIndex>(q),
                          static_cast<std::int32_t>(n)});
         }

@@ -14,6 +14,7 @@
 #define POINTACC_MAPPING_QUANTIZE_HPP
 
 #include "core/point_cloud.hpp"
+#include "mapping/maps.hpp"
 
 namespace pointacc {
 
@@ -38,6 +39,29 @@ quantizeCoord(const Coord3 &p, std::int32_t ts)
  *                   multiple of the input stride
  */
 PointCloud quantizeDownsample(const PointCloud &input,
+                              std::int32_t out_stride);
+
+/** A downsampled cloud with the kernel maps that lead to it. */
+struct Downsample
+{
+    PointCloud cloud;
+    MapSet maps;
+};
+
+/**
+ * quantizeDownsample, plus the kernel maps of the strided conv whose
+ * kernel size equals its stride multiplier m = out_stride / input
+ * stride (every downsample of the network zoo), read off the same sort.
+ *
+ * That kernel's offsets {0, .., m-1}^3 times the input stride tile one
+ * coarse cell exactly, so a fine point p meets only its own cell's
+ * coarse point q, at offset p - q (no map if p is off the input
+ * stride's grid). The maps are grouped by that offset, each group
+ * reserved to its exact size and in ascending output index. For a
+ * sorted, duplicate-free input they equal
+ * sortKernelMap(input, cloud, {m, inStride, out_stride}).
+ */
+Downsample downsampleWithMaps(const PointCloud &input,
                               std::int32_t out_stride);
 
 } // namespace pointacc

@@ -56,7 +56,9 @@ class FeatureCache
 {
   public:
     /**
-     * @param cfg           geometry of the cache
+     * @param cfg           geometry of the cache; blockPoints and
+     *                      blockChannels must be positive (asserted),
+     *                      since every access divides by both
      * @param num_channels  channels in the input feature map
      */
     FeatureCache(const CacheConfig &cfg, std::uint32_t num_channels);

@@ -38,6 +38,16 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
                      const CacheConfig &cache_cfg, std::uint32_t ic_tile,
                      std::uint32_t out_tile)
 {
+    return fetchOnDemandFromWalk(
+        fetchOnDemandWalk(maps, shape, cache_cfg, ic_tile, out_tile), maps,
+        shape);
+}
+
+CacheStats
+fetchOnDemandWalk(const MapSet &maps, const SparseLayerShape &shape,
+                  const CacheConfig &cache_cfg, std::uint32_t ic_tile,
+                  std::uint32_t out_tile)
+{
     simAssert(shape.inChannels > 0 && shape.outChannels > 0,
               "layer must have channels");
     simAssert(ic_tile > 0, "input-channel tile must be positive");
@@ -83,10 +93,18 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
         }
     }
 
+    CacheStats stats = cache.stats();
+    stats.accesses *= icTiles;
+    return stats;
+}
+
+FetchOnDemandResult
+fetchOnDemandFromWalk(const CacheStats &walk, const MapSet &maps,
+                      const SparseLayerShape &shape)
+{
     FetchOnDemandResult result;
-    result.cache = cache.stats();
-    result.cache.accesses *= icTiles;
-    result.traffic.inputReadBytes = cache.stats().missBytes;
+    result.cache = walk;
+    result.traffic.inputReadBytes = walk.missBytes;
     // Partial sums never leave the chip; outputs stream out once.
     result.traffic.outputWriteBytes =
         static_cast<std::uint64_t>(shape.numOutputs) * shape.outChannels *

@@ -66,7 +66,7 @@ struct FetchOnDemandResult
 
 /**
  * Traffic of PointAcc's Fetch-on-Demand flow with the input buffers in
- * cache mode.
+ * cache mode: fetchOnDemandFromWalk of fetchOnDemandWalk.
  *
  * The loop nest matches Section 4.2.2: output-stationary outer tiles
  * (sized so one tile's partial sums fit the output buffers), then
@@ -88,6 +88,26 @@ fetchOnDemandTraffic(const MapSet &maps, const SparseLayerShape &shape,
                      const CacheConfig &cache_cfg,
                      std::uint32_t ic_tile = 64,
                      std::uint32_t out_tile = 0);
+
+/**
+ * The cache walk of the Fetch-on-Demand flow: the input-buffer stats
+ * of streaming `maps` through the cache, with `accesses` counting
+ * every input-channel tile. Same parameters as fetchOnDemandTraffic.
+ * The walk reads only the maps, numOutputs, inChannels,
+ * bytesPerFeature, the cache geometry and the tiles, so layers that
+ * differ only in outChannels share it.
+ */
+CacheStats fetchOnDemandWalk(const MapSet &maps,
+                             const SparseLayerShape &shape,
+                             const CacheConfig &cache_cfg,
+                             std::uint32_t ic_tile = 64,
+                             std::uint32_t out_tile = 0);
+
+/** Fetch-on-Demand traffic of a layer from its cache walk: input reads
+ *  are the walk's fills, outputs stream out once, weights cross once. */
+FetchOnDemandResult fetchOnDemandFromWalk(const CacheStats &walk,
+                                          const MapSet &maps,
+                                          const SparseLayerShape &shape);
 
 /** Traffic of a dense (FC / 1x1 conv) layer: stream in, stream out. */
 FlowTraffic denseLayerTraffic(std::uint32_t num_points,

@@ -34,13 +34,25 @@ struct ExecState
      *  of one stage; valid while stageKernel > 0. */
     MapSet stageMaps;
     int stageKernel = 0;
+    std::uint64_t stageMapsId = 0;
     /** EdgeConv kNN maps of `cloud`, shared by every EdgeConv with the
      *  same k; valid while edgeK > 0. */
     MapSet edgeMaps;
     int edgeK = 0;
+    std::uint64_t edgeMapsId = 0;
+    /** Last LayerWork::mapsId handed out. */
+    std::uint64_t lastMapsId = 0;
 
     const LayerVisitor *visit = nullptr;
 };
+
+/** A fresh LayerWork::mapsId, for a map set just built, transposed or
+ *  derived. */
+std::uint64_t
+newMapsId(ExecState &st)
+{
+    return ++st.lastMapsId;
+}
 
 /** Release the maps kept for the current cloud: the stage's
  *  submanifold maps and the EdgeConv maps. Called before `cloud` is
@@ -104,6 +116,7 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
 
     const std::uint64_t numIn = st.cloud.size();
     const MapSet *maps = nullptr;
+    std::uint64_t mapsId = 0;
     MapSet upMaps;
     std::vector<MappingOpInfo> mappingOps;
 
@@ -121,24 +134,34 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
                    layer.name).c_str());
         upMaps = transposeMaps(level.downMaps, d.kernelSize);
         maps = &upMaps;
+        mapsId = newMapsId(st);
         st.cloud = std::move(level.cloud);
     } else if (d.strideMultiplier > 1) {
         // Strided downsample: quantize then kernel-map. The fine cloud
         // and the maps stay open for the mirroring transposed conv.
+        // When the kernel spans exactly one coarse cell (kernel size ==
+        // stride multiplier, every zoo downsample) the quantize sort
+        // already assigns each fine point its one map.
         dropStageMaps(st);
         const std::int32_t outStride =
             st.cloud.tensorStride() * d.strideMultiplier;
-        PointCloud output = quantizeDownsample(st.cloud, outStride);
+        Downsample down;
+        if (d.kernelSize == d.strideMultiplier) {
+            down = downsampleWithMaps(st.cloud, outStride);
+        } else {
+            down.cloud = quantizeDownsample(st.cloud, outStride);
+            KernelMapConfig kcfg;
+            kcfg.kernelSize = d.kernelSize;
+            kcfg.inStride = st.cloud.tensorStride();
+            kcfg.outStride = outStride;
+            down.maps = sortKernelMap(st.cloud, down.cloud, kcfg);
+        }
         mappingOps.push_back({MappingOpKind::Quantize, numIn,
-                              output.size(), 0, 0});
-
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = st.cloud.tensorStride();
-        kcfg.outStride = outStride;
-        MapSet down = sortKernelMap(st.cloud, output, kcfg);
+                              down.cloud.size(), 0, 0});
+        mapsId = newMapsId(st);
         st.levelStack.push_back(
-            {std::exchange(st.cloud, std::move(output)), std::move(down)});
+            {std::exchange(st.cloud, std::move(down.cloud)),
+             std::move(down.maps)});
         maps = &st.levelStack.back().downMaps;
     } else {
         // Submanifold convolution at the same resolution: the cloud is
@@ -151,8 +174,10 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
             kcfg.outStride = st.cloud.tensorStride();
             st.stageMaps = sortKernelMap(st.cloud, st.cloud, kcfg);
             st.stageKernel = d.kernelSize;
+            st.stageMapsId = newMapsId(st);
         }
         maps = &st.stageMaps;
+        mapsId = st.stageMapsId;
     }
 
     // Every layer models its own kernel mapping, reused maps included.
@@ -171,12 +196,20 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
     w.cin = d.inChannels;
     w.cout = d.outChannels;
     w.maps = maps;
+    w.mapsId = mapsId;
     w.mappingOps = std::move(mappingOps);
     w.macs = maps->size() * static_cast<std::uint64_t>(d.inChannels) *
              d.outChannels;
     emit(st, std::move(w));
 
     st.channels = d.outChannels;
+}
+
+/** Squared ball radius of a set-abstraction scale. */
+std::int64_t
+radius2(const SaScale &scale)
+{
+    return static_cast<std::int64_t>(scale.radiusGrid) * scale.radiusGrid;
 }
 
 void
@@ -208,25 +241,37 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
     const auto selected = farthestPointSampling(st.cloud, centers);
     const PointCloud queryCloud = gatherPoints(st.cloud, selected);
 
+    // Neighbor search: one ball query serves every ball scale (MSG
+    // scales share input and centroids); each scale cuts the shared
+    // lists at its own radius and k. A kNN scale (radius 0) searches
+    // on its own.
+    std::vector<BallScale> ballScales;
+    for (const auto &scale : d.scales)
+        if (scale.radiusGrid > 0)
+            ballScales.push_back({scale.k, radius2(scale)});
+    const BallQueryResult balls =
+        ballScales.empty() ? BallQueryResult{}
+                           : ballQuery(st.cloud, queryCloud, ballScales);
+
     std::uint32_t outChannels = 0;
+    std::size_t ballIndex = 0;
     for (std::size_t s = 0; s < d.scales.size(); ++s) {
         const auto &scale = d.scales[s];
-        // Neighbor search: ball query (or kNN when radius is 0).
-        std::vector<NeighborList> lists;
+        MapSet maps;
+        std::uint64_t survivors = 0;
         MappingOpKind searchKind;
         if (scale.radiusGrid > 0) {
-            lists = ballQuery(st.cloud, queryCloud, scale.k,
-                              static_cast<std::int64_t>(scale.radiusGrid) *
-                                  scale.radiusGrid);
+            maps = neighborsToMaps(balls.lists, scale.k, radius2(scale));
+            survivors = balls.survivors[ballIndex++];
             searchKind = MappingOpKind::BallQuery;
         } else {
-            lists = kNearestNeighbors(st.cloud, queryCloud, scale.k);
+            const auto lists =
+                kNearestNeighbors(st.cloud, queryCloud, scale.k);
+            maps = neighborsToMaps(lists, scale.k);
+            for (const auto &list : lists)
+                survivors += list.candidates;
             searchKind = MappingOpKind::Knn;
         }
-        MapSet maps = neighborsToMaps(lists, scale.k);
-        std::uint64_t survivors = 0;
-        for (const auto &list : lists)
-            survivors += list.candidates;
 
         // First MLP layer runs per gathered neighbor, driven by maps.
         LayerWork w;
@@ -237,6 +282,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         w.cin = d.inChannels + 3; // grouped features + relative coords
         w.cout = scale.mlp[0];
         w.maps = &maps;
+        w.mapsId = newMapsId(st);
         w.macs = maps.size() * static_cast<std::uint64_t>(w.cin) * w.cout;
         if (s == 0) {
             w.mappingOps.push_back({MappingOpKind::Fps, st.cloud.size(),
@@ -286,6 +332,7 @@ runFeaturePropagation(ExecState &st, const LayerDesc &layer,
     const auto lists = kNearestNeighbors(st.cloud, fine, 3);
     MapSet maps = neighborsToMaps(lists, 3);
     w.maps = &maps;
+    w.mapsId = newMapsId(st);
     w.mappingOps.push_back(
         {MappingOpKind::Knn, st.cloud.size(), fine.size(), 3, 0});
     // Interpolated features are per fine point; the unit MLP runs per
@@ -320,6 +367,7 @@ runEdgeConv(ExecState &st, const LayerDesc &layer, const EdgeConvDesc &d)
         st.edgeMaps =
             neighborsToMaps(kNearestNeighbors(st.cloud, st.cloud, d.k), d.k);
         st.edgeK = d.k;
+        st.edgeMapsId = newMapsId(st);
     }
     const MapSet &maps = st.edgeMaps;
 
@@ -331,6 +379,7 @@ runEdgeConv(ExecState &st, const LayerDesc &layer, const EdgeConvDesc &d)
     w.cin = 2 * d.inChannels; // edge features (f_i, f_j - f_i)
     w.cout = d.mlp[0];
     w.maps = &maps;
+    w.mapsId = st.edgeMapsId;
     MappingOpInfo knnOp{MappingOpKind::Knn, st.cloud.size(),
                         st.cloud.size(), d.k, 0, 0,
                         std::max<std::uint32_t>(3, d.inChannels)};

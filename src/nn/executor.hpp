@@ -15,8 +15,18 @@
  * unchanged, so every one of a stage with the same kernel size shares
  * one MapSet; likewise every EdgeConv over one cloud with the same k
  * shares one kNN MapSet. A transposed conv transposes the maps its
- * downsample built. Every layer still reports its own KernelMap or Knn
- * mapping op, so the modelled mapping cost is per layer.
+ * downsample built. A downsample whose kernel size equals its stride
+ * multiplier (every zoo downsample) reads its maps off the quantize
+ * sort (downsampleWithMaps); other kernel/stride pairs merge with
+ * sortKernelMap. The scales of a multi-scale set abstraction share one
+ * ball query, each cutting the lists at its own radius and k. Every
+ * layer still reports its own mapping ops, so the modelled mapping cost
+ * is per layer.
+ *
+ * Each sparse LayerWork carries `mapsId`, the identity of its MapSet
+ * within the walk, so a consumer can reuse work done on the same maps
+ * (the accelerator prices consecutive layers over one MapSet with one
+ * cache walk).
  */
 
 #ifndef POINTACC_NN_EXECUTOR_HPP
@@ -72,6 +82,12 @@ struct LayerWork
     /** Maps of sparse layers; nullptr for dense layers. Valid only
      *  during the visit: later layers may share or drop them. */
     const MapSet *maps = nullptr;
+    /** Identity of `maps` within one executeNetwork walk: layers that
+     *  share a MapSet share its id, and every map set built,
+     *  transposed or derived gets a new one (the address is no
+     *  identity, as one address holds many map sets in turn). 0 for
+     *  dense layers. */
+    std::uint64_t mapsId = 0;
     /** Mapping operations executed before this matrix op. */
     std::vector<MappingOpInfo> mappingOps;
     /** Useful multiply-accumulates of the matrix op. */

@@ -23,6 +23,18 @@ struct PendingDense
     std::uint64_t macs = 0;
 };
 
+/** The fetch-on-demand cache walk of the last priced sparse layer,
+ *  keyed by everything the walk reads that can change within a run.
+ *  The rest of the cache geometry and the tiles are fixed per run. */
+struct PricedWalk
+{
+    std::uint64_t mapsId = 0; ///< LayerWork::mapsId; 0 = none yet
+    std::uint32_t inChannels = 0;
+    std::uint32_t numOutputs = 0;
+    std::uint32_t blockPoints = 0; ///< RunOptions::cacheBlockPoints
+    CacheStats cache;
+};
+
 /** Mutable simulation context while visiting layers. */
 struct SimContext
 {
@@ -32,6 +44,7 @@ struct SimContext
     MatrixUnit mxu;
     std::vector<PendingDense> chain;
     std::int32_t chainId = -1;
+    PricedWalk lastWalk;
 
     explicit SimContext(const AcceleratorConfig &c) : mxu(c.mxu) {}
 };
@@ -152,6 +165,45 @@ flushChain(SimContext &ctx)
     ctx.chain.clear();
 }
 
+/**
+ * The fetch-on-demand cache walk of sparse layer `w`. A layer that
+ * streams the same maps at the same input width into the same outputs
+ * as the previous sparse layer (consecutive submanifold convs of a
+ * stage, for example) walks the cache identically, so it reuses that
+ * walk; only outChannels, which the walk never reads, may differ.
+ */
+const CacheStats &
+cacheWalk(SimContext &ctx, const LayerWork &w, const SparseLayerShape &shape)
+{
+    const auto &cfg = *ctx.cfg;
+    const std::uint32_t block = ctx.options->cacheBlockPoints;
+    PricedWalk &last = ctx.lastWalk;
+    if (w.mapsId != 0 && w.mapsId == last.mapsId &&
+        shape.inChannels == last.inChannels &&
+        shape.numOutputs == last.numOutputs && block == last.blockPoints)
+        return last.cache;
+
+    CacheStats walk;
+    if (block == 0) {
+        // Compiler pass: pick the block size that minimizes DRAM fill
+        // traffic for this layer's maps.
+        std::uint64_t best = ~0ULL;
+        for (std::uint32_t candidate : {4u, 16u, 64u}) {
+            const CacheStats trial = fetchOnDemandWalk(
+                *w.maps, shape, cfg.cacheConfig(candidate), cfg.mxu.rows);
+            if (trial.missBytes < best) {
+                best = trial.missBytes;
+                walk = trial;
+            }
+        }
+    } else {
+        walk = fetchOnDemandWalk(*w.maps, shape, cfg.cacheConfig(block),
+                                 cfg.mxu.rows);
+    }
+    last = {w.mapsId, shape.inChannels, shape.numOutputs, block, walk};
+    return last.cache;
+}
+
 void
 simulateSparse(SimContext &ctx, const LayerWork &w)
 {
@@ -180,26 +232,8 @@ simulateSparse(SimContext &ctx, const LayerWork &w)
     FlowTraffic traffic;
     if (w.maps) {
         if (opt.useCache) {
-            FetchOnDemandResult fod;
-            if (opt.cacheBlockPoints == 0) {
-                // Compiler pass: pick the block size that minimizes
-                // DRAM fill traffic for this layer's maps.
-                std::uint64_t best = ~0ULL;
-                for (std::uint32_t candidate : {4u, 16u, 64u}) {
-                    auto trial = fetchOnDemandTraffic(
-                        *w.maps, shape, cfg.cacheConfig(candidate),
-                        cfg.mxu.rows);
-                    if (trial.cache.missBytes < best) {
-                        best = trial.cache.missBytes;
-                        fod = std::move(trial);
-                    }
-                }
-            } else {
-                fod = fetchOnDemandTraffic(
-                    *w.maps, shape,
-                    cfg.cacheConfig(opt.cacheBlockPoints),
-                    cfg.mxu.rows);
-            }
+            const FetchOnDemandResult fod = fetchOnDemandFromWalk(
+                cacheWalk(ctx, w, shape), *w.maps, shape);
             traffic = fod.traffic;
             ls.cacheMissRate = fod.cache.missRate();
         } else {

@@ -83,6 +83,70 @@ TEST(Quantize, RepeatedDownsampleMatchesDirect)
     EXPECT_EQ(fourViaTwo.coordinates(), fourDirect.coordinates());
 }
 
+/** A sorted, duplicate-free cloud of tensor stride `stride` built from
+ *  `grid` coordinates scaled by the stride. */
+PointCloud
+strideCloud(std::vector<Coord3> grid, std::int32_t stride)
+{
+    for (auto &c : grid)
+        c = c * stride;
+    PointCloud cloud(std::move(grid));
+    cloud.sortByCoord();
+    cloud.dedupSorted();
+    cloud.setTensorStride(stride);
+    return cloud;
+}
+
+TEST(Quantize, DownsampleMapsMatchSortKernelMap)
+{
+    Rng rng(77);
+    for (const std::int32_t stride : {1, 2, 4, 8}) {
+        std::vector<std::pair<std::string, PointCloud>> clouds;
+        std::vector<Coord3> spread;
+        for (int i = 0; i < 600; ++i) {
+            // Coordinates in [-20, 20]: negative cells floor downwards.
+            const auto axis = [&] {
+                return static_cast<std::int32_t>(rng.range(41)) - 20;
+            };
+            spread.push_back({axis(), axis(), axis()});
+        }
+        clouds.emplace_back("negative", strideCloud(spread, stride));
+        clouds.emplace_back(
+            "one coarse cell",
+            strideCloud({{0, 0, 0}, {0, 0, 1}, {0, 1, 0}, {0, 1, 1},
+                         {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}},
+                        stride));
+        clouds.emplace_back("single point", strideCloud({{-3, 5, 7}}, stride));
+        clouds.emplace_back("empty", strideCloud({}, stride));
+
+        for (const auto &[name, fine] : clouds) {
+            for (const std::int32_t m : {2, 4}) {
+                const std::string at = name + " stride " +
+                                       std::to_string(stride) + " m " +
+                                       std::to_string(m);
+                const Downsample down = downsampleWithMaps(fine, stride * m);
+                const PointCloud coarse =
+                    quantizeDownsample(fine, stride * m);
+                EXPECT_EQ(down.cloud.coordinates(), coarse.coordinates())
+                    << at;
+                EXPECT_EQ(down.cloud.tensorStride(), coarse.tensorStride())
+                    << at;
+
+                KernelMapConfig kcfg;
+                kcfg.kernelSize = m;
+                kcfg.inStride = stride;
+                kcfg.outStride = stride * m;
+                const MapSet fresh = sortKernelMap(fine, coarse, kcfg);
+                ASSERT_EQ(down.maps.numWeights(), fresh.numWeights()) << at;
+                EXPECT_EQ(down.maps.size(), fresh.size()) << at;
+                for (std::int32_t w = 0; w < fresh.numWeights(); ++w)
+                    EXPECT_EQ(down.maps.forWeight(w), fresh.forWeight(w))
+                        << at << " weight " << w;
+            }
+        }
+    }
+}
+
 TEST(Fps, SelectsRequestedCount)
 {
     const auto cloud = makeObjectCloud(3, 300, 64);

@@ -268,6 +268,20 @@ TEST(FeatureCache, MatchesDirectMappedModel)
     }
 }
 
+TEST(FeatureCache, ZeroBlockGeometryIsRejected)
+{
+    // A zero block dimension once divided by zero: blockPoints in
+    // every access (SIGFPE), blockChannels in the constructor.
+    CacheConfig noPoints;
+    noPoints.blockPoints = 0;
+    EXPECT_DEATH(FeatureCache(noPoints, 64),
+                 "blockPoints and blockChannels must be positive");
+    CacheConfig noChannels;
+    noChannels.blockChannels = 0;
+    EXPECT_DEATH(FeatureCache(noChannels, 64),
+                 "blockPoints and blockChannels must be positive");
+}
+
 // ---------------------------------------------------------------- //
 //                     Flow traffic models                           //
 // ---------------------------------------------------------------- //

@@ -13,6 +13,7 @@
 #include <variant>
 
 #include "datasets/synthetic.hpp"
+#include "mapping/fps.hpp"
 #include "mapping/kernel_map.hpp"
 #include "mapping/knn.hpp"
 #include "mapping/quantize.hpp"
@@ -326,6 +327,108 @@ TEST(Executor, EdgeConvReusedMapsMatchFreshBuilds)
                           makeEdgeConv("e2", 16, 8, {16}),
                           makeEdgeConv("e3", 16, 8, {16})};
     EXPECT_EQ(expectEdgeMapsMatchFreshBuilds(cloudChange, cloud), 1);
+}
+
+/** One set-abstraction scale's search, built fresh. */
+struct FreshScale
+{
+    std::string name;
+    MappingOpKind kind;
+    int k;
+    MapSet maps;
+    std::uint64_t survivors = 0;
+};
+
+/**
+ * Walk a network of set abstractions, feature propagations and dense
+ * layers beside the executor, and check every set-abstraction scale's
+ * maps and search survivors against a fresh single-scale search of that
+ * scale: ballQuery, or kNearestNeighbors for radius 0. Returns how many
+ * scales were checked.
+ */
+int
+expectScalesMatchFreshSearches(const Network &net, const PointCloud &input)
+{
+    std::vector<FreshScale> fresh;
+    PointCloud cloud = input;
+    std::vector<PointCloud> levels;
+    for (const auto &layer : net.layers) {
+        if (std::holds_alternative<FeaturePropagationDesc>(layer.desc)) {
+            cloud = std::move(levels.back());
+            levels.pop_back();
+            continue;
+        }
+        const auto *d = std::get_if<SetAbstractionDesc>(&layer.desc);
+        if (d == nullptr)
+            continue;
+        if (d->numCenters == 0) {
+            levels.push_back(std::exchange(cloud, PointCloud({{0, 0, 0}})));
+            continue;
+        }
+        const std::size_t centers = std::min<std::size_t>(
+            d->numCenters, std::max<std::size_t>(1, cloud.size() / 2));
+        PointCloud queries =
+            gatherPoints(cloud, farthestPointSampling(cloud, centers));
+        for (std::size_t s = 0; s < d->scales.size(); ++s) {
+            const SaScale &scale = d->scales[s];
+            const std::int64_t r2 =
+                static_cast<std::int64_t>(scale.radiusGrid) *
+                scale.radiusGrid;
+            const auto lists =
+                scale.radiusGrid > 0
+                    ? ballQuery(cloud, queries, scale.k, r2)
+                    : kNearestNeighbors(cloud, queries, scale.k);
+            FreshScale f{layer.name + ".s" + std::to_string(s) + ".mlp0",
+                         scale.radiusGrid > 0 ? MappingOpKind::BallQuery
+                                              : MappingOpKind::Knn,
+                         scale.k, neighborsToMaps(lists, scale.k), 0};
+            for (const auto &list : lists)
+                f.survivors += list.candidates;
+            fresh.push_back(std::move(f));
+        }
+        levels.push_back(std::exchange(cloud, std::move(queries)));
+    }
+
+    std::size_t next = 0;
+    executeNetwork(net, input, [&](const LayerWork &w) {
+        if (next == fresh.size() || w.name != fresh[next].name)
+            return;
+        const FreshScale &f = fresh[next++];
+        ASSERT_NE(w.maps, nullptr) << w.name;
+        ASSERT_EQ(w.maps->numWeights(), f.maps.numWeights()) << w.name;
+        EXPECT_EQ(w.maps->size(), f.maps.size()) << w.name;
+        for (std::int32_t g = 0; g < f.maps.numWeights(); ++g)
+            EXPECT_EQ(w.maps->forWeight(g), f.maps.forWeight(g))
+                << w.name << " weight " << g;
+        const MappingOpInfo &search = w.mappingOps.back();
+        EXPECT_EQ(search.kind, f.kind) << w.name;
+        EXPECT_EQ(search.k, f.k) << w.name;
+        EXPECT_EQ(search.survivors, f.survivors) << w.name;
+    });
+    EXPECT_EQ(next, fresh.size());
+    return static_cast<int>(next);
+}
+
+TEST(Executor, MsgScalesMatchFreshBallQueries)
+{
+    const auto cloud = generate(DatasetKind::ShapeNet, 23, 0.25);
+    // sa1's three scales and sa2's two.
+    EXPECT_EQ(expectScalesMatchFreshSearches(pointNetPPPartSeg(), cloud), 5);
+
+    // k shrinks as the radius grows; two equal radii; a kNN scale
+    // between two ball scales.
+    Network shapes;
+    shapes.inputChannels = 3;
+    shapes.layers = {
+        makeSetAbstraction("shrink", 256, 3,
+                           {SaScale{7, 48, {16}}, SaScale{13, 24, {16}},
+                            SaScale{26, 8, {16}}}),
+        makeSetAbstraction("equal", 128, 48,
+                           {SaScale{26, 8, {16}}, SaScale{26, 32, {16}}}),
+        makeSetAbstraction("mixed", 64, 32,
+                           {SaScale{13, 16, {16}}, SaScale{0, 8, {16}},
+                            SaScale{51, 32, {16}}})};
+    EXPECT_EQ(expectScalesMatchFreshSearches(shapes, cloud), 8);
 }
 
 TEST(Executor, PointNetPPEmitsMappingOps)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/synthetic.hpp"
+#include "memory/flows.hpp"
 #include "mpu/mpu.hpp"
 #include "nn/zoo.hpp"
 #include "sim/accelerator.hpp"
@@ -197,6 +198,83 @@ TEST_F(AcceleratorRun, EnergyBucketsAllPositive)
     // Fig. 21b: compute dominates energy on PointAcc (69-74%), DRAM
     // is a minority (~20-23%).
     EXPECT_GT(r.energy.computePJ, r.energy.dramPJ);
+}
+
+TEST_F(AcceleratorRun, SharedWalksMatchFreshPricing)
+{
+    // Layers that share a MapSet reuse one cache walk; every sparse
+    // layer's DRAM traffic and miss rate must still equal pricing its
+    // maps from scratch. PointNet++(ps)'s MSG scales have equal shapes
+    // and distinct maps, and MinkNet stages widen channels over one
+    // MapSet.
+    const auto &cfg = accel->config();
+    const auto shapeNet = generate(DatasetKind::ShapeNet, 23, 0.25);
+    const std::vector<std::pair<Network, const PointCloud *>> runs = {
+        {minkowskiUNetIndoor(), &cloud},
+        {miniMinkowskiUNet(), &cloud},
+        {pointNetPPPartSeg(), &shapeNet}};
+    for (const std::uint32_t block : {16u, 0u}) {
+        RunOptions options;
+        options.cacheBlockPoints = block;
+        for (const auto &[net, input] : runs) {
+            const std::string at =
+                net.notation + " block " + std::to_string(block);
+            std::vector<LayerStats> fresh;
+            executeNetwork(net, *input, [&](const LayerWork &w) {
+                if (w.isDense)
+                    return;
+                SparseLayerShape shape;
+                shape.numInputs = static_cast<std::uint32_t>(w.numIn);
+                shape.numOutputs = static_cast<std::uint32_t>(w.numOut);
+                shape.inChannels = w.cin;
+                shape.outChannels = w.cout;
+                FetchOnDemandResult fod;
+                std::uint64_t best = ~0ULL;
+                for (const std::uint32_t b :
+                     block == 0 ? std::vector<std::uint32_t>{4, 16, 64}
+                                : std::vector<std::uint32_t>{block}) {
+                    auto trial = fetchOnDemandTraffic(
+                        *w.maps, shape, cfg.cacheConfig(b), cfg.mxu.rows);
+                    if (trial.cache.missBytes < best) {
+                        best = trial.cache.missBytes;
+                        fod = trial;
+                    }
+                }
+                LayerStats ls;
+                ls.name = w.name;
+                ls.dramReadBytes = fod.traffic.inputReadBytes +
+                                   fod.traffic.scratchReadBytes +
+                                   fod.traffic.weightReadBytes;
+                ls.dramWriteBytes = fod.traffic.outputWriteBytes +
+                                    fod.traffic.scratchWriteBytes;
+                // Map FIFO spill, as the accelerator charges it.
+                const std::uint64_t mapBytes = w.maps->size() * 12ULL;
+                if (mapBytes > cfg.sorterBufferKB * 1024ULL) {
+                    ls.dramReadBytes += mapBytes;
+                    ls.dramWriteBytes += mapBytes;
+                }
+                ls.cacheMissRate = fod.cache.missRate();
+                fresh.push_back(ls);
+            });
+
+            const auto r = accel->run(net, *input, options);
+            std::size_t next = 0;
+            for (const auto &ls : r.layers) {
+                if (ls.isDense)
+                    continue;
+                ASSERT_LT(next, fresh.size()) << at;
+                const LayerStats &want = fresh[next++];
+                ASSERT_EQ(ls.name, want.name) << at;
+                EXPECT_EQ(ls.dramReadBytes, want.dramReadBytes)
+                    << at << " " << ls.name;
+                EXPECT_EQ(ls.dramWriteBytes, want.dramWriteBytes)
+                    << at << " " << ls.name;
+                EXPECT_EQ(ls.cacheMissRate, want.cacheMissRate)
+                    << at << " " << ls.name;
+            }
+            EXPECT_EQ(next, fresh.size()) << at;
+        }
+    }
 }
 
 TEST(AcceleratorAll, EveryBenchmarkRuns)
