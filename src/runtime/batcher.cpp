@@ -18,6 +18,18 @@ Batcher::Batcher(const BatcherConfig &config, std::vector<double> bucket_scales)
         fatal("batcher targetK must be >= 1");
     if (bucketScales.empty())
         fatal("batcher needs at least one size bucket");
+    for (const double sh : bucketScales) {
+        std::vector<std::uint32_t> &out = allowed.emplace_back();
+        for (std::uint32_t b = 0;
+             b < static_cast<std::uint32_t>(bucketScales.size()); ++b) {
+            const double sb = bucketScales[b];
+            const double ratio = sh > sb ? sh / sb : sb / sh;
+            // Same comparison compatible() applies, so the class walk
+            // and the pairwise rule can never disagree on a bucket.
+            if (!(ratio > cfg.maxPointsRatio))
+                out.push_back(b);
+        }
+    }
 }
 
 bool
@@ -36,23 +48,12 @@ Batcher::compatible(const Request &a, const Request &b) const
     return !extraRule || extraRule(a, b);
 }
 
-std::vector<std::uint32_t>
+const std::vector<std::uint32_t> &
 Batcher::allowedBuckets(const Request &head) const
 {
-    simAssert(head.sizeBucket < bucketScales.size(),
+    simAssert(head.sizeBucket < allowed.size(),
               "request size bucket out of catalog range");
-    std::vector<std::uint32_t> out;
-    const double sh = bucketScales[head.sizeBucket];
-    for (std::uint32_t b = 0;
-         b < static_cast<std::uint32_t>(bucketScales.size()); ++b) {
-        const double sb = bucketScales[b];
-        const double ratio = sh > sb ? sh / sb : sb / sh;
-        // Same comparison compatible() applies, so the class walk and
-        // the pairwise rule can never disagree on a bucket.
-        if (!(ratio > cfg.maxPointsRatio))
-            out.push_back(b);
-    }
-    return out;
+    return allowed[head.sizeBucket];
 }
 
 Batcher::GroupProbe

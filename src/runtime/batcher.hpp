@@ -229,7 +229,8 @@ class Batcher
      *  the maxPointsRatio rule — together with the head's network id,
      *  the exact set of class sub-queues a batch led by `head` can
      *  draw from. */
-    std::vector<std::uint32_t> allowedBuckets(const Request &head) const;
+    const std::vector<std::uint32_t> &
+    allowedBuckets(const Request &head) const;
 
     /** What a hold probe needs to know about the head's group: how
      *  many queued requests would join a batch led by `head` (capped
@@ -248,6 +249,8 @@ class Batcher
 
     BatcherConfig cfg;
     std::vector<double> bucketScales;
+    /** allowedBuckets() per head bucket, built once. */
+    std::vector<std::vector<std::uint32_t>> allowed;
     std::function<bool(const Request &, const Request &)> extraRule;
 };
 

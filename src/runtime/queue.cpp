@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "core/logging.hpp"
@@ -42,15 +42,17 @@ policyKey(QueuePolicy policy, const Request &r)
     return 0;
 }
 
-/** One index entry. `seq` is the push sequence number: an entry is
- *  stale (lazily deleted) when the id is gone from the live table or
- *  was re-enqueued with a newer sequence number. */
+/** One index entry. `slot` is where the request sits in the slab and
+ *  `seq` its push sequence number: an entry is stale (lazily deleted)
+ *  once that slot no longer carries the same sequence number — the
+ *  request left, or the slot was freed and reused. */
 struct Entry
 {
     std::uint64_t key = 0;
     std::uint64_t arrival = 0;
     std::uint64_t id = 0;
     std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
 
     std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>
     rank() const
@@ -74,8 +76,8 @@ struct RankLess
  *
  *  - ring (FIFO): a rank-sorted deque with lazy tombstones. On the
  *    scheduler's path pushes arrive in nondecreasing (arrival, id)
- *    order, so insertion is an O(1) append; removals just die in the
- *    live table and are skipped — pruned off the front when a merge
+ *    order, so insertion is an O(1) append; removals just free their
+ *    slab slot and are skipped — pruned off the front when a merge
  *    opens the ring, compacted away on push — afterwards. Out-of-order
  *    pushes (a crash retry re-entering with its original arrival) fall
  *    back to a sorted insert.
@@ -100,28 +102,121 @@ enum class Step
     Stop, ///< end the merge
 };
 
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/**
+ * Request id -> slab slot, open-addressed with linear probing and
+ * backward-shift deletion (no tombstones), kept at most half full.
+ */
+class IdTable
+{
+  public:
+    std::size_t size() const { return count; }
+
+    /** Slot of `id`, or kNoSlot. */
+    std::uint32_t
+    find(std::uint64_t id) const
+    {
+        for (std::size_t i = home(id);; i = (i + 1) & mask) {
+            if (cells[i].slot == kNoSlot || cells[i].id == id)
+                return cells[i].slot;
+        }
+    }
+
+    /** Map `id` to `slot`; false, changing nothing, if `id` is in. */
+    bool
+    insert(std::uint64_t id, std::uint32_t slot)
+    {
+        if (2 * (count + 1) > cells.size())
+            grow();
+        std::size_t i = home(id);
+        for (; cells[i].slot != kNoSlot; i = (i + 1) & mask)
+            if (cells[i].id == id)
+                return false;
+        cells[i] = Cell{id, slot};
+        count += 1;
+        return true;
+    }
+
+    /** Remove `id`, which must be present. Later cells of its probe
+     *  run shift back into the hole, so every lookup still finds its
+     *  id before the first empty cell. */
+    void
+    erase(std::uint64_t id)
+    {
+        std::size_t hole = home(id);
+        while (cells[hole].id != id || cells[hole].slot == kNoSlot)
+            hole = (hole + 1) & mask;
+        for (std::size_t j = (hole + 1) & mask; cells[j].slot != kNoSlot;
+             j = (j + 1) & mask) {
+            // A cell may fill the hole unless its home lies in the
+            // cyclic range (hole, j].
+            if (((j - home(cells[j].id)) & mask) >= ((j - hole) & mask)) {
+                cells[hole] = cells[j];
+                hole = j;
+            }
+        }
+        cells[hole].slot = kNoSlot;
+        count -= 1;
+    }
+
+  private:
+    struct Cell
+    {
+        std::uint64_t id = 0;
+        std::uint32_t slot = kNoSlot; ///< kNoSlot marks an empty cell
+    };
+
+    /** Fibonacci hashing: the product's top bits. A window of dense
+     *  ids (the generator's) lands almost evenly spread, so probe runs
+     *  stay short; a hedge id's bit 63 flips the top index bit, so it
+     *  never shares its original's probe start. */
+    std::size_t
+    home(std::uint64_t id) const
+    {
+        return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >>
+                                        (64 - bits));
+    }
+
+    void
+    grow()
+    {
+        bits += 1;
+        std::vector<Cell> old(std::size_t{1} << bits);
+        old.swap(cells);
+        mask = cells.size() - 1;
+        count = 0;
+        for (const Cell &c : old)
+            if (c.slot != kNoSlot)
+                insert(c.id, c.slot);
+    }
+
+    unsigned bits = 4; ///< log2 of the cell count
+    std::vector<Cell> cells = std::vector<Cell>(std::size_t{1} << bits);
+    std::size_t mask = cells.size() - 1;
+    std::size_t count = 0;
+};
+
 } // namespace
 
 struct AdmissionQueue::Impl
 {
-    struct Stored
+    /** A slab slot: a queued request and its push sequence number, or
+     *  seq 0 while the slot is on the free list. */
+    struct Slot
     {
         Request r;
         std::uint64_t seq = 0;
     };
-    using LiveMap = std::unordered_map<std::uint64_t, Stored>;
 
     /** One open class index inside a merge, positioned on its next
-     *  live entry `at` (nullptr once exhausted). A ring cursor also
-     *  keeps that entry's live-table slot, which its liveness check
-     *  already found. */
+     *  live entry `at` (nullptr once exhausted). */
     struct Cursor
     {
         OrderIndex *ix = nullptr;
         std::set<Entry, RankLess>::iterator ti;
         std::size_t ri = 0;
         const Entry *at = nullptr;
-        LiveMap::iterator item;
     };
 
     explicit Impl(QueuePolicy p)
@@ -131,27 +226,27 @@ struct AdmissionQueue::Impl
 
     const QueuePolicy policy;
     const bool treeMode;
-    LiveMap live;
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> freeSlots;
+    IdTable ids; ///< queued request id -> slot
     std::uint64_t seqCounter = 0;
     std::map<std::pair<std::uint32_t, std::uint32_t>, OrderIndex> classes;
     /** Cursor storage reused across merges (no allocation per pick). */
     std::vector<Cursor> cursors;
 
     Entry
-    entryOf(const Stored &s) const
+    entryOf(std::uint32_t slot) const
     {
+        const Slot &s = slots[slot];
         return Entry{policyKey(policy, s.r), s.r.arrivalCycle, s.r.id,
-                     s.seq};
+                     s.seq, slot};
     }
 
-    /** Live-table slot of `e`, or live.end() for a ring tombstone (the
-     *  id left, or was re-enqueued under a newer sequence number). */
-    LiveMap::iterator
-    find(const Entry &e)
+    /** Is `e` still queued (not a ring tombstone)? */
+    bool
+    live(const Entry &e) const
     {
-        const auto it = live.find(e.id);
-        return it != live.end() && it->second.seq == e.seq ? it
-                                                           : live.end();
+        return slots[e.slot].seq == e.seq;
     }
 
     OrderIndex &
@@ -163,11 +258,17 @@ struct AdmissionQueue::Impl
     void
     insertItem(const Request &r)
     {
-        const std::uint64_t seq = ++seqCounter;
-        const auto ins = live.emplace(r.id, Stored{r, seq});
-        simAssert(ins.second,
+        const std::uint32_t slot =
+            freeSlots.empty() ? static_cast<std::uint32_t>(slots.size())
+                              : freeSlots.back();
+        simAssert(ids.insert(r.id, slot),
                   "admission queue requires unique request ids");
-        const Entry e = entryOf(ins.first->second);
+        if (freeSlots.empty())
+            slots.emplace_back();
+        else
+            freeSlots.pop_back();
+        slots[slot] = Slot{r, ++seqCounter};
+        const Entry e = entryOf(slot);
         OrderIndex &ix = classOf(r);
         if (treeMode) {
             ix.tree.insert(e);
@@ -187,23 +288,31 @@ struct AdmissionQueue::Impl
         if (!treeMode && ix.ring.size() >= 2 * ix.liveCount + 64) {
             std::deque<Entry> keep;
             for (const auto &k : ix.ring)
-                if (find(k) != live.end())
+                if (live(k))
                     keep.push_back(k);
             ix.ring.swap(keep);
         }
     }
 
-    /** Remove a queued request by id (ring mode leaves a tombstone). */
+    /** Free a queued request's slot (its ring entry becomes a
+     *  tombstone; a tree entry the caller erases). */
     void
-    removeById(std::uint64_t id)
+    release(std::uint32_t slot)
     {
-        const auto it = live.find(id);
-        simAssert(it != live.end(), "removal of unqueued request");
-        OrderIndex &ix = classOf(it->second.r);
+        ids.erase(slots[slot].r.id);
+        slots[slot].seq = 0;
+        freeSlots.push_back(slot);
+    }
+
+    /** Remove the queued request in `slot`. */
+    void
+    removeSlot(std::uint32_t slot)
+    {
+        OrderIndex &ix = classOf(slots[slot].r);
         if (treeMode)
-            ix.tree.erase(entryOf(it->second));
+            ix.tree.erase(entryOf(slot));
         ix.liveCount -= 1;
-        live.erase(it);
+        release(slot);
     }
 
     /** Add `ix` to the next merge. An index with nothing live is
@@ -222,7 +331,7 @@ struct AdmissionQueue::Impl
         if (treeMode) {
             settle(c);
         } else {
-            while ((c.item = find(ix.ring.front())) == live.end())
+            while (!live(ix.ring.front()))
                 ix.ring.pop_front();
             c.at = &ix.ring.front();
         }
@@ -240,8 +349,7 @@ struct AdmissionQueue::Impl
             return;
         }
         for (; c.ri < c.ix->ring.size(); ++c.ri) {
-            c.item = find(c.ix->ring[c.ri]);
-            if (c.item != live.end()) {
+            if (live(c.ix->ring[c.ri])) {
                 c.at = &c.ix->ring[c.ri];
                 return;
             }
@@ -268,14 +376,13 @@ struct AdmissionQueue::Impl
                     best = &c;
             if (best == nullptr)
                 break;
-            const auto item =
-                treeMode ? live.find(best->at->id) : best->item;
-            const Step step = visit(item->second.r);
+            const std::uint32_t slot = best->at->slot;
+            const Step step = visit(slots[slot].r);
             if (step == Step::Stop)
                 break;
             if (step == Step::Take) {
                 best->ix->liveCount -= 1;
-                live.erase(item);
+                release(slot);
                 if (treeMode)
                     best->ti = best->ix->tree.erase(best->ti);
                 else
@@ -304,13 +411,13 @@ AdmissionQueue::operator=(AdmissionQueue &&) noexcept = default;
 std::size_t
 AdmissionQueue::size() const
 {
-    return impl->live.size();
+    return impl->ids.size();
 }
 
 bool
 AdmissionQueue::push(const Request &r)
 {
-    if (impl->live.size() >= maxDepth) {
+    if (size() >= maxDepth) {
         numDropped += 1;
         return false;
     }
@@ -322,7 +429,7 @@ AdmissionQueue::push(const Request &r)
 bool
 AdmissionQueue::pushUncounted(const Request &r)
 {
-    if (impl->live.size() >= maxDepth)
+    if (size() >= maxDepth)
         return false; // shed, but never a second `dropped`
     impl->insertItem(r);
     return true;
@@ -352,15 +459,14 @@ AdmissionQueue::popLedByBuckets(
     const std::function<bool(const Request &)> &excluded)
 {
     simAssert(max_count >= 1, "popLedByBuckets needs max_count >= 1");
-    const Request lead = head; // copy: `head` may point into the queue
-    const auto stored = impl->live.find(lead.id);
-    simAssert(stored != impl->live.end(),
-              "popLedByBuckets head is not queued");
+    const std::uint32_t slot = impl->ids.find(head.id);
+    simAssert(slot != kNoSlot, "popLedByBuckets head is not queued");
 
+    const Request lead = impl->slots[slot].r; // `head` may be in the slab
     std::vector<Request> out;
     out.reserve(max_count);
-    out.push_back(stored->second.r);
-    impl->removeById(lead.id);
+    out.push_back(lead);
+    impl->removeSlot(slot);
     if (max_count == 1)
         return out;
 

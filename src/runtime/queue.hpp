@@ -19,9 +19,14 @@
  * The seed implementation scanned a flat vector per selection —
  * O(depth) per pop with O(depth) mid-vector erases, which dominated
  * million-request simulations. The policy is fixed at
- * construction, and each queued request is held by exactly one order
- * index: the sub-queue of its (networkId, sizeBucket) class, sorted by
- * the policy's rank (see queue.cpp). A class index is either
+ * construction. Queued requests live in a slab of slots recycled
+ * through a free list, and each is held by exactly one order index:
+ * the sub-queue of its (networkId, sizeBucket) class, sorted by the
+ * policy's rank (see queue.cpp). Index entries carry (slot, push
+ * sequence number), so telling a live entry from a tombstone is one
+ * array compare; a flat open-addressed id -> slot table serves only
+ * the uniqueness check and the batch head's lookup. A class index is
+ * either
  *
  *  - a ring (FIFO): a rank-ordered deque with lazy tombstones — pushes
  *    arrive in rank order on the scheduler's path, so admission is an

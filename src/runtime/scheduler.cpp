@@ -1303,6 +1303,9 @@ class WaitForK
             costDispatches += 1;
     }
 
+    /** Does the current pass hold a group? */
+    bool holding() const { return !heldLeaders.empty(); }
+
     /** End a dispatch pass: arm the timer at the earliest deadline of
      *  its holds. Re-arming or disarming bumps the generation, which
      *  orphans any queued entry. */
@@ -1624,14 +1627,24 @@ FleetScheduler::run(RequestSource &source) const
     // for the whole run.
     std::vector<std::optional<PhaseProfile>> classPhases(prices.classes());
 
+    // Set when a pass stopped because no instance accepts while it held
+    // no wait-for-K group (so the hold timer is disarmed). Until a
+    // non-Arrival entry pops, nothing can make an instance accept, and
+    // admission only lengthens a queue no instance can take from: every
+    // pass would be a no-op, so it is skipped.
+    bool fleetFull = false;
     const auto dispatch = [&](std::uint64_t now) {
+        if (fleetFull)
+            return;
         if (waitForK)
             waitForK->beginPass();
         while (!queue.empty()) {
             if (std::none_of(
                     accels.begin(), accels.end(),
-                    [](const AccelState &a) { return a.canAccept(); }))
+                    [](const AccelState &a) { return a.canAccept(); })) {
+                fleetFull = !waitForK || !waitForK->holding();
                 break;
+            }
 
             const Request *head = queue.peekEligible(held);
             if (head == nullptr)
@@ -1772,6 +1785,8 @@ FleetScheduler::run(RequestSource &source) const
         while (!events.empty() && (!live || events.top().at <= clock)) {
             const Event e = events.top();
             events.pop();
+            if (e.kind != Event::Kind::Arrival)
+                fleetFull = false;
             if (fire(e) && !live) {
                 live = true;
                 clock = e.at;
@@ -1807,8 +1822,9 @@ FleetScheduler::run(RequestSource &source) const
         // completion just made available.
         dispatch(clock);
 
-        while (source.peek() != nullptr &&
-               source.peek()->arrivalCycle <= clock) {
+        const Request *next = source.peek();
+        for (; next != nullptr && next->arrivalCycle <= clock;
+             next = source.peek()) {
             Request r = source.take();
             report.generated += 1;
             r.estimatedCycles = cyclesToNs(
@@ -1818,9 +1834,8 @@ FleetScheduler::run(RequestSource &source) const
                 waitForK->noteArrival(r);
             queue.push(r); // drop accounting lives in the queue
         }
-        if (!arrivalQueued && source.peek() != nullptr) {
-            events.push(source.peek()->arrivalCycle, Event::Kind::Arrival,
-                        0, 0);
+        if (!arrivalQueued && next != nullptr) {
+            events.push(next->arrivalCycle, Event::Kind::Arrival, 0, 0);
             arrivalQueued = true;
         }
 

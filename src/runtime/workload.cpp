@@ -187,12 +187,11 @@ WorkloadStream::refill()
             // pre-stream generators with the same seed. Burst members
             // decide independently: a sweep burst can mix repeats of
             // the previous frame with fresh geometry.
-            const auto last = lastFrame.find(cls.streamId);
-            const bool repeat = cls.mapReuseProb > 0.0 &&
-                                last != lastFrame.end() &&
+            const auto [last, fresh] = lastFrame.try_emplace(cls.streamId);
+            const bool repeat = cls.mapReuseProb > 0.0 && !fresh &&
                                 rng.uniform() < cls.mapReuseProb;
             r.cloudId = repeat ? last->second : nextCloudId++;
-            lastFrame[cls.streamId] = r.cloudId;
+            last->second = r.cloudId;
             // Back-to-back burst members, one cycle apart: they hit the
             // admission queue as a clump but keep unique timestamps.
             r.arrivalCycle = cycle + i;

@@ -252,6 +252,29 @@ TEST(AdmissionQueue, PushUncountedNeverTouchesDropAccounting)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(AdmissionQueue, DuplicateIdIsRejected)
+{
+    // Queued ids must be unique, on both push paths and under every
+    // policy. An id may come back once it has left, and a hedge copy
+    // (bit 63 set) is a distinct id queued beside its original.
+    constexpr std::uint64_t kHedgeBit = 1ULL << 63;
+    for (const QueuePolicy policy :
+         {QueuePolicy::Fifo, QueuePolicy::Sjf, QueuePolicy::Edf}) {
+        SCOPED_TRACE(toString(policy));
+        AdmissionQueue q(8, policy);
+        ASSERT_TRUE(q.push(makeRequest(7, 0)));
+        EXPECT_DEATH(q.push(makeRequest(7, 1)), "unique request ids");
+        EXPECT_DEATH(q.pushUncounted(makeRequest(7, 1)),
+                     "unique request ids");
+        EXPECT_TRUE(q.pushUncounted(makeRequest(7 | kHedgeBit, 1)));
+        EXPECT_EQ(popHead(q).id, 7u);
+        EXPECT_TRUE(q.pushUncounted(makeRequest(7, 2)));
+        EXPECT_DEATH(q.pushUncounted(makeRequest(7 | kHedgeBit, 3)),
+                     "unique request ids");
+        EXPECT_EQ(q.size(), 2u);
+    }
+}
+
 // ---------------------------------------------------------------- //
 //                       Fault validation                            //
 // ---------------------------------------------------------------- //
@@ -1324,6 +1347,101 @@ TEST(FleetScheduler, HeldGroupDoesNotBlockOtherGroups)
     // Two hold episodes: net 0's leader and net 1's first request
     // (held from t=10 until its partner arrived at t=20).
     EXPECT_EQ(report.batchHolds, 2u);
+}
+
+// The event loop skips dispatch passes it can prove are no-ops: once a
+// pass stops because no instance accepts, and it held no wait-for-K
+// group, arrivals alone cannot make an instance accept. The next two
+// tests pin that guard; loopEvents counts the live instants.
+
+TEST(FleetScheduler, HeldGroupDeadlineOnABusyFleetArmsNoTimer)
+{
+    // One monolithic instance, wait-for-4 with a 1'000-cycle deadline.
+    //
+    //   t=0       a (net 0) holds, arming the timer at 1'000; b1-b4
+    //             (net 1) reach K and occupy the instance to 80'000
+    //   t=100     c (net 2) arrives. The pass before its admission
+    //             stops on the busy instance before it re-decides a's
+    //             hold, so it holds nothing and disarms the timer.
+    //   t=80'000  b's batch completes; a, past its deadline, runs alone
+    //   t=90'000  a completes; c, past its own deadline, runs alone
+    //   t=120'000 c completes
+    //
+    // Five live instants. Skipping the t=100 passes because the t=0
+    // pass ended on a busy fleet would leave the timer armed, and it
+    // would fire as a sixth instant at 1'000.
+    const FixedServiceModel model(10'000); // net n costs (n+1) * 10k
+    SchedulerConfig scfg;
+    scfg.occupancy = OccupancyModel::Monolithic;
+    scfg.batcher.enabled = true;
+    scfg.batcher.targetK = 4;
+    scfg.batcher.maxWaitCycles = 1'000;
+    FleetScheduler sched({pointAccConfig()}, model, {1.0}, scfg);
+
+    std::vector<Request> trace = {makeRequest(0, 0)};
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+        trace.push_back(makeRequest(id, 0));
+        trace.back().networkId = 1;
+    }
+    trace.push_back(makeRequest(5, 100));
+    trace.back().networkId = 2;
+    const auto report = sched.run(trace);
+
+    EXPECT_EQ(report.loopEvents, 5u);
+    EXPECT_EQ(report.horizonCycles, 120'000u);
+    const std::vector<std::uint64_t> done = {80'000, 80'000, 80'000,
+                                             80'000, 90'000, 120'000};
+    EXPECT_EQ(report.completionCycles, done);
+    EXPECT_EQ(report.batchHolds, 1u);
+}
+
+TEST(FleetScheduler, CapacityEventsReopenDispatchOnAFullFleet)
+{
+    // A recovery and a finished spin-up each make an instance accept
+    // at an instant when nothing else happens: the pass they trigger
+    // must run, though every pass since the last completion found the
+    // fleet full.
+    const FixedServiceModel model(10'000);
+    {
+        // One monolithic instance, crashed from 50 to 150: r0 dies
+        // (no retry policy) and r1, queued at 10, runs from the
+        // recovery on.
+        SchedulerConfig scfg;
+        scfg.occupancy = OccupancyModel::Monolithic;
+        scfg.faults.enabled = true;
+        scfg.faults.crashes.push_back(CrashWindow{0, 50, 100});
+        FleetScheduler sched({pointAccConfig()}, model, {1.0}, scfg);
+        const auto report =
+            sched.run({makeRequest(0, 0), makeRequest(1, 10)});
+        EXPECT_EQ(report.failed, 1u);
+        EXPECT_EQ(report.completed, 1u);
+        EXPECT_EQ(report.loopEvents, 5u);
+        EXPECT_EQ(report.horizonCycles, 10'150u);
+    }
+    {
+        // Instance 0 takes r0 at 0; the evaluation at 1'000 sees two
+        // queued and powers instance 1, which becomes Active at 1'500
+        // and takes r1 at once. Live instants: 0, 1'500, 11'500 and
+        // the twenty evaluations 1'000 ... 20'000.
+        SchedulerConfig scfg;
+        scfg.occupancy = OccupancyModel::Monolithic;
+        scfg.batcher.enabled = false; // singleton dispatches
+        scfg.autoscaler.enabled = true;
+        scfg.autoscaler.minInstances = 1;
+        scfg.autoscaler.initialInstances = 1;
+        scfg.autoscaler.evalIntervalCycles = 1'000;
+        scfg.autoscaler.queueHighDepth = 2;
+        scfg.autoscaler.queueLowDepth = 0;
+        scfg.autoscaler.spinUpCycles = 500;
+        FleetScheduler sched({pointAccConfig(), pointAccConfig()}, model,
+                             {1.0}, scfg);
+        const auto report = sched.run(
+            {makeRequest(0, 0), makeRequest(1, 0), makeRequest(2, 0)});
+        const std::vector<std::uint64_t> done = {10'000, 11'500, 20'000};
+        EXPECT_EQ(report.completionCycles, done);
+        EXPECT_EQ(report.loopEvents, 23u);
+        EXPECT_EQ(report.horizonCycles, 20'000u);
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -993,6 +993,15 @@ TEST(RuntimeEquivalence, StreamingGeneratorMatchesSeedDrawForDraw)
     }
 }
 
+/** splitmix64's finalizer: a bijection on 64-bit values. */
+std::uint64_t
+mixId(std::uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** One input shape for the queue differential below. */
 struct QueueFuzzInput
 {
@@ -1011,6 +1020,14 @@ struct QueueFuzzInput
      *  piles up interior tombstones. Head pops then go through the
      *  held-aware batch path. */
     int holdPhaseOps = 0;
+    /** A quarter of the new requests also queue a hedge-style copy
+     *  beside them: the original's id with bit 63 set, the way the
+     *  scheduler duplicates a hedged request. */
+    bool hedgeCopies = false;
+    /** New ids are spread over the low 63 bits (a mix of a counter;
+     *  bit 63 stays free for hedge copies) instead of dense from 0,
+     *  so the queue's id table sees colliding probe starts. */
+    bool sparseIds = false;
 };
 
 /**
@@ -1057,7 +1074,7 @@ fuzzQueuePair(QueuePolicy policy, std::uint64_t seed,
         const std::uint64_t kind = rng.range(10);
         if (kind < in.pushWeight || linear.empty()) {
             Request r;
-            r.id = nextId++;
+            r.id = in.sparseIds ? mixId(nextId++) >> 1 : nextId++;
             clock += rng.range(2);
             r.arrivalCycle = in.shuffledArrivals ? rng.range(4) : clock;
             r.estimatedCycles = 100 * rng.range(3);
@@ -1066,6 +1083,11 @@ fuzzQueuePair(QueuePolicy policy, std::uint64_t seed,
             r.sizeBucket = static_cast<std::uint32_t>(rng.range(3));
             r.cloudId = rng.range(4);
             push(r);
+            if (in.hedgeCopies && rng.range(4) == 0) {
+                r.id |= 1ULL << 63;
+                r.hedge = true;
+                push(r);
+            }
         } else if (kind == in.pushWeight && !left.empty()) {
             const std::size_t i = rng.range(left.size());
             push(left[i]);
@@ -1132,7 +1154,10 @@ TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
     // every primary key and arrive out of order. Deep input: in-order
     // arrivals into a queue held near its 512 limit, long enough that
     // the FIFO class rings pass their compaction threshold (2 x live
-    // + 64) with interior tombstones left by excluded followers.
+    // + 64) with interior tombstones left by excluded followers, and
+    // hedge-style ids (bit 63 set) queued beside their originals.
+    // Sparse input: a shorter deep run whose ids spread over 63 bits,
+    // so probe runs in the id table collide and shift back.
     QueueFuzzInput shallow;
     QueueFuzzInput deep;
     deep.depth = 512;
@@ -1140,12 +1165,19 @@ TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
     deep.shuffledArrivals = false;
     deep.pushWeight = 6;
     deep.holdPhaseOps = 2000;
+    deep.hedgeCopies = true;
+    QueueFuzzInput sparse = deep;
+    sparse.depth = 256;
+    sparse.ops = 4000;
+    sparse.sparseIds = true;
     for (const QueuePolicy policy :
          {QueuePolicy::Fifo, QueuePolicy::Sjf, QueuePolicy::Edf}) {
         for (std::uint64_t seed = 1; seed <= 40; ++seed)
             fuzzQueuePair(policy, seed, shallow);
-        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             fuzzQueuePair(policy, seed, deep);
+            fuzzQueuePair(policy, seed, sparse);
+        }
     }
 }
 
