@@ -40,8 +40,9 @@
  *
  * `--threads N` (default 1 = serial, 0 = one per hardware thread) runs
  * each sweep's scenarios on a one-queue ProbeExecutor and hands the
- * planners the same budget for speculative probes. Rows come back in
- * declaration order whatever the interleaving, and every scenario is a
+ * planners the same budget to run their (combo, ray) searches
+ * concurrently. Rows come back in declaration order whatever the
+ * interleaving, and every scenario is a
  * pure function of its (spec, config) inputs, so BENCH_serving.json is
  * byte-identical to a serial run (scripts/ci.sh compares the two); for
  * the planners the identity is also gated here — a parallel plan is
@@ -289,7 +290,7 @@ struct Bench
 {
     const SimServiceModel &model;
     ProbeExecutor &pool;
-    std::size_t threadsArg;  ///< --threads as given: the planners' budget
+    std::size_t threadsArg;  ///< --threads as given: planner search workers
     std::size_t poolThreads; ///< resolved pool size (0 = serial, inline)
     bool quick;
     bool smoke;
@@ -372,9 +373,9 @@ struct Bench
                                model.catalog().bucketScales, cfg);
     }
 
-    /** Parallel == serial: with a pool, re-plan serially — speculation
-     *  may spend extra simulations, never change the probe log, the
-     *  pick or a single serialized byte. */
+    /** Parallel == serial: with a pool, re-plan serially — running the
+     *  (combo, ray) searches concurrently must not change the probe
+     *  log, the pick or a single serialized byte. */
     void
     gateSerialPlan(const char *what, const AcceleratorConfig &instance,
                    const PlanReport &parallel, const WorkloadSpec &spec,
@@ -389,7 +390,7 @@ struct Bench
         writePlanJson(serialJson, serial.plan(spec, slo, space));
         gate(parallelJson.str() == serialJson.str(),
              "parallel %s byte-identical to serial (%zu-thread "
-             "speculation)",
+             "ray searches)",
              what, poolThreads);
     }
 

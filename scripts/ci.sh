@@ -39,7 +39,7 @@
 # gates would mask a data race that TSan catches directly).
 #
 # The Release gates pass --threads 4 everywhere the executor has a
-# consumer (bench rows, planner speculation, sharded simperf tier,
+# consumer (bench rows, planner ray searches, sharded simperf tier,
 # property seed loops): every byte-identity gate then pins parallel
 # output to the serial reference on every CI run.
 # Suitable as a GitHub Actions step:
@@ -155,8 +155,8 @@ fi
 #
 #   plan      capacity planner: the pick must equal the exhaustive
 #             optimum with strictly fewer probes (within the budget);
-#             speculative probing must serialize byte-identically to
-#             a serial re-plan.
+#             concurrent (combo, ray) searches must serialize
+#             byte-identically to a serial re-plan.
 #   hetero    watt-budgeted server + edge composition: the budget must
 #             bind, the lattice pick must equal the exhaustive lattice
 #             optimum with fewer probes, and a mixed-class fleet at
@@ -259,7 +259,8 @@ done
 # 20 times so its wait/notify paths (enqueue and completion wakeups,
 # helping get(), nested get, destructor drain) meet many interleavings,
 # the property sweeps with a 4-worker pool (the seed loops shard, and
-# PlannerProperties runs speculative planning — including the hetero
+# PlannerProperties runs concurrent (combo, ray) searches, counting
+# their probes from worker threads — including the hetero
 # composition lattice — against SimServiceModel's shared_mutex-guarded
 # memo caches), a threaded hetero-lattice smoke, which is the one
 # path where concurrent probes profile two accelerator classes plus an

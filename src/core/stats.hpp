@@ -78,15 +78,6 @@ class Summary
     /** Reset to the freshly constructed state (capacity retained). */
     void clear();
 
-    /** Pre-size the sample buffer (million-request runs would otherwise
-     *  pay log2(n) reallocations; the values recorded are unchanged). */
-    void
-    reserve(std::size_t n)
-    {
-        samples.reserve(n);
-        scratch.reserve(n);
-    }
-
     std::size_t count() const { return samples.size(); }
     double sum() const { return total; }
     double min() const { return lo; }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
-#include <tuple>
 #include <utility>
 
 #include "core/logging.hpp"
@@ -278,35 +278,19 @@ PlanSearchSpace::compositionCount() const
 //                         Search context                            //
 // ---------------------------------------------------------------- //
 
-/** Per-plan() state: the shared trace, the probe log and the
- *  (combo, ray, kind-0 count) -> log index memo that makes
- *  re-evaluations free (and keeps probesSpent an honest count of
- *  simulations).
+/** Per-plan() state shared read-only by every (combo, ray) search: the
+ *  categorical combos, the lattice rays and the trace.
  *
- *  Parallelism (PlannerConfig::threads > 1) is pure *speculation*: the
- *  search pre-submits probes it expects to need (gallop chains for
- *  every combo, bisection brackets, spot picks, scan ranges) to a
- *  one-queue executor, then runs the exact serial search logic,
- *  which consumes a finished future when one exists and simulates
- *  inline when not. Only serially-requested probes enter the log, in
- *  serial order — speculative misses burn cycles, never bytes — so
- *  the PlanReport is byte-identical to a serial plan. In inline mode
- *  (threads resolves to 0) speculation is skipped entirely and the
- *  probe set is exactly the pre-executor planner's. */
+ *  Parallelism (PlannerConfig::threads > 1) runs whole (combo, ray)
+ *  searches concurrently on a one-queue ProbeExecutor; the probes
+ *  inside one search stay serial, so a plan with one combo and one ray
+ *  runs serially at any thread count. Each search owns its probe log
+ *  and memo, and its probes depend on nothing outside its (combo, ray),
+ *  so joining the logs in (combo, ray) order reproduces the serial log
+ *  exactly: the PlanReport is byte-identical at every thread count and
+ *  every simulation is a logged probe. */
 struct CapacityPlanner::Search
 {
-    /** Headline metrics of one simulated probe — what a speculative
-     *  task computes; pure function of (combo, fleet size). */
-    struct ProbeMetrics
-    {
-        double p99Cycles = 0.0;
-        double throughputRps = 0.0;
-        double dropRate = 0.0;
-        bool meetsSlo = false;
-    };
-
-    using Key = std::tuple<std::size_t, std::size_t, std::size_t>;
-
     const CapacityPlanner &planner;
     const SloSpec &slo;
     const PlanSearchSpace &space;
@@ -315,44 +299,13 @@ struct CapacityPlanner::Search
     /** Kind-0 unit cost (1.0 on the homogeneous axis). */
     double unit0 = 1.0;
     std::vector<Request> trace;
-    // Declared before `inflight` so outstanding futures are destroyed
-    // before the pool they reference.
-    ProbeExecutor executor;
-    std::vector<PlanProbe> log;
-    std::map<Key, std::size_t> memo;
-    /** Speculative probes in flight, keyed like the memo. */
-    std::map<Key, ProbeExecutor::Future<ProbeMetrics>> inflight;
 
-    Search(const CapacityPlanner &planner_, const WorkloadSpec &workload,
-           const SloSpec &slo_, const PlanSearchSpace &space_)
-        : Search(planner_, WorkloadGenerator(workload).generate(), slo_,
-                 space_)
-    {
-    }
-
-    /** Same search over a pre-materialized trace (the traffic-program
-     *  entry point shares one trace across every probe). */
     Search(const CapacityPlanner &planner_, std::vector<Request> trace_,
            const SloSpec &slo_, const PlanSearchSpace &space_)
         : planner(planner_), slo(slo_), space(space_),
           combos(enumerateCombos(space_)), rays(enumerateRays(space_)),
-          unit0(unitCost(space_, 0)), trace(std::move(trace_)),
-          executor(ProbeExecutor::resolveThreads(planner_.cfg.threads))
+          unit0(unitCost(space_, 0)), trace(std::move(trace_))
     {
-    }
-
-    /** The composition (count vector) of lattice point n on a ray;
-     *  empty on the legacy homogeneous axis. */
-    std::vector<std::size_t>
-    compositionOf(const LatticeRay &ray, std::size_t n) const
-    {
-        if (space.kinds.empty())
-            return {};
-        std::vector<std::size_t> c;
-        c.reserve(space.kinds.size());
-        c.push_back(n);
-        c.insert(c.end(), ray.rest.begin(), ray.rest.end());
-        return c;
     }
 
     std::size_t
@@ -370,303 +323,256 @@ struct CapacityPlanner::Search
         return ray.restCost + static_cast<double>(n) * unit0;
     }
 
-    bool
-    probed(std::size_t combo_index, std::size_t ray_index,
-           std::size_t n) const
+    /** The search along one (combo, ray): its probe log, in probe
+     *  order, and the kind-0 count -> log index memo that makes
+     *  re-evaluations free (and keeps probesSpent an honest count of
+     *  simulations). */
+    struct RaySearch
     {
-        return memo.count({combo_index, ray_index, n}) != 0;
-    }
+        const Search &ctx;
+        std::size_t comboIndex;
+        std::size_t rayIndex;
+        std::vector<PlanProbe> log;
+        std::map<std::size_t, std::size_t> memo;
+        /** Cheapest passing kind-0 count, if any point passed. */
+        std::optional<std::size_t> cheapest;
+        /** False once a smaller count passed where a larger failed. */
+        bool monotone = true;
 
-    /** Simulate one probe and distill the headline metrics. Safe to
-     *  call from worker threads: planner.probe is const over shared
-     *  immutable state and the service model memo is internally
-     *  synchronized (scheduler.hpp). */
-    ProbeMetrics
-    computeMetrics(std::size_t combo_index, std::size_t ray_index,
-                   std::size_t n) const
-    {
-        const LatticeRay &ray = rays[ray_index];
-        PlanProbe p = probeOf(combos[combo_index]);
-        p.fleetSize = fleetSizeOf(ray, n);
-        const SchedulerConfig scfg = schedulerConfigFor(space, p);
-        // kinds-empty plans go through the legacy probe() hook so
-        // existing overrides (differential gates, fault injection)
-        // keep intercepting every homogeneous probe.
-        const ServingReport report =
-            space.kinds.empty()
-                ? planner.probe(n, scfg, trace)
-                : planner.probeComposition(space, compositionOf(ray, n),
-                                           scfg, trace);
-        ProbeMetrics m;
-        m.p99Cycles = report.p99Cycles();
-        m.throughputRps = report.throughputRps();
-        m.dropRate = report.dropRate();
-        m.meetsSlo = meetsSlo(report, slo);
-        return m;
-    }
-
-    /** Pre-submit (combo, ray, n) to the executor if it is not
-     *  already probed or in flight. No-op in inline mode: serial plans
-     *  must execute exactly the serial probe set. */
-    void
-    speculate(std::size_t combo_index, std::size_t ray_index,
-              std::size_t n)
-    {
-        if (executor.threadCount() == 0)
-            return;
-        const Key key{combo_index, ray_index, n};
-        if (memo.count(key) != 0 || inflight.count(key) != 0)
-            return;
-        inflight.emplace(
-            key, executor.submit([this, combo_index, ray_index, n] {
-                return computeMetrics(combo_index, ray_index, n);
-            }));
-    }
-
-    /** Speculate a ray's gallop chain (lo, then doubling to hi) — the
-     *  lattice points the serial gallop probes until its first pass. */
-    void
-    speculateGallop(std::size_t combo_index, std::size_t ray_index)
-    {
-        const LatticeRay &ray = rays[ray_index];
-        std::size_t n = ray.lo;
-        while (true) {
-            speculate(combo_index, ray_index, n);
-            if (n >= ray.hi)
-                break;
-            n = n == 0 ? 1 : std::min(ray.hi, n * 2);
+        RaySearch(const Search &ctx_, std::size_t combo_index,
+                  std::size_t ray_index)
+            : ctx(ctx_), comboIndex(combo_index), rayIndex(ray_index)
+        {
         }
-    }
 
-    void
-    speculateRange(std::size_t combo_index, std::size_t ray_index,
-                   std::size_t from, std::size_t to)
-    {
-        for (std::size_t s = from; s <= to; ++s)
-            speculate(combo_index, ray_index, s);
-    }
+        const LatticeRay &ray() const { return ctx.rays[rayIndex]; }
 
-    const PlanProbe &
-    probeAt(std::size_t combo_index, std::size_t ray_index,
-            std::size_t n)
-    {
-        const Key key{combo_index, ray_index, n};
-        const auto it = memo.find(key);
-        if (it != memo.end())
-            return log[it->second];
-
-        const LatticeRay &ray = rays[ray_index];
-        PlanProbe p = probeOf(combos[combo_index]);
-        p.fleetSize = fleetSizeOf(ray, n);
-        p.composition = compositionOf(ray, n);
-        p.cost = costOf(ray, n);
-        ProbeMetrics m;
-        const auto fit = inflight.find(key);
-        if (fit != inflight.end()) {
-            m = fit->second.get();
-            inflight.erase(fit);
-        } else {
-            m = computeMetrics(combo_index, ray_index, n);
+        /** The composition (count vector) of lattice point n; empty on
+         *  the legacy homogeneous axis. */
+        std::vector<std::size_t>
+        compositionOf(std::size_t n) const
+        {
+            if (ctx.space.kinds.empty())
+                return {};
+            std::vector<std::size_t> c;
+            c.reserve(ctx.space.kinds.size());
+            c.push_back(n);
+            c.insert(c.end(), ray().rest.begin(), ray().rest.end());
+            return c;
         }
-        p.p99Cycles = m.p99Cycles;
-        p.throughputRps = m.throughputRps;
-        p.dropRate = m.dropRate;
-        p.meetsSlo = m.meetsSlo;
-        memo.emplace(key, log.size());
-        log.push_back(p);
-        return log.back();
-    }
 
-    /**
-     * Monotonicity spot check: probe up to spotProbes not-yet-probed
-     * lattice points in [from, to] on one ray, evenly spaced; true
-     * when any passes. Galloping + bisection can only ever observe
-     * fails-below-passes (they never probe above a known pass), so a
-     * violation is detectable *only* by these extra probes.
-     */
-    bool
-    spotCheckFindsPass(std::size_t combo_index, std::size_t ray_index,
-                       std::size_t from, std::size_t to)
-    {
-        if (to < from || planner.cfg.spotProbes == 0)
-            return false;
-        std::vector<std::size_t> unprobed;
-        for (std::size_t s = from; s <= to; ++s)
-            if (!probed(combo_index, ray_index, s))
-                unprobed.push_back(s);
-        const std::size_t k =
-            std::min(planner.cfg.spotProbes, unprobed.size());
-        std::vector<std::size_t> picks;
-        for (std::size_t i = 0; i < k; ++i)
-            picks.push_back(unprobed[(i + 1) * unprobed.size() / (k + 1)]);
-        std::sort(picks.begin(), picks.end());
-        picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
-        // Every pick is consumed, so speculating all of them up front
-        // is pure win (and cannot change the probe set).
-        for (const std::size_t s : picks)
-            speculate(combo_index, ray_index, s);
-        bool pass = false;
-        for (const std::size_t s : picks)
-            pass = probeAt(combo_index, ray_index, s).meetsSlo || pass;
-        return pass;
-    }
+        /** Simulate lattice point n (once) and log it. Safe to run
+         *  beside other searches: planner.probe is const over shared
+         *  immutable state and the service model memo is internally
+         *  synchronized (scheduler.hpp). */
+        const PlanProbe &
+        probeAt(std::size_t n)
+        {
+            const auto it = memo.find(n);
+            if (it != memo.end())
+                return log[it->second];
 
-    /** The exact fallback: first (cheapest) passing point over the
-     *  whole ray (memoized probes are free), whatever the pass/fail
-     *  shape. */
-    std::optional<std::size_t>
-    linearScan(std::size_t combo_index, std::size_t ray_index)
-    {
-        const LatticeRay &ray = rays[ray_index];
-        speculateRange(combo_index, ray_index, ray.lo, ray.hi);
-        for (std::size_t s = ray.lo; s <= ray.hi; ++s)
-            if (probeAt(combo_index, ray_index, s).meetsSlo)
-                return s;
-        return std::nullopt;
-    }
-
-    /**
-     * Cheapest passing lattice point on one (combo, ray): gallop up
-     * from the ray's floor doubling until a point passes (or the
-     * ceiling fails), bisect the (last fail, first pass] bracket, then
-     * spot-verify monotonicity below the candidate — and, when the
-     * gallop found no pass at all, over the whole ray before
-     * concluding infeasibility. A passing spot probe demotes the ray
-     * to a linear scan and clears `monotone`.
-     */
-    std::optional<std::size_t>
-    cheapestOnRay(std::size_t combo_index, std::size_t ray_index,
-                  bool &monotone)
-    {
-        const LatticeRay &ray = rays[ray_index];
-        const std::size_t floorN = ray.lo;
-        const std::size_t ceilN = ray.hi;
-
-        std::size_t n = floorN;
-        std::optional<std::size_t> firstPass;
-        std::size_t lastFail = 0;
-        bool haveFail = false;
-        while (true) {
-            if (probeAt(combo_index, ray_index, n).meetsSlo) {
-                firstPass = n;
-                break;
-            }
-            haveFail = true;
-            lastFail = n;
-            if (n >= ceilN)
-                break;
-            n = n == 0 ? 1 : std::min(ceilN, n * 2);
+            PlanProbe p = probeOf(ctx.combos[comboIndex]);
+            p.fleetSize = ctx.fleetSizeOf(ray(), n);
+            p.composition = compositionOf(n);
+            p.cost = ctx.costOf(ray(), n);
+            const SchedulerConfig scfg = schedulerConfigFor(ctx.space, p);
+            // kinds-empty plans go through the legacy probe() hook so
+            // existing overrides (differential gates, fault injection)
+            // keep intercepting every homogeneous probe.
+            const ServingReport report =
+                ctx.space.kinds.empty()
+                    ? ctx.planner.probe(n, scfg, ctx.trace)
+                    : ctx.planner.probeComposition(ctx.space, p.composition,
+                                                   scfg, ctx.trace);
+            p.p99Cycles = report.p99Cycles();
+            p.throughputRps = report.throughputRps();
+            p.dropRate = report.dropRate();
+            p.meetsSlo = meetsSlo(report, ctx.slo);
+            memo.emplace(n, log.size());
+            log.push_back(std::move(p));
+            return log.back();
         }
-        // Under the monotone assumption, the ceiling failing means
-        // every point fails — but that conclusion deserves the same
-        // verification a candidate gets: a non-monotone ray can pass
-        // only at points the gallop skipped.
-        if (!firstPass) {
-            if (spotCheckFindsPass(combo_index, ray_index, floorN,
-                                   ceilN)) {
-                monotone = false;
-                return linearScan(combo_index, ray_index);
-            }
+
+        /**
+         * Monotonicity spot check: probe up to spotProbes not-yet-probed
+         * lattice points in [from, to], evenly spaced; true when any
+         * passes. Galloping + bisection can only ever observe
+         * fails-below-passes (they never probe above a known pass), so
+         * a violation is detectable *only* by these extra probes.
+         */
+        bool
+        spotCheckFindsPass(std::size_t from, std::size_t to)
+        {
+            const std::size_t spotProbes = ctx.planner.cfg.spotProbes;
+            if (to < from || spotProbes == 0)
+                return false;
+            std::vector<std::size_t> unprobed;
+            for (std::size_t s = from; s <= to; ++s)
+                if (memo.count(s) == 0)
+                    unprobed.push_back(s);
+            const std::size_t k = std::min(spotProbes, unprobed.size());
+            std::vector<std::size_t> picks;
+            for (std::size_t i = 0; i < k; ++i)
+                picks.push_back(
+                    unprobed[(i + 1) * unprobed.size() / (k + 1)]);
+            std::sort(picks.begin(), picks.end());
+            picks.erase(std::unique(picks.begin(), picks.end()),
+                        picks.end());
+            bool pass = false;
+            for (const std::size_t s : picks)
+                pass = probeAt(s).meetsSlo || pass;
+            return pass;
+        }
+
+        /** The exact fallback: first (cheapest) passing point over the
+         *  whole ray (memoized probes are free), whatever the pass/fail
+         *  shape. */
+        std::optional<std::size_t>
+        linearScan()
+        {
+            for (std::size_t s = ray().lo; s <= ray().hi; ++s)
+                if (probeAt(s).meetsSlo)
+                    return s;
             return std::nullopt;
         }
 
-        std::size_t candidate = *firstPass;
-        if (haveFail) {
-            std::size_t lo = lastFail; // fails
-            std::size_t hi = candidate; // passes
-            // Bisection probes depend on each other, so parallelism
-            // comes from speculating the whole bracket interior: at
-            // most gallop-gap-sized, and every midpoint the bisection
-            // can visit lies inside it.
-            if (hi - lo > 1)
-                speculateRange(combo_index, ray_index, lo + 1, hi - 1);
-            while (hi - lo > 1) {
-                const std::size_t mid = lo + (hi - lo) / 2;
-                if (probeAt(combo_index, ray_index, mid).meetsSlo)
-                    hi = mid;
-                else
-                    lo = mid;
+        /**
+         * Cheapest passing lattice point: gallop up from the ray's
+         * floor doubling until a point passes (or the ceiling fails),
+         * bisect the (last fail, first pass] bracket, then spot-verify
+         * monotonicity below the candidate — and, when the gallop found
+         * no pass at all, over the whole ray before concluding
+         * infeasibility. A passing spot probe demotes the ray to a
+         * linear scan and clears `monotone`.
+         */
+        std::optional<std::size_t>
+        gallop()
+        {
+            const std::size_t floorN = ray().lo;
+            const std::size_t ceilN = ray().hi;
+
+            std::size_t n = floorN;
+            std::optional<std::size_t> firstPass;
+            std::size_t lastFail = 0;
+            bool haveFail = false;
+            while (true) {
+                if (probeAt(n).meetsSlo) {
+                    firstPass = n;
+                    break;
+                }
+                haveFail = true;
+                lastFail = n;
+                if (n >= ceilN)
+                    break;
+                n = n == 0 ? 1 : std::min(ceilN, n * 2);
             }
-            candidate = hi;
+            // Under the monotone assumption, the ceiling failing means
+            // every point fails — but that conclusion deserves the same
+            // verification a candidate gets: a non-monotone ray can pass
+            // only at points the gallop skipped.
+            if (!firstPass) {
+                if (spotCheckFindsPass(floorN, ceilN)) {
+                    monotone = false;
+                    return linearScan();
+                }
+                return std::nullopt;
+            }
+
+            std::size_t candidate = *firstPass;
+            if (haveFail) {
+                std::size_t lo = lastFail; // fails
+                std::size_t hi = candidate; // passes
+                while (hi - lo > 1) {
+                    const std::size_t mid = lo + (hi - lo) / 2;
+                    if (probeAt(mid).meetsSlo)
+                        hi = mid;
+                    else
+                        lo = mid;
+                }
+                candidate = hi;
+            }
+
+            // Verify the candidate: a pass below it means the monotone
+            // shortcut was unsound for this ray.
+            if (candidate > floorN &&
+                spotCheckFindsPass(floorN, candidate - 1)) {
+                monotone = false;
+                // A pass exists, so the scan is non-empty.
+                return linearScan();
+            }
+            return candidate;
         }
 
-        // Verify the candidate: a pass below it means the monotone
-        // shortcut was unsound for this ray.
-        if (candidate > floorN &&
-            spotCheckFindsPass(combo_index, ray_index, floorN,
-                               candidate - 1)) {
-            monotone = false;
-            // A pass exists, so the scan is non-empty.
-            return linearScan(combo_index, ray_index);
+        /** Probe every point; the exhaustive grid judges (per-ray)
+         *  monotonicity exactly: a fail above any pass is a
+         *  violation. */
+        std::optional<std::size_t>
+        scanAll()
+        {
+            std::optional<std::size_t> first;
+            for (std::size_t s = ray().lo; s <= ray().hi; ++s) {
+                const bool pass = probeAt(s).meetsSlo;
+                if (pass && !first)
+                    first = s;
+                if (first && !pass)
+                    monotone = false;
+            }
+            return first;
         }
-        return candidate;
-    }
+    };
 
-    /** The planner's search: the cheapest passing size on every
-     *  (combo, ray), then finish(). Every gallop chain is known before
-     *  any probe runs — prefetch them all so the per-ray searches
-     *  overlap on the pool. */
+    /** Run every (combo, ray) search — gallop + bisect + verify, or
+     *  every point when `exhaustive` — then assemble the report: the
+     *  logs joined in (combo, ray) order; smallest objective cost wins,
+     *  ties broken by total instance count and then enumeration order
+     *  (combo-major, then ray); margins against the active
+     *  constraints. */
     PlanReport
-    gallopEveryRay()
+    run(bool exhaustive) const
     {
+        std::vector<std::function<RaySearch()>> tasks;
         for (std::size_t ci = 0; ci < combos.size(); ++ci)
             for (std::size_t ri = 0; ri < rays.size(); ++ri)
-                speculateGallop(ci, ri);
-        bool monotone = true;
-        std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-            combos.size());
-        for (std::size_t ci = 0; ci < combos.size(); ++ci) {
-            perComboRay[ci].reserve(rays.size());
-            for (std::size_t ri = 0; ri < rays.size(); ++ri)
-                perComboRay[ci].push_back(
-                    cheapestOnRay(ci, ri, monotone));
-        }
-        return finish(perComboRay, monotone);
-    }
+                tasks.push_back([this, ci, ri, exhaustive] {
+                    RaySearch s(*this, ci, ri);
+                    s.cheapest = exhaustive ? s.scanAll() : s.gallop();
+                    return s;
+                });
+        ProbeExecutor executor(std::min(
+            ProbeExecutor::resolveThreads(planner.cfg.threads),
+            tasks.size()));
+        const std::vector<RaySearch> searches =
+            executor.map(std::move(tasks));
 
-    /** Assemble the report: smallest objective cost wins, ties broken
-     *  by total instance count and then enumeration order (combo-major,
-     *  then ray); margins against the active constraints. */
-    PlanReport
-    finish(const std::vector<std::vector<std::optional<std::size_t>>>
-               &per_combo_ray,
-           bool monotone)
-    {
         PlanReport report;
         report.slo = slo;
         report.objective = space.objective;
         report.costBudget = space.maxCostBudget;
         report.exhaustiveProbes = space.gridSize();
-        report.monotoneFleetAxis = monotone;
 
-        bool haveBest = false;
-        std::size_t bestCi = 0, bestRi = 0, bestN = 0;
+        const RaySearch *best = nullptr;
         double bestCost = 0.0;
         std::size_t bestFleet = 0;
-        for (std::size_t ci = 0; ci < per_combo_ray.size(); ++ci) {
-            for (std::size_t ri = 0; ri < per_combo_ray[ci].size();
-                 ++ri) {
-                if (!per_combo_ray[ci][ri])
-                    continue;
-                const std::size_t n = *per_combo_ray[ci][ri];
-                const double cost = costOf(rays[ri], n);
-                const std::size_t fleet = fleetSizeOf(rays[ri], n);
-                const bool better =
-                    !haveBest || cost < bestCost ||
-                    (cost == bestCost && fleet < bestFleet);
-                if (better) {
-                    haveBest = true;
-                    bestCi = ci;
-                    bestRi = ri;
-                    bestN = n;
-                    bestCost = cost;
-                    bestFleet = fleet;
-                }
+        for (const RaySearch &s : searches) {
+            report.monotoneFleetAxis = report.monotoneFleetAxis && s.monotone;
+            report.probes.insert(report.probes.end(), s.log.begin(),
+                                 s.log.end());
+            if (!s.cheapest)
+                continue;
+            const double cost = costOf(s.ray(), *s.cheapest);
+            const std::size_t fleet = fleetSizeOf(s.ray(), *s.cheapest);
+            if (!best || cost < bestCost ||
+                (cost == bestCost && fleet < bestFleet)) {
+                best = &s;
+                bestCost = cost;
+                bestFleet = fleet;
             }
         }
-        if (haveBest) {
+        report.probesSpent = report.probes.size();
+        if (best) {
             report.feasible = true;
-            report.chosen = probeAt(bestCi, bestRi, bestN);
+            report.chosen = best->log[best->memo.at(*best->cheapest)];
             if (slo.maxP99Cycles > 0)
                 report.p99MarginCycles =
                     static_cast<double>(slo.maxP99Cycles) -
@@ -675,8 +581,6 @@ struct CapacityPlanner::Search
                 report.throughputMarginRps =
                     report.chosen.throughputRps - slo.minThroughputRps;
         }
-        report.probes = log;
-        report.probesSpent = log.size();
         return report;
     }
 };
@@ -723,8 +627,8 @@ CapacityPlanner::plan(const WorkloadSpec &workload, const SloSpec &slo,
                       const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, workload, slo, space);
-    return search.gallopEveryRay();
+    return Search(*this, WorkloadGenerator(workload).generate(), slo, space)
+        .run(false);
 }
 
 PlanReport
@@ -732,8 +636,7 @@ CapacityPlanner::plan(const TrafficProgram &program, const SloSpec &slo,
                       const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, materialize(program), slo, space);
-    return search.gallopEveryRay();
+    return Search(*this, materialize(program), slo, space).run(false);
 }
 
 PlanReport
@@ -742,35 +645,8 @@ CapacityPlanner::planExhaustive(const WorkloadSpec &workload,
                                 const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, workload, slo, space);
-    // The exhaustive grid is fully known up front: speculate all of it.
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateRange(ci, ri, search.rays[ri].lo,
-                                  search.rays[ri].hi);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri) {
-            const LatticeRay &ray = search.rays[ri];
-            std::optional<std::size_t> cheapest;
-            bool seenPass = false;
-            for (std::size_t s = ray.lo; s <= ray.hi; ++s) {
-                const bool pass = search.probeAt(ci, ri, s).meetsSlo;
-                if (pass && !cheapest)
-                    cheapest = s;
-                // The exhaustive grid judges (per-ray) monotonicity
-                // exactly: a fail above any pass is a violation.
-                if (seenPass && !pass)
-                    monotone = false;
-                seenPass = seenPass || pass;
-            }
-            perComboRay[ci].push_back(cheapest);
-        }
-    }
-    return search.finish(perComboRay, monotone);
+    return Search(*this, WorkloadGenerator(workload).generate(), slo, space)
+        .run(true);
 }
 
 // ---------------------------------------------------------------- //

@@ -299,13 +299,14 @@ struct PlannerConfig
      *  sizes below the bisection candidate are probed; any passing one
      *  triggers the linear-scan fallback. 0 trusts monotonicity. */
     std::size_t spotProbes = 2;
-    /** Probe parallelism: 1 = serial (the default, and the reference
+    /** Search parallelism: 1 = serial (the default, and the reference
      *  behavior), 0 = one worker per hardware thread, N = N workers.
-     *  Parallel plans issue *speculative* probes ahead of the serial
-     *  search (gallop chains, bisection brackets, spot picks) on a
-     *  one-queue ProbeExecutor, but the search consumes results in
-     *  serial order and logs only the probes the serial search asks
-     *  for — the PlanReport is byte-identical to threads == 1
+     *  Parallel plans run the (combo, ray) searches concurrently on a
+     *  one-queue ProbeExecutor; the probes within one search stay
+     *  serial, so a plan with one combo and one ray runs serially.
+     *  Each search logs its own probes and the logs are joined in
+     *  (combo, ray) order, so the PlanReport is byte-identical to
+     *  threads == 1 and simulates exactly the probes it logs
      *  (enforced by bench_serving's differential gate and
      *  PlannerProperties.ParallelPlanIsByteIdenticalToSerial). */
     std::size_t threads = 1;

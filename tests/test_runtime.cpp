@@ -2153,10 +2153,18 @@ plannerSpec()
  */
 class TablePlanner : public CapacityPlanner
 {
+    static PlannerConfig
+    spotProbesConfig(std::size_t spot_probes)
+    {
+        PlannerConfig cfg;
+        cfg.spotProbes = spot_probes;
+        return cfg;
+    }
+
   public:
     TablePlanner(const ServiceModel &model, std::vector<bool> pass_by_fleet)
         : CapacityPlanner(pointAccConfig(), model, {1.0, 2.0},
-                          PlannerConfig{4}),
+                          spotProbesConfig(4)),
           pass(std::move(pass_by_fleet))
     {
     }

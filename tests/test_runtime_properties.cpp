@@ -77,13 +77,14 @@
  * same either way. The parallel planner itself is pinned by
  * PlannerProperties.ParallelPlanIsByteIdenticalToSerial: >= 20 seeded
  * configs where a threads=3 plan must serialize byte-identically to
- * the serial plan.
+ * the serial plan and simulate exactly the probes it logs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -1504,16 +1505,48 @@ TEST(PlannerProperties, SeededWorkloadsHoldAllFourInvariants)
     });
 }
 
+/** A planner that counts the simulations it runs, so the parallel
+ *  pins can check that a plan simulates exactly the probes it logs.
+ *  The count is atomic: concurrent (combo, ray) searches call both
+ *  hooks from worker threads. */
+class CountingPlanner : public CapacityPlanner
+{
+  public:
+    using CapacityPlanner::CapacityPlanner;
+
+    ServingReport
+    probe(std::size_t fleet_size, const SchedulerConfig &scfg,
+          const std::vector<Request> &trace) const override
+    {
+        ++simulations;
+        return CapacityPlanner::probe(fleet_size, scfg, trace);
+    }
+
+    ServingReport
+    probeComposition(const PlanSearchSpace &space,
+                     const std::vector<std::size_t> &composition,
+                     const SchedulerConfig &scfg,
+                     const std::vector<Request> &trace) const override
+    {
+        ++simulations;
+        return CapacityPlanner::probeComposition(space, composition, scfg,
+                                                 trace);
+    }
+
+    mutable std::atomic<std::uint64_t> simulations{0};
+};
+
 TEST(PlannerProperties, ParallelPlanIsByteIdenticalToSerial)
 {
-    // The executor's planner integration is pure speculation: worker
-    // threads only precompute probes the serial search may request,
-    // and results are logged in the order the serial search consumes
-    // them. So a threads=3 plan must serialize byte-identically to
-    // the threads=1 reference — probe log, spend, pick, feasibility,
-    // everything writePlanJson emits — across >= 20 seeded (workload,
-    // search space, SLO) scenarios. Deliberately a plain serial seed
-    // loop: each iteration already runs a 3-worker pool inside.
+    // A parallel plan runs each (combo, ray) search as one task, and
+    // each search logs its own probes; the logs are joined in
+    // (combo, ray) order. So a threads=3 plan must serialize
+    // byte-identically to the threads=1 reference — probe log, spend,
+    // pick, feasibility, everything writePlanJson emits — and must
+    // simulate exactly the probesSpent probes it logs, across >= 20
+    // seeded (workload, search space, SLO) scenarios. Deliberately a
+    // plain serial seed loop: each iteration already runs a 3-worker
+    // pool inside.
     for (std::uint64_t seed = 800; seed < 824; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed * 0x9e3779b97f4a7c15ULL);
@@ -1543,7 +1576,7 @@ TEST(PlannerProperties, ParallelPlanIsByteIdenticalToSerial)
         parallelCfg.threads = 3;
         const CapacityPlanner serial(pointAccConfig(), model,
                                      {1.0, 2.0});
-        const CapacityPlanner parallel(pointAccConfig(), model,
+        const CountingPlanner parallel(pointAccConfig(), model,
                                        {1.0, 2.0}, parallelCfg);
 
         const auto trace = WorkloadGenerator(spec).generate();
@@ -1559,21 +1592,28 @@ TEST(PlannerProperties, ParallelPlanIsByteIdenticalToSerial)
 
         std::ostringstream serialJson, parallelJson;
         writePlanJson(serialJson, serial.plan(spec, slo, space));
-        writePlanJson(parallelJson, parallel.plan(spec, slo, space));
+        parallel.simulations = 0;
+        const PlanReport parallelPlan = parallel.plan(spec, slo, space);
+        EXPECT_EQ(parallel.simulations.load(), parallelPlan.probesSpent)
+            << "parallel plan ran probes it did not log";
+        writePlanJson(parallelJson, parallelPlan);
         EXPECT_EQ(serialJson.str(), parallelJson.str())
-            << "speculative plan diverged from serial";
+            << "parallel plan diverged from serial";
 
-        // The exhaustive grid speculates every point up front — the
-        // widest fan-out the planner has; spot-check it on a quarter
-        // of the seeds to keep the suite fast.
+        // The exhaustive grid is the widest fan-out the planner has;
+        // check it on a quarter of the seeds to keep the suite fast.
         if (seed % 4 == 0) {
             std::ostringstream serialEx, parallelEx;
             writePlanJson(serialEx,
                           serial.planExhaustive(spec, slo, space));
-            writePlanJson(parallelEx,
-                          parallel.planExhaustive(spec, slo, space));
+            parallel.simulations = 0;
+            const PlanReport parallelGrid =
+                parallel.planExhaustive(spec, slo, space);
+            EXPECT_EQ(parallel.simulations.load(), parallelGrid.probesSpent)
+                << "parallel exhaustive plan ran probes it did not log";
+            writePlanJson(parallelEx, parallelGrid);
             EXPECT_EQ(serialEx.str(), parallelEx.str())
-                << "speculative exhaustive plan diverged from serial";
+                << "parallel exhaustive plan diverged from serial";
         }
     }
 }
@@ -1801,11 +1841,12 @@ TEST(PlannerProperties, HeteroLatticeSeedsHoldInvariants)
 
 TEST(PlannerProperties, HeteroParallelPlanIsByteIdenticalToSerial)
 {
-    // Same speculation-is-pure argument as the homogeneous pin, on
-    // the composition lattice: a threads=4 plan over a two-kind
-    // space must serialize byte-identically to the serial plan,
-    // across >= 24 seeded scenarios. Deliberately a plain serial
-    // seed loop: each iteration runs a 4-worker pool inside.
+    // Same per-(combo, ray) search argument as the homogeneous pin,
+    // on the composition lattice: a threads=4 plan over a two-kind
+    // space must serialize byte-identically to the serial plan and
+    // simulate exactly the probes it logs, across >= 24 seeded
+    // scenarios. Deliberately a plain serial seed loop: each
+    // iteration runs a 4-worker pool inside.
     for (std::uint64_t seed = 1300; seed < 1324; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         Rng rng(seed * 0x9e3779b97f4a7c15ULL);
@@ -1817,7 +1858,7 @@ TEST(PlannerProperties, HeteroParallelPlanIsByteIdenticalToSerial)
         parallelCfg.threads = 4;
         const CapacityPlanner serial(pointAccConfig(), model,
                                      {1.0, 2.0});
-        const CapacityPlanner parallel(pointAccConfig(), model,
+        const CountingPlanner parallel(pointAccConfig(), model,
                                        {1.0, 2.0}, parallelCfg);
 
         const auto trace = WorkloadGenerator(spec).generate();
@@ -1835,20 +1876,28 @@ TEST(PlannerProperties, HeteroParallelPlanIsByteIdenticalToSerial)
 
         std::ostringstream serialJson, parallelJson;
         writePlanJson(serialJson, serial.plan(spec, slo, space));
-        writePlanJson(parallelJson, parallel.plan(spec, slo, space));
+        parallel.simulations = 0;
+        const PlanReport parallelPlan = parallel.plan(spec, slo, space);
+        EXPECT_EQ(parallel.simulations.load(), parallelPlan.probesSpent)
+            << "parallel plan ran probes it did not log";
+        writePlanJson(parallelJson, parallelPlan);
         EXPECT_EQ(serialJson.str(), parallelJson.str())
-            << "speculative lattice plan diverged from serial";
+            << "parallel lattice plan diverged from serial";
 
-        // Exhaustive lattice fan-out, spot-checked on a quarter of
-        // the seeds to keep the suite fast.
+        // Exhaustive lattice fan-out, checked on a quarter of the
+        // seeds to keep the suite fast.
         if (seed % 4 == 0) {
             std::ostringstream serialEx, parallelEx;
             writePlanJson(serialEx,
                           serial.planExhaustive(spec, slo, space));
-            writePlanJson(parallelEx,
-                          parallel.planExhaustive(spec, slo, space));
+            parallel.simulations = 0;
+            const PlanReport parallelGrid =
+                parallel.planExhaustive(spec, slo, space);
+            EXPECT_EQ(parallel.simulations.load(), parallelGrid.probesSpent)
+                << "parallel exhaustive plan ran probes it did not log";
+            writePlanJson(parallelEx, parallelGrid);
             EXPECT_EQ(serialEx.str(), parallelEx.str())
-                << "speculative exhaustive lattice plan diverged";
+                << "parallel exhaustive lattice plan diverged";
         }
     }
 }
