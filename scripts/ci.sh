@@ -211,13 +211,17 @@ fi
 echo "all writeServingJson/writePlanJson/BENCH_serving.json keys documented"
 
 # ASan+UBSan pass over the runtime, mapping, network (test_nn), memory,
-# simulator (test_sim) and core test suites plus the map-cache bench
-# sweep. The network executor's maps outlive one layer (a stage's
-# shared submanifold or EdgeConv maps, each open downsample's maps
-# moved through the level stack), so test_nn runs sanitized, and
-# test_sim runs the accelerator's reuse of one layer's cache walk by
-# the next over those maps; test_core runs sanitized because
-# coordSortOrder is a radix sort indexing by key bytes.
+# simulator (test_sim), integration and core test suites plus the
+# map-cache bench sweep. The network executor's maps outlive one layer
+# (a stage's shared submanifold or EdgeConv maps, each open
+# downsample's maps and the half of its stage's maps before the centre
+# moved through the level stack, then restored for the decoder
+# stage), so test_nn runs sanitized, test_sim runs the accelerator's
+# reuse of one layer's cache walk by the next over those maps, and
+# test_integration's NetworkSweep runs Accelerator::run over the whole
+# zoo, so the held and restored maps run sanitized end to end;
+# test_core runs sanitized because coordSortOrder is a radix sort
+# indexing by key bytes.
 # Examples and the remaining benchmarks are skipped
 # (sanitized simulator runs are slow and the simulator itself is
 # covered by its own suites); bench_serving builds so the cache sweep
@@ -234,11 +238,12 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" \
     --target test_runtime test_runtime_properties test_report_golden \
              test_executor test_mapping test_mpu test_nn test_memory \
-             test_sim test_core bench_serving bench_simperf
+             test_sim test_integration test_core bench_serving \
+             bench_simperf
 
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
     --no-tests=error \
-    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor|test_mapping|test_mpu|test_nn|test_memory|test_sim|test_core'
+    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor|test_mapping|test_mpu|test_nn|test_memory|test_sim|test_integration|test_core'
 
 "${SAN_BUILD_DIR}/bench_serving" --sweep cache --quick --no-json
 

@@ -93,10 +93,8 @@ sortKernelMap(const PointCloud &input, const PointCloud &output,
     const std::uint64_t origin = packCoord({0, 0, 0});
 
     // Submanifold conv (odd kernel, same coordinates on both sides):
-    // the centre offset matches every point with itself, and offset
-    // -delta (weight volume-1-w) matches exactly the pairs of offset
-    // delta with in and out swapped, in the same ascending order. Only
-    // the offsets before the centre need a merge.
+    // only the offsets before the centre need a merge;
+    // mirrorSubmanifoldMaps derives the centre and the rest.
     const bool mirrored = cfg.kernelSize % 2 == 1 && inKeys == outKeys;
     const std::int32_t merged = mirrored ? volume / 2 : volume;
 
@@ -124,15 +122,34 @@ sortKernelMap(const PointCloud &input, const PointCloud &output,
             q += a >= b;
         }
         maps.addGroup(w, ins.data(), outs.data(), n);
-        if (mirrored)
-            maps.addGroup(volume - 1 - w, outs.data(), ins.data(), n);
     }
-    if (mirrored) {
-        for (std::size_t i = 0; i < ni; ++i)
-            ins[i] = static_cast<PointIndex>(i);
-        maps.addGroup(volume / 2, ins.data(), ins.data(), ni);
-    }
+    if (mirrored)
+        mirrorSubmanifoldMaps(maps, ni);
     return maps;
+}
+
+void
+mirrorSubmanifoldMaps(MapSet &maps, std::size_t num_points)
+{
+    const std::int32_t volume = maps.numWeights();
+    simAssert(volume % 2 == 1,
+              "mirrorSubmanifoldMaps: kernel volume must be odd");
+    for (std::int32_t w = 0; w < volume / 2; ++w) {
+        const std::int32_t tw = volume - 1 - w;
+        simAssert(maps.forWeight(tw).empty(),
+                  "mirrorSubmanifoldMaps: mirrored group already filled");
+        const std::vector<Map> &group = maps.forWeight(w);
+        maps.reserveWeight(tw, group.size());
+        for (const Map &m : group)
+            maps.add(Map{m.out, m.in, tw});
+    }
+    const std::int32_t centre = volume / 2;
+    simAssert(maps.forWeight(centre).empty(),
+              "mirrorSubmanifoldMaps: centre group already filled");
+    maps.reserveWeight(centre, num_points);
+    for (std::size_t i = 0; i < num_points; ++i)
+        maps.add(Map{static_cast<PointIndex>(i), static_cast<PointIndex>(i),
+                     centre});
 }
 
 MapSet

@@ -18,9 +18,8 @@
  *    inside the range kernelMapKeysFit checks; both this function and
  *    the MPU model assert it. When the kernel is odd and both clouds
  *    hold the same coordinates (every submanifold conv), only the
- *    offsets before the centre are merged: the centre group is the
- *    identity (i, i), and group volume-1-w (offset -delta) is group w
- *    with in and out swapped, the centro-symmetry transposeMaps uses.
+ *    offsets before the centre are merged, and mirrorSubmanifoldMaps
+ *    derives the rest.
  *
  * Both must produce identical MapSets; tests enforce this, and the MPU
  * hardware model is checked against sortKernelMap. The order inside
@@ -62,6 +61,22 @@ MapSet hashKernelMap(const PointCloud &input, const PointCloud &output,
  *  clouds sorted and duplicate-free. */
 MapSet sortKernelMap(const PointCloud &input, const PointCloud &output,
                      const KernelMapConfig &cfg);
+
+/**
+ * Complete a submanifold MapSet from the groups before its centre.
+ *
+ * `maps` must have an odd number of weights (an odd cubic kernel), its
+ * groups before the centre must hold the maps of one sorted cloud of
+ * `num_points` points onto itself, and every other group must be
+ * empty. Group volume-1-w (offset -delta) becomes group w with in and
+ * out swapped, in group w's order, and the centre group the identity
+ * (i, i) in ascending i: the centro-symmetry transposeMaps also uses.
+ * The result is byte-identical to sortKernelMap of that cloud onto
+ * itself, which builds its own mirrored half with this function; so
+ * keeping only the groups before the centre (MapSet::releaseGroupsFrom
+ * at volume/2) and calling this later restores the full set.
+ */
+void mirrorSubmanifoldMaps(MapSet &maps, std::size_t num_points);
 
 /**
  * Inverse maps for transposed (upsampling) convolution: swap in/out of

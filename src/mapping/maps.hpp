@@ -105,6 +105,17 @@ class MapSet
         groups[w].reserve(expected);
     }
 
+    /** Empty every group from weight `first` on and free its storage;
+     *  numWeights() is unchanged. */
+    void
+    releaseGroupsFrom(std::int32_t first)
+    {
+        for (std::size_t w = first; w < groups.size(); ++w) {
+            count -= groups[w].size();
+            std::vector<Map>().swap(groups[w]);
+        }
+    }
+
     const std::vector<Map> &forWeight(std::int32_t w) const
     {
         return groups[w];

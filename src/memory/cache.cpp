@@ -30,7 +30,8 @@ FeatureCache::FeatureCache(const CacheConfig &cfg_, std::uint32_t num_channels)
                     cfg.bytesPerFeature),
       blockCount(std::max<std::uint32_t>(
           1, cfg.capacityBytes / std::max<std::uint32_t>(bytesPerBlock, 1))),
-      tags(blockCount, -1)
+      perBlockPoints(cfg.blockPoints), perBlockChannels(cfg.blockChannels),
+      perBlockCount(blockCount), tags(blockCount, -1)
 {}
 
 } // namespace pointacc

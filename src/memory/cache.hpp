@@ -48,6 +48,44 @@ struct CacheStats
 };
 
 /**
+ * Exact n / d and n % d of 32-bit n for a divisor fixed in advance, by
+ * multiplication with a precomputed 64-bit reciprocal M = ceil(2^64/d)
+ * instead of a hardware divide (Lemire, Kaser & Kurz, "Faster
+ * remainder by direct computation", 2019): n / d is the high 64 bits
+ * of M * n, and n % d the high 64 bits of (M * n mod 2^64) * d. Both
+ * are exact for every 32-bit n and d. For d = 1, M wraps to 0: the
+ * remainder formula still gives 0, but the quotient needs its own case.
+ */
+class Reciprocal32
+{
+  public:
+    explicit Reciprocal32(std::uint32_t d)
+        : magic(~std::uint64_t{0} / d + 1), divisor(d)
+    {}
+
+    std::uint32_t
+    quotient(std::uint32_t n) const
+    {
+        if (magic == 0)
+            return n;
+        return static_cast<std::uint32_t>(
+            (static_cast<unsigned __int128>(magic) * n) >> 64);
+    }
+
+    std::uint32_t
+    remainder(std::uint32_t n) const
+    {
+        const std::uint64_t fraction = magic * n;
+        return static_cast<std::uint32_t>(
+            (static_cast<unsigned __int128>(fraction) * divisor) >> 64);
+    }
+
+  private:
+    std::uint64_t magic; ///< ceil(2^64 / divisor) mod 2^64
+    std::uint32_t divisor;
+};
+
+/**
  * Direct-mapped feature cache over (point, channel) blocks. The tag
  * array is one flat block id per slot (-1 when empty): block b lives
  * in slot b % numBlocks().
@@ -58,7 +96,8 @@ class FeatureCache
     /**
      * @param cfg           geometry of the cache; blockPoints and
      *                      blockChannels must be positive (asserted),
-     *                      since every access divides by both
+     *                      since every access divides by both (through
+     *                      a Reciprocal32 each)
      * @param num_channels  channels in the input feature map
      */
     FeatureCache(const CacheConfig &cfg, std::uint32_t num_channels);
@@ -80,9 +119,9 @@ class FeatureCache
         // Block id: (point block, channel block) flattened, then
         // direct-mapped onto the tag slots.
         const std::uint32_t blockId =
-            point / cfg.blockPoints * channelBlocks +
-            channel_base / cfg.blockChannels;
-        std::int32_t &tag = tags[blockId % blockCount];
+            perBlockPoints.quotient(point) * channelBlocks +
+            perBlockChannels.quotient(channel_base);
+        std::int32_t &tag = tags[perBlockCount.remainder(blockId)];
         if (tag == static_cast<std::int32_t>(blockId))
             return true;
         ++cacheStats.misses;
@@ -102,6 +141,10 @@ class FeatureCache
     std::uint32_t channelBlocks; ///< channel tiles per point
     std::uint32_t bytesPerBlock;
     std::uint32_t blockCount;
+    /** Divisions of access(), one reciprocal per divisor. */
+    Reciprocal32 perBlockPoints;
+    Reciprocal32 perBlockChannels;
+    Reciprocal32 perBlockCount;
     /** Block id per slot, -1 if empty. Block id 2^32 - 1 would read
      *  as empty; with one channel block, as every pricing walk uses,
      *  int32 point indices cannot reach it. */

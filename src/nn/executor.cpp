@@ -13,12 +13,25 @@ namespace pointacc {
 
 namespace {
 
-/** One open encoder level: the finer cloud, plus the maps of the
- *  downsample that left it (empty after a set abstraction). */
+/** A submanifold MapSet with the kernel size and LayerWork::mapsId it
+ *  was built with; kernel 0 when there is none. */
+struct StageMaps
+{
+    MapSet maps;
+    int kernel = 0;
+    std::uint64_t id = 0;
+};
+
+/** One open encoder level: the finer cloud, the maps of the downsample
+ *  that left it (empty after a set abstraction), and the submanifold
+ *  maps of its stage, kept for the decoder stage at the same stride.
+ *  For an odd kernel only the groups before the centre are kept;
+ *  mirrorSubmanifoldMaps restores the rest. */
 struct Level
 {
     PointCloud cloud;
     MapSet downMaps;
+    StageMaps stage;
 };
 
 /** Execution state threaded through the layer walk. */
@@ -31,10 +44,8 @@ struct ExecState
     /** Encoder levels for U-Net upsampling / FP skip levels. */
     std::vector<Level> levelStack;
     /** Submanifold maps of `cloud`, shared by every submanifold conv
-     *  of one stage; valid while stageKernel > 0. */
-    MapSet stageMaps;
-    int stageKernel = 0;
-    std::uint64_t stageMapsId = 0;
+     *  of one stage; valid while stage.kernel > 0. */
+    StageMaps stage;
     /** EdgeConv kNN maps of `cloud`, shared by every EdgeConv with the
      *  same k; valid while edgeK > 0. */
     MapSet edgeMaps;
@@ -60,8 +71,7 @@ newMapsId(ExecState &st)
 void
 dropStageMaps(ExecState &st)
 {
-    st.stageMaps = MapSet();
-    st.stageKernel = 0;
+    st.stage = StageMaps();
     st.edgeMaps = MapSet();
     st.edgeK = 0;
 }
@@ -122,7 +132,9 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
 
     if (d.transposed) {
         // Upsample back to the finest open encoder level: the maps are
-        // the transpose of that level's downsample maps.
+        // the transpose of that level's downsample maps, and the
+        // level's stage maps, restored in full, serve the decoder
+        // stage at this stride under their old id.
         simAssert(!st.levelStack.empty(),
                   "transposed conv without a matching downsample");
         dropStageMaps(st);
@@ -136,12 +148,19 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
         maps = &upMaps;
         mapsId = newMapsId(st);
         st.cloud = std::move(level.cloud);
+        if (level.stage.kernel % 2 == 1)
+            mirrorSubmanifoldMaps(level.stage.maps, st.cloud.size());
+        st.stage = std::move(level.stage);
     } else if (d.strideMultiplier > 1) {
-        // Strided downsample: quantize then kernel-map. The fine cloud
-        // and the maps stay open for the mirroring transposed conv.
-        // When the kernel spans exactly one coarse cell (kernel size ==
-        // stride multiplier, every zoo downsample) the quantize sort
-        // already assigns each fine point its one map.
+        // Strided downsample: quantize then kernel-map. The fine cloud,
+        // the maps and the half of the stage maps before the centre
+        // stay open for the mirroring transposed conv. When the kernel
+        // spans exactly one coarse cell (kernel size == stride
+        // multiplier, every zoo downsample) the quantize sort already
+        // assigns each fine point its one map.
+        StageMaps held = std::move(st.stage);
+        if (held.kernel % 2 == 1)
+            held.maps.releaseGroupsFrom(held.maps.numWeights() / 2);
         dropStageMaps(st);
         const std::int32_t outStride =
             st.cloud.tensorStride() * d.strideMultiplier;
@@ -161,23 +180,22 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
         mapsId = newMapsId(st);
         st.levelStack.push_back(
             {std::exchange(st.cloud, std::move(down.cloud)),
-             std::move(down.maps)});
+             std::move(down.maps), std::move(held)});
         maps = &st.levelStack.back().downMaps;
     } else {
         // Submanifold convolution at the same resolution: the cloud is
         // unchanged, so one map build serves the whole stage.
-        if (st.stageKernel != d.kernelSize) {
+        if (st.stage.kernel != d.kernelSize) {
             dropStageMaps(st);
             KernelMapConfig kcfg;
             kcfg.kernelSize = d.kernelSize;
             kcfg.inStride = st.cloud.tensorStride();
             kcfg.outStride = st.cloud.tensorStride();
-            st.stageMaps = sortKernelMap(st.cloud, st.cloud, kcfg);
-            st.stageKernel = d.kernelSize;
-            st.stageMapsId = newMapsId(st);
+            st.stage = {sortKernelMap(st.cloud, st.cloud, kcfg),
+                        d.kernelSize, newMapsId(st)};
         }
-        maps = &st.stageMaps;
-        mapsId = st.stageMapsId;
+        maps = &st.stage.maps;
+        mapsId = st.stage.id;
     }
 
     // Every layer models its own kernel mapping, reused maps included.
@@ -228,7 +246,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
                       st.cloud.size(), cur, d.scales[0].mlp[i]);
             cur = d.scales[0].mlp[i];
         }
-        st.levelStack.push_back({st.cloud, {}}); // FP climbs back up
+        st.levelStack.push_back({st.cloud, {}, {}}); // FP climbs back up
         st.cloud = PointCloud({Coord3{0, 0, 0}});
         st.channels = cur;
         return;
@@ -306,7 +324,7 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         outChannels += cur; // MSG concatenates scale outputs
     }
 
-    st.levelStack.push_back({st.cloud, {}}); // FP layers climb back up
+    st.levelStack.push_back({st.cloud, {}, {}}); // FP layers climb back up
     st.cloud = queryCloud;
     st.channels = outChannels;
 }

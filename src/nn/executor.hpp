@@ -7,15 +7,19 @@
  * Both the PointAcc simulator and the baseline platform models consume
  * LayerWork. Emitting through a visitor keeps memory bounded: maps of
  * a full-scale MinkowskiUNet level are tens of MB, and the maps alive
- * at a time are the current stage's submanifold or EdgeConv maps plus
- * the maps of each open downsample (one per encoder level not yet
- * upsampled).
+ * during a walk are the current stage's submanifold or EdgeConv maps
+ * plus, for each open level (one per encoder level not yet
+ * upsampled), its downsample's maps and the groups before the centre
+ * of its stage's submanifold maps (all of them for an even kernel).
  *
  * Each distinct map is built once. Submanifold convs leave the cloud
  * unchanged, so every one of a stage with the same kernel size shares
  * one MapSet; likewise every EdgeConv over one cloud with the same k
  * shares one kNN MapSet. A transposed conv transposes the maps its
- * downsample built. A downsample whose kernel size equals its stride
+ * downsample built, and hands the decoder stage at that stride the
+ * encoder stage's submanifold maps, restored in full from the held
+ * half by mirrorSubmanifoldMaps: a MinkowskiUNet builds them once per
+ * resolution. A downsample whose kernel size equals its stride
  * multiplier (every zoo downsample) reads its maps off the quantize
  * sort (downsampleWithMaps); other kernel/stride pairs merge with
  * sortKernelMap. The scales of a multi-scale set abstraction share one
@@ -85,8 +89,9 @@ struct LayerWork
     /** Identity of `maps` within one executeNetwork walk: layers that
      *  share a MapSet share its id, and every map set built,
      *  transposed or derived gets a new one (the address is no
-     *  identity, as one address holds many map sets in turn). 0 for
-     *  dense layers. */
+     *  identity, as one address holds many map sets in turn). A
+     *  decoder stage's restored submanifold maps keep the id of the
+     *  encoder stage that built them. 0 for dense layers. */
     std::uint64_t mapsId = 0;
     /** Mapping operations executed before this matrix op. */
     std::vector<MappingOpInfo> mappingOps;

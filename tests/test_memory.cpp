@@ -225,7 +225,12 @@ TEST(FeatureCache, MatchesDirectMappedModel)
     // {channels, blockChannels}: one channel block, and four.
     const std::pair<std::uint32_t, std::uint32_t> widths[] = {{64, 64},
                                                               {128, 32}};
-    for (std::uint32_t blockPoints : {1u, 4u, 16u, 64u}) {
+    // The cache divides by multiply-shift reciprocals, the model with
+    // plain / and %: block sizes 1 (the reciprocal's own case), powers
+    // of two, 3 and 48, slot counts 1, 3 and 7, and point ids up to the
+    // largest PointIndex, 2^31 - 1, check them at their edges.
+    constexpr std::uint32_t kTopPoint = 0x7FFFFFFFu;
+    for (std::uint32_t blockPoints : {1u, 3u, 4u, 16u, 48u, 64u}) {
         for (const auto &[channels, blockChannels] : widths) {
             for (std::uint32_t capBlocks : {1u, 2u, 3u, 7u, 64u, 1000u}) {
                 CacheConfig cfg;
@@ -245,18 +250,28 @@ TEST(FeatureCache, MatchesDirectMappedModel)
                 ASSERT_EQ(cache.blockBytes(), blockBytes) << at;
 
                 // Runs of nearby points (map-like locality) mixed with
-                // random jumps over a cloud of 4096 points.
+                // random jumps over a cloud of 4096 points: the first
+                // 5000 accesses at ids from 0, the next 5000 at the top
+                // 4096 ids. The block id is 32 bits wide, so the top
+                // ids are skipped where it would overflow (one block
+                // point over four channel blocks).
+                const bool topFits =
+                    static_cast<std::uint64_t>(kTopPoint / blockPoints + 1) *
+                        model.channelBlocks <
+                    0xFFFFFFFFu;
                 Rng rng(blockPoints * 1000 + channels + capBlocks);
                 std::uint32_t point = 0;
-                for (int i = 0; i < 5000; ++i) {
+                for (int i = 0; i < (topFits ? 10000 : 5000); ++i) {
                     point = rng.range(4) == 0
                                 ? static_cast<std::uint32_t>(rng.range(4096))
                                 : (point + static_cast<std::uint32_t>(
                                                rng.range(8))) % 4096;
+                    const std::uint32_t id =
+                        i < 5000 ? point : kTopPoint - point;
                     const std::uint32_t channel =
                         static_cast<std::uint32_t>(rng.range(channels));
-                    ASSERT_EQ(cache.access(point, channel),
-                              model.access(point, channel))
+                    ASSERT_EQ(cache.access(id, channel),
+                              model.access(id, channel))
                         << at << " access " << i;
                 }
                 EXPECT_EQ(cache.stats().accesses, model.stats.accesses) << at;

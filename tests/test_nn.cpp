@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -143,15 +144,25 @@ TEST(Executor, DownsamplingShrinksCloud)
         EXPECT_LT(downOutputs[i], downOutputs[i - 1]);
 }
 
+/** Submanifold map reuse seen in one executor walk. */
+struct SubmanifoldReuse
+{
+    /** Layers that shared the previous layer's maps. */
+    int shared = 0;
+    /** Distinct mapsIds among submanifold layers: one per map build. */
+    std::size_t builds = 0;
+};
+
 /**
  * Walk a MinkowskiUNet beside the executor and check every sparse
  * layer's maps against a fresh build from that layer's own clouds:
- * sortKernelMap, transposed for up convs, with no reuse. One
- * full-resolution submanifold layer is also cross-checked against
- * hashKernelMap. Returns how many submanifold layers shared the
- * previous layer's maps.
+ * sortKernelMap, transposed for up convs, with no reuse. A decoder
+ * stage's maps are the encoder stage's at that stride, restored from
+ * the groups before the centre, so the group-by-group comparison pins
+ * the restored groups byte for byte. One full-resolution submanifold
+ * layer is also cross-checked against hashKernelMap.
  */
-int
+SubmanifoldReuse
 expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
 {
     std::map<std::string, SparseConvDesc> convs;
@@ -164,7 +175,8 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
     const MapSet *prevSubmanifold = nullptr;
     const Map *prevData = nullptr;
     bool hashChecked = false;
-    int shared = 0;
+    SubmanifoldReuse reuse;
+    std::set<std::uint64_t> submanifoldIds;
     executeNetwork(net, input, [&](const LayerWork &w) {
         if (w.isDense)
             return;
@@ -214,24 +226,40 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
         if (submanifold && prevSubmanifold != nullptr) {
             EXPECT_EQ(w.maps, prevSubmanifold) << w.name;
             EXPECT_EQ(w.maps->forWeight(0).data(), prevData) << w.name;
-            ++shared;
+            ++reuse.shared;
         }
+        if (submanifold)
+            submanifoldIds.insert(w.mapsId);
         prevSubmanifold = submanifold ? w.maps : nullptr;
         prevData = submanifold ? w.maps->forWeight(0).data() : nullptr;
     });
     EXPECT_TRUE(fine.empty());
     EXPECT_TRUE(hashChecked);
-    return shared;
+    reuse.builds = submanifoldIds.size();
+    return reuse;
 }
 
 TEST(Executor, MinkUNetReusedMapsMatchFreshBuilds)
 {
-    const auto cloud = generate(DatasetKind::S3DIS, 23, 0.05);
     // 34 submanifold convs over 9 stages (strides 1-8 entered twice,
-    // stride 16 once) build 9 map sets; the other 25 reuse them.
-    EXPECT_EQ(expectMapsMatchFreshBuilds(minkowskiUNetIndoor(), cloud), 25);
-    // 13 submanifold convs over 7 stages.
-    EXPECT_EQ(expectMapsMatchFreshBuilds(miniMinkowskiUNet(), cloud), 6);
+    // stride 16 once): 25 reuse the previous conv's maps, and each
+    // decoder stage reuses the maps its encoder stage built at that
+    // stride, so only the stem and the 4 encoder stages build.
+    const auto indoor = generate(DatasetKind::S3DIS, 23, 0.05);
+    const auto outdoor = generate(DatasetKind::SemanticKITTI, 23, 0.02);
+    for (const auto &[net, cloud] :
+         {std::make_pair(minkowskiUNetIndoor(), &indoor),
+          std::make_pair(minkowskiUNetOutdoor(), &outdoor)}) {
+        const SubmanifoldReuse reuse = expectMapsMatchFreshBuilds(net, *cloud);
+        EXPECT_EQ(reuse.shared, 25) << net.notation;
+        EXPECT_EQ(reuse.builds, 5u) << net.notation;
+    }
+    // 13 submanifold convs over 7 stages: the stem and 3 encoder
+    // stages build.
+    const SubmanifoldReuse mini =
+        expectMapsMatchFreshBuilds(miniMinkowskiUNet(), indoor);
+    EXPECT_EQ(mini.shared, 6);
+    EXPECT_EQ(mini.builds, 4u);
 }
 
 /**
