@@ -37,7 +37,9 @@
  * byte-compared to prove it. On a 4+-core runner with --threads >= 4
  * the tier must clear its own stored floor (>= 3x the single-thread
  * anchor floor); on smaller machines the floor is reported but not
- * gated, because there is no parallel speedup to measure.
+ * gated, because there is no parallel speedup to measure. At exit the
+ * process's peak RSS per request the sharded tier served must stay
+ * under a stored ceiling (kRssCeilingBytesPerServed).
  *
  * Results go to BENCH_simperf.json. `--quick` runs the anchor row and
  * one small row (CI's Release-stage configuration); `--smoke` runs a
@@ -57,6 +59,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.hpp"
 #include "core/json.hpp"
@@ -108,6 +112,18 @@ constexpr std::uint64_t kShardCheckRequests = 100'000;
  * >= 4 threads; update procedure: docs/PERFORMANCE.md.
  */
 constexpr double kShardFloorRequestsPerSec = 2'250'000.0;
+
+/**
+ * Peak-RSS ceiling: the process's ru_maxrss over the requests the
+ * sharded tier served. Reports keep one latency and one completion
+ * timestamp per served request and exact moments for everything
+ * else, which measured about 42 B per served request at `--quick
+ * --threads 4`; keeping a queue-wait and a batch-size sample per
+ * request, a percentile copy of the latencies and a rebuilt
+ * completion stream per shard measured about 71 B. Skipped under
+ * --smoke (no sharded tier, and sanitizers inflate RSS).
+ */
+constexpr double kRssCeilingBytesPerServed = 48.0;
 
 /**
  * Fixed phase table: deterministic costs spanning map-bound,
@@ -456,6 +472,7 @@ main(int argc, char **argv)
     bool shardedDeterministic = true;
     bool shardFloorGated = false;
     double shardRps = 0.0;
+    std::uint64_t shardServed = 0;
     if (!smoke) {
         std::printf("\nsharded tier: fleet %zu as %zu x %zu shards, "
                     "%llu requests\n",
@@ -467,6 +484,7 @@ main(int argc, char **argv)
         printRow(shardRow);
         rows.push_back(shardRow);
         shardRps = shardRow.requestsPerSec;
+        shardServed = shardRow.completed;
 
         // Determinism gate: the same (small) sharded row through the
         // pool and through an inline serial executor must merge to a
@@ -508,6 +526,23 @@ main(int argc, char **argv)
                           "4+-core runner]");
     }
 
+    // Memory gate: the whole run's peak RSS per request the sharded
+    // tier served (ru_maxrss is in KiB on Linux).
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peakRssBytes = static_cast<double>(usage.ru_maxrss) * 1024.0;
+    double rssPerServed = 0.0;
+    if (shardServed > 0) {
+        rssPerServed = peakRssBytes / static_cast<double>(shardServed);
+        const bool underCeiling = rssPerServed <= kRssCeilingBytesPerServed;
+        ok = ok && underCeiling;
+        std::printf("peak RSS %.0f MiB: %.1f B per served sharded-tier "
+                    "request (ceiling %.0f): %s\n",
+                    peakRssBytes / 1048576.0, rssPerServed,
+                    kRssCeilingBytesPerServed,
+                    underCeiling ? "OK" : "VIOLATED");
+    }
+
     if (!jsonPath.empty()) {
         std::ofstream jf(jsonPath);
         JsonWriter w(jf);
@@ -522,6 +557,10 @@ main(int argc, char **argv)
         w.field("shard_floor_gated", shardFloorGated);
         w.field("sharded_requests_per_sec", shardRps);
         w.field("sharded_merge_deterministic", shardedDeterministic);
+        w.field("peak_rss_bytes", peakRssBytes);
+        w.field("rss_ceiling_bytes_per_served_request",
+                kRssCeilingBytesPerServed);
+        w.field("rss_bytes_per_served_request", rssPerServed);
         w.key("rows").beginArray();
         for (const auto &r : rows) {
             w.beginObject();

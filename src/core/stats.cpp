@@ -11,46 +11,44 @@ Summary::percentile(double p) const
 {
     if (samples.empty())
         return 0.0;
-    if (scratchStale || scratch.size() != samples.size()) {
-        scratch = samples;
-        scratchStale = false;
-    }
     const double clamped = std::clamp(p, 0.0, 1.0);
     const auto rank = static_cast<std::size_t>(
-        clamped * static_cast<double>(scratch.size() - 1) + 0.5);
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                     scratch.end());
-    return scratch[rank];
+        clamped * static_cast<double>(samples.size() - 1) + 0.5);
+    std::nth_element(samples.begin(),
+                     samples.begin() + static_cast<std::ptrdiff_t>(rank),
+                     samples.end());
+    return samples[rank];
 }
 
 void
-Summary::merge(const Summary &other)
+Moments::merge(const Moments &other)
 {
-    if (other.samples.empty())
+    if (other.n == 0)
         return;
-    const bool wasEmpty = samples.empty();
-    samples.insert(samples.end(), other.samples.begin(),
-                   other.samples.end());
     total += other.total;
-    if (wasEmpty) {
+    if (n == 0) {
         lo = other.lo;
         hi = other.hi;
     } else {
         lo = std::min(lo, other.lo);
         hi = std::max(hi, other.hi);
     }
-    scratchStale = true;
+    n += other.n;
+}
+
+void
+Summary::merge(const Summary &other)
+{
+    samples.insert(samples.end(), other.samples.begin(),
+                   other.samples.end());
+    stats.merge(other.stats);
 }
 
 void
 Summary::clear()
 {
     samples.clear();
-    total = 0.0;
-    lo = 0.0;
-    hi = 0.0;
-    scratchStale = true;
+    stats.clear();
 }
 
 double

@@ -3,9 +3,9 @@
  * Lightweight counter/accumulator statistics used by every hardware model.
  *
  * Each unit owns its own stats struct; this header only provides the
- * shared primitives (a named-counter registry used by integration tests
- * and a streaming histogram used by the DRAM-distribution experiment,
- * Fig. 19).
+ * shared primitives: a named-counter registry used by integration
+ * tests, exact running moments, and a sample-keeping summary used by
+ * the DRAM-distribution experiment (Fig. 19) and serving latencies.
  */
 
 #ifndef POINTACC_CORE_STATS_HPP
@@ -47,8 +47,55 @@ class StatRegistry
 };
 
 /**
- * Streaming scalar summary: count / sum / min / max / mean, plus the raw
- * samples so distribution plots (violin-style, Fig. 19) can be rebuilt.
+ * Exact running moments of a scalar stream: count, sum, min and max,
+ * with no samples kept. The sum accumulates in record() order and a
+ * merge() adds the other stream's total in one step, so a fold gives
+ * the same bits as a Summary fed the same calls (mean() included).
+ * For a report field that no percentile reads.
+ */
+class Moments
+{
+  public:
+    void
+    record(double v)
+    {
+        total += v;
+        if (n++ == 0) {
+            lo = hi = v;
+        } else {
+            if (v < lo) lo = v;
+            if (v > hi) hi = v;
+        }
+    }
+
+    /** Fold another stream in, as if its values were record()ed here
+     *  after ours: the totals add, min and max combine. */
+    void merge(const Moments &other);
+
+    /** Reset to the freshly constructed state. */
+    void clear() { *this = Moments(); }
+
+    std::size_t count() const { return n; }
+    double sum() const { return total; }
+    double min() const { return lo; }
+    double max() const { return hi; }
+
+    double
+    mean() const
+    {
+        return n == 0 ? 0.0 : total / static_cast<double>(n);
+    }
+
+  private:
+    std::size_t n = 0;
+    double total = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+/**
+ * Moments plus the raw samples, for nearest-rank percentiles and so
+ * distribution plots (violin-style, Fig. 19) can be rebuilt.
  */
 class Summary
 {
@@ -57,14 +104,7 @@ class Summary
     record(double v)
     {
         samples.push_back(v);
-        total += v;
-        scratchStale = true;
-        if (samples.size() == 1) {
-            lo = hi = v;
-        } else {
-            if (v < lo) lo = v;
-            if (v > hi) hi = v;
-        }
+        stats.record(v);
     }
 
     /** Fold another summary into this one, as if every sample of
@@ -78,42 +118,29 @@ class Summary
     /** Reset to the freshly constructed state (capacity retained). */
     void clear();
 
-    std::size_t count() const { return samples.size(); }
-    double sum() const { return total; }
-    double min() const { return lo; }
-    double max() const { return hi; }
-
-    double
-    mean() const
-    {
-        return samples.empty() ? 0.0
-                               : total / static_cast<double>(samples.size());
-    }
+    std::size_t count() const { return stats.count(); }
+    double sum() const { return stats.sum(); }
+    double min() const { return stats.min(); }
+    double max() const { return stats.max(); }
+    double mean() const { return stats.mean(); }
+    const Moments &moments() const { return stats; }
 
     /** p in [0,1]; nearest-rank percentile over recorded samples.
-     *  Selection (nth_element) over a reused scratch buffer — O(n) per
-     *  call instead of the former copy + full sort per call, and byte-
-     *  identical: the element at a given sorted rank is the same
-     *  whichever algorithm places it there. */
+     *  Selection (nth_element) in place over the samples themselves:
+     *  O(n) per call, no copy, and byte-identical to a sort — the
+     *  element at a given sorted rank is the same whichever
+     *  algorithm places it there. Reorders the samples, so a
+     *  Summary must not be read from two threads at once. */
     double percentile(double p) const;
 
+    /** The recorded samples as a multiset: in record order (then
+     *  merge order) only until the first percentile() call, which
+     *  permutes them. */
     const std::vector<double> &data() const { return samples; }
 
   private:
-    std::vector<double> samples;
-    /** Selection workspace, refreshed lazily whenever the sample set
-     *  changed (the explicit dirty flag below — a size comparison
-     *  would miss same-size mutations such as clear()+re-record or a
-     *  merge() that lands back on a previous size). Its ordering
-     *  between calls is irrelevant (rank selection over a multiset of
-     *  values is permutation-invariant). */
-    mutable std::vector<double> scratch;
-    /** True whenever `samples` changed since scratch last mirrored
-     *  it; every mutation path must set it. */
-    mutable bool scratchStale = true;
-    double total = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
+    mutable std::vector<double> samples;
+    Moments stats;
 };
 
 /**

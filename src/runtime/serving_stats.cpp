@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <iterator>
 #include <sstream>
 
 #include "core/json.hpp"
@@ -66,21 +65,57 @@ mergeShardReports(const std::vector<ServingReport> &shards)
         merged.mapCache.evictions += shard.mapCache.evictions;
         merged.mapCache.bytesSaved += shard.mapCache.bytesSaved;
         merged.mapCache.cyclesSaved += shard.mapCache.cyclesSaved;
-        // Each shard's completion stream is non-decreasing; a sorted
-        // merge keeps the fleet-level stream non-decreasing too (the
-        // invariant the property suite checks on every report).
-        std::vector<std::uint64_t> completions;
-        completions.reserve(merged.completionCycles.size() +
-                            shard.completionCycles.size());
-        std::merge(merged.completionCycles.begin(),
-                   merged.completionCycles.end(),
-                   shard.completionCycles.begin(),
-                   shard.completionCycles.end(),
-                   std::back_inserter(completions));
-        merged.completionCycles = std::move(completions);
         merged.accelerators.insert(merged.accelerators.end(),
                                    shard.accelerators.begin(),
                                    shard.accelerators.end());
+    }
+    // Each shard's completion stream is non-decreasing, so one k-way
+    // merge keeps the fleet-level stream non-decreasing too (the
+    // invariant the property suite checks on every report). The heap
+    // holds one cursor per non-empty shard, keyed by its head value
+    // and least on top: each step emits the top's head, advances that
+    // cursor (or swaps in the last one once its shard runs dry) and
+    // sifts it down.
+    struct Cursor
+    {
+        std::uint64_t head;
+        const std::uint64_t *next;
+        const std::uint64_t *end;
+    };
+    std::vector<Cursor> heap;
+    std::size_t total = 0;
+    for (const ServingReport &shard : shards) {
+        const auto &c = shard.completionCycles;
+        total += c.size();
+        if (!c.empty())
+            heap.push_back({c.front(), c.data() + 1, c.data() + c.size()});
+    }
+    std::make_heap(heap.begin(), heap.end(),
+                   [](const Cursor &a, const Cursor &b) {
+                       return a.head > b.head;
+                   });
+    merged.completionCycles.reserve(total);
+    while (!heap.empty()) {
+        Cursor top = heap.front();
+        merged.completionCycles.push_back(top.head);
+        if (top.next != top.end) {
+            top.head = *top.next++;
+        } else {
+            top = heap.back();
+            heap.pop_back();
+        }
+        const std::size_t n = heap.size();
+        std::size_t i = 0;
+        for (std::size_t k = 1; k < n; k = 2 * i + 1) {
+            if (k + 1 < n && heap[k + 1].head < heap[k].head)
+                ++k;
+            if (top.head <= heap[k].head)
+                break;
+            heap[i] = heap[k];
+            i = k;
+        }
+        if (i < n)
+            heap[i] = top;
     }
     return merged;
 }

@@ -11,8 +11,12 @@
  * tests check (generated = admitted + dropped; admitted = completed +
  * failed + leftoverQueued).
  *
- * Latency aggregation reuses core/stats' Summary (nearest-rank
- * percentiles over raw samples) rather than inventing a new histogram.
+ * A report keeps only what its outputs read. Latency keeps its raw
+ * samples in core/stats' Summary, because the p50/p95/p99 are
+ * nearest-rank percentiles over them; queue wait and batch size keep
+ * exact Moments (count, sum, min, max), because nothing reads more
+ * than their mean. completionCycles keeps one timestamp per served
+ * request.
  *
  * Invariants (fuzzed by test_runtime_properties): both identities,
  * with failed == 0 on a fault-free run and leftoverQueued == 0 after a
@@ -165,8 +169,8 @@ struct ServingReport
     std::uint64_t deadlineMisses = 0; ///< completed after their deadline
 
     Summary latencyCycles;  ///< arrival -> completion, per request
-    Summary queueWaitCycles;///< arrival -> dispatch, per request
-    Summary batchSize;      ///< requests per dispatch
+    Moments queueWaitCycles;///< arrival -> dispatch, per request
+    Moments batchSize;      ///< requests per dispatch
 
     /** Kernel-map cache counters (all zero when the cache is off). */
     MapCacheStats mapCache;
@@ -259,9 +263,10 @@ struct ServingReport
  * independent of thread count.
  *
  * Semantics: counters and busy cycles sum; latency/wait/batch
- * summaries merge (Summary::merge); completionCycles are merged as
- * sorted sequences so the fleet-level stream stays non-decreasing;
- * horizon is the max over shards (the fleet's span is its slowest
+ * statistics merge in shard order (Summary::merge, Moments::merge);
+ * completionCycles are the shards' non-decreasing streams joined by
+ * one k-way heap merge into a vector reserved to the exact total, so
+ * the fleet-level stream stays non-decreasing; horizon is the max over shards (the fleet's span is its slowest
  * shard's span); accelerators concatenate in shard order; freqGHz and
  * occupancy are taken from the first shard (shards are homogeneous by
  * construction — the caller splits one fleet, it does not mix

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -396,14 +397,15 @@ TEST(Stats, GeomeanRejectsNonPositiveSamples)
 
 TEST(Stats, PercentileSeesSameSizeMutations)
 {
-    // Regression: the selection scratch used to refresh only when
+    // Regression: an earlier selection copy refreshed only when
     // samples.size() changed, so any same-size mutation (clear() +
     // re-record, a size-preserving merge sequence) selected over the
-    // STALE values. The dirty flag must catch it.
+    // STALE values. Selection now runs in place over the samples, so
+    // no copy can go stale; this pins that none comes back.
     Summary s;
     for (double v : {10.0, 20.0, 30.0})
         s.record(v);
-    EXPECT_DOUBLE_EQ(s.percentile(0.5), 20.0); // seeds the scratch
+    EXPECT_DOUBLE_EQ(s.percentile(0.5), 20.0); // permutes the samples
 
     s.clear();
     for (double v : {1.0, 2.0, 3.0}) // same count as before
@@ -443,7 +445,7 @@ TEST(Stats, MergeMatchesSingleSummaryRun)
         b.record(v);
         all.record(v);
     }
-    a.percentile(0.5); // seed a's scratch: merge must invalidate it
+    a.percentile(0.5); // permutes a's samples: merge must not care
     a.merge(b);
     EXPECT_EQ(a.count(), all.count());
     EXPECT_DOUBLE_EQ(a.sum(), all.sum());
@@ -472,6 +474,108 @@ TEST(Stats, MergeHandlesEmptySummaries)
     Summary e1, e2;
     e1.merge(e2);
     EXPECT_EQ(e1.count(), 0u);
+}
+
+/** The bits of a double, so equality also tells -0.0 from 0.0. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+void
+expectSameMoments(const Moments &m, const Summary &s)
+{
+    EXPECT_EQ(m.count(), s.count());
+    EXPECT_EQ(bitsOf(m.sum()), bitsOf(s.sum()));
+    EXPECT_EQ(bitsOf(m.min()), bitsOf(s.min()));
+    EXPECT_EQ(bitsOf(m.max()), bitsOf(s.max()));
+    EXPECT_EQ(bitsOf(m.mean()), bitsOf(s.mean()));
+}
+
+/** Values with repeats, negatives and mixed magnitudes, so the sum
+ *  rounds differently in any other order. */
+double
+drawValue(Rng &rng)
+{
+    switch (rng.range(3)) {
+      case 0:
+        return static_cast<double>(rng.range(7)) - 3.0;
+      case 1:
+        return rng.uniform(-1e3, 1e3);
+      default:
+        return rng.uniform(-1.0, 1.0) * 1e-9;
+    }
+}
+
+TEST(Stats, MomentsMatchSummary)
+{
+    // Moments must be Summary without the samples: the same count and
+    // bit-equal sum, min, max and mean, whether the stream is recorded
+    // whole or folded from 1-8 parts (empty ones included) in order.
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        const std::size_t parts = 1 + rng.range(8);
+        std::vector<Moments> partMoments(parts);
+        std::vector<Summary> partSummaries(parts);
+        Moments whole;
+        Summary wholeSummary;
+        for (std::size_t p = 0; p < parts; ++p) {
+            const std::size_t n = rng.range(3) == 0 ? 0 : rng.range(40);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double v = drawValue(rng);
+                partMoments[p].record(v);
+                partSummaries[p].record(v);
+                whole.record(v);
+                wholeSummary.record(v);
+            }
+            expectSameMoments(partMoments[p], partSummaries[p]);
+        }
+        expectSameMoments(whole, wholeSummary);
+        Moments folded;
+        Summary foldedSummary;
+        for (std::size_t p = 0; p < parts; ++p) {
+            folded.merge(partMoments[p]);
+            foldedSummary.merge(partSummaries[p]);
+        }
+        expectSameMoments(folded, foldedSummary);
+        EXPECT_EQ(folded.count(), whole.count());
+        folded.clear();
+        expectSameMoments(folded, Summary());
+    }
+}
+
+TEST(Stats, PercentileKeepsTheSampleMultiset)
+{
+    // percentile() selects in place, so it may reorder data() but
+    // must keep its multiset and leave the moments alone.
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Summary s;
+        std::vector<double> recorded;
+        const std::size_t n = 1 + rng.range(200);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double v = drawValue(rng);
+            s.record(v);
+            recorded.push_back(v);
+        }
+        EXPECT_EQ(s.data(), recorded); // record order before any read
+        std::sort(recorded.begin(), recorded.end());
+        const Moments before = s.moments();
+        for (double p : {0.99, 0.0, 0.5, 0.95, 1.0, 0.25, 0.5}) {
+            const auto rank = static_cast<std::size_t>(
+                p * static_cast<double>(n - 1) + 0.5);
+            EXPECT_EQ(s.percentile(p), recorded[rank]) << p;
+            std::vector<double> held = s.data();
+            std::sort(held.begin(), held.end());
+            EXPECT_EQ(held, recorded) << p;
+            expectSameMoments(before, s);
+        }
+    }
 }
 
 } // namespace

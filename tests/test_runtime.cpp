@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <tuple>
 
+#include "core/rng.hpp"
 #include "nn/zoo.hpp"
 #include "runtime/autoscaler.hpp"
 #include "runtime/batcher.hpp"
@@ -2781,6 +2783,62 @@ TEST(ServingStats, JsonAndTextOutputs)
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(ServingStats, MergedCompletionStreamIsTheSortedUnion)
+{
+    // mergeShardReports joins the shards' non-decreasing completion
+    // streams: the result must be their sorted concatenation, in a
+    // vector of exactly that size, whatever the shard count, with
+    // empty shards, ties across shards and values at the top of the
+    // uint64 range. The statistics fold in shard order; integer
+    // samples keep every sum exact, so they must equal one Moments or
+    // Summary fed every sample one by one.
+    constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        std::vector<ServingReport> shards(1 + rng.range(20));
+        std::vector<std::uint64_t> expected;
+        Summary latency;
+        Moments wait, batch;
+        for (ServingReport &shard : shards) {
+            const std::size_t n = rng.range(4) == 0 ? 0 : rng.range(60);
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint64_t off = rng.range(40);
+                shard.completionCycles.push_back(
+                    rng.range(2) == 0 ? off : kTop - off);
+                const double v = static_cast<double>(rng.range(1000));
+                shard.latencyCycles.record(v);
+                latency.record(v);
+                shard.queueWaitCycles.record(v / 2.0);
+                wait.record(v / 2.0);
+                shard.batchSize.record(static_cast<double>(1 + i % 8));
+                batch.record(static_cast<double>(1 + i % 8));
+            }
+            std::sort(shard.completionCycles.begin(),
+                      shard.completionCycles.end());
+            shard.completed = n;
+            expected.insert(expected.end(), shard.completionCycles.begin(),
+                            shard.completionCycles.end());
+        }
+        std::sort(expected.begin(), expected.end());
+
+        const ServingReport merged = mergeShardReports(shards);
+        EXPECT_EQ(merged.completionCycles, expected);
+        EXPECT_EQ(merged.completionCycles.capacity(),
+                  merged.completionCycles.size());
+        EXPECT_EQ(merged.completed, expected.size());
+        const auto moments = [](const Moments &m) {
+            return std::vector<double>{static_cast<double>(m.count()),
+                                       m.sum(), m.min(), m.max(), m.mean()};
+        };
+        EXPECT_EQ(moments(merged.latencyCycles.moments()),
+                  moments(latency.moments()));
+        EXPECT_EQ(moments(merged.queueWaitCycles), moments(wait));
+        EXPECT_EQ(moments(merged.batchSize), moments(batch));
+        EXPECT_EQ(merged.latencyCycles.data(), latency.data());
+    }
 }
 
 TEST(RunResultJson, DumpContainsTotalsAndLayers)
