@@ -221,7 +221,9 @@ echo "all writeServingJson/writePlanJson/BENCH_serving.json keys documented"
 # test_integration's NetworkSweep runs Accelerator::run over the whole
 # zoo, so the held and restored maps run sanitized end to end;
 # test_core runs sanitized because coordSortOrder is a radix sort
-# indexing by key bytes.
+# indexing by key bytes; test_mxu and test_baselines run sanitized
+# because MatrixUnit::sparseConv and the Mesorasi model read the
+# MapSet groups too.
 # Examples and the remaining benchmarks are skipped
 # (sanitized simulator runs are slow and the simulator itself is
 # covered by its own suites); bench_serving builds so the cache sweep
@@ -238,12 +240,12 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" \
     --target test_runtime test_runtime_properties test_report_golden \
              test_executor test_mapping test_mpu test_nn test_memory \
-             test_sim test_integration test_core bench_serving \
-             bench_simperf
+             test_sim test_integration test_core test_mxu test_baselines \
+             bench_serving bench_simperf
 
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
     --no-tests=error \
-    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor|test_mapping|test_mpu|test_nn|test_memory|test_sim|test_integration|test_core'
+    -R 'test_runtime|test_runtime_properties|test_report_golden|test_executor|test_mapping|test_mpu|test_nn|test_memory|test_sim|test_integration|test_core|test_mxu|test_baselines'
 
 "${SAN_BUILD_DIR}/bench_serving" --sweep cache --quick --no-json
 

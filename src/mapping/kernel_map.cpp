@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/logging.hpp"
@@ -14,11 +15,6 @@ hashKernelMap(const PointCloud &input, const PointCloud &output,
 {
     const auto offsets = kernelOffsets(cfg.kernelSize, cfg.inStride);
     MapSet maps(static_cast<std::int32_t>(offsets.size()));
-    // Matches per offset are bounded by the smaller cloud; reserving a
-    // slice of that up front absorbs the early doubling reallocations
-    // without committing the full worst case for every offset.
-    maps.reservePerWeight(
-        std::min(input.size(), output.size()) / 8 + 8);
 
     std::unordered_map<Coord3, PointIndex, Coord3Hash> table;
     table.reserve(input.size() * 2);
@@ -28,13 +24,17 @@ hashKernelMap(const PointCloud &input, const PointCloud &output,
 
     for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
         const Coord3 &delta = offsets[w];
+        MapGroup &g = maps.forWeight(w);
+        // Matches per offset are bounded by the smaller cloud; reserving
+        // a slice of that up front absorbs the early doubling
+        // reallocations without committing the full worst case.
+        g.reserve(std::min(input.size(), output.size()) / 8 + 8);
         for (std::size_t q = 0; q < output.size(); ++q) {
             const Coord3 probe =
                 output.coord(static_cast<PointIndex>(q)) + delta;
             const auto it = table.find(probe);
-            if (it != table.end()) {
-                maps.add(Map{it->second, static_cast<PointIndex>(q), w});
-            }
+            if (it != table.end())
+                g.push(it->second, static_cast<PointIndex>(q));
         }
     }
     return maps;
@@ -121,7 +121,9 @@ sortKernelMap(const PointCloud &input, const PointCloud &output,
             i += a <= b;
             q += a >= b;
         }
-        maps.addGroup(w, ins.data(), outs.data(), n);
+        MapGroup &g = maps.forWeight(w);
+        g.in.assign(ins.begin(), ins.begin() + n);
+        g.out.assign(outs.begin(), outs.begin() + n);
     }
     if (mirrored)
         mirrorSubmanifoldMaps(maps, ni);
@@ -135,21 +137,18 @@ mirrorSubmanifoldMaps(MapSet &maps, std::size_t num_points)
     simAssert(volume % 2 == 1,
               "mirrorSubmanifoldMaps: kernel volume must be odd");
     for (std::int32_t w = 0; w < volume / 2; ++w) {
-        const std::int32_t tw = volume - 1 - w;
-        simAssert(maps.forWeight(tw).empty(),
+        MapGroup &mirror = maps.forWeight(volume - 1 - w);
+        simAssert(mirror.empty(),
                   "mirrorSubmanifoldMaps: mirrored group already filled");
-        const std::vector<Map> &group = maps.forWeight(w);
-        maps.reserveWeight(tw, group.size());
-        for (const Map &m : group)
-            maps.add(Map{m.out, m.in, tw});
+        const MapGroup &g = maps.forWeight(w);
+        mirror = {g.out, g.in};
     }
-    const std::int32_t centre = volume / 2;
-    simAssert(maps.forWeight(centre).empty(),
+    MapGroup &centre = maps.forWeight(volume / 2);
+    simAssert(centre.empty(),
               "mirrorSubmanifoldMaps: centre group already filled");
-    maps.reserveWeight(centre, num_points);
-    for (std::size_t i = 0; i < num_points; ++i)
-        maps.add(Map{static_cast<PointIndex>(i), static_cast<PointIndex>(i),
-                     centre});
+    centre.in.resize(num_points);
+    std::iota(centre.in.begin(), centre.in.end(), PointIndex{0});
+    centre.out = centre.in;
 }
 
 MapSet
@@ -163,13 +162,9 @@ transposeMaps(const MapSet &maps, int kernel_size)
     // keeps the same weight index (the upsampling layer owns its own
     // weights anyway; only grouping matters for the simulator).
     const bool odd = kernel_size % 2 == 1;
-    // Transposition permutes whole groups, so each output group's
-    // exact size is the source group's — reserve it precisely.
     for (std::int32_t w = 0; w < volume; ++w) {
-        const std::int32_t tw = odd ? volume - 1 - w : w;
-        out.reserveWeight(tw, maps.forWeight(w).size());
-        for (const auto &m : maps.forWeight(w))
-            out.add(Map{m.out, m.in, tw});
+        const MapGroup &g = maps.forWeight(w);
+        out.forWeight(odd ? volume - 1 - w : w) = {g.out, g.in};
     }
     return out;
 }

@@ -73,8 +73,8 @@ MapSet sortKernelMap(const PointCloud &input, const PointCloud &output,
  * (i, i) in ascending i: the centro-symmetry transposeMaps also uses.
  * The result is byte-identical to sortKernelMap of that cloud onto
  * itself, which builds its own mirrored half with this function; so
- * keeping only the groups before the centre (MapSet::releaseGroupsFrom
- * at volume/2) and calling this later restores the full set.
+ * emptying every group from the centre on (volume/2) and calling this
+ * later restores the full set.
  */
 void mirrorSubmanifoldMaps(MapSet &maps, std::size_t num_points);
 

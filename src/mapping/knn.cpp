@@ -232,14 +232,13 @@ neighborsToMaps(const std::vector<NeighborList> &lists, int k,
     std::size_t longer = lists.size();
     for (std::int32_t n = 0; n < k; ++n) {
         longer -= ranks[static_cast<std::size_t>(n)];
-        maps.reserveWeight(n, longer);
+        maps.forWeight(n).reserve(longer);
     }
     for (std::size_t q = 0; q < lists.size(); ++q) {
         const auto &list = lists[q];
-        for (std::uint32_t n = 0; n < kept[q]; ++n) {
-            maps.add(Map{list.indices[n], static_cast<PointIndex>(q),
-                         static_cast<std::int32_t>(n)});
-        }
+        for (std::uint32_t n = 0; n < kept[q]; ++n)
+            maps.forWeight(static_cast<std::int32_t>(n))
+                .push(list.indices[n], static_cast<PointIndex>(q));
     }
     return maps;
 }

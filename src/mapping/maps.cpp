@@ -1,26 +1,34 @@
 #include "mapping/maps.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "core/logging.hpp"
 
 namespace pointacc {
 
-std::vector<Map>
-MapSet::flattened() const
+std::size_t
+MapSet::size() const
 {
-    std::vector<Map> flat;
-    flat.reserve(count);
+    std::size_t n = 0;
     for (const auto &g : groups)
-        flat.insert(flat.end(), g.begin(), g.end());
-    return flat;
+        n += g.size();
+    return n;
 }
 
 void
 MapSet::sortGroups()
 {
-    for (auto &g : groups)
-        std::sort(g.begin(), g.end());
+    std::vector<std::pair<PointIndex, PointIndex>> pairs;
+    for (auto &g : groups) {
+        pairs.clear();
+        for (std::size_t j = 0; j < g.size(); ++j)
+            pairs.emplace_back(g.in[j], g.out[j]);
+        std::sort(pairs.begin(), pairs.end());
+        for (std::size_t j = 0; j < g.size(); ++j)
+            std::tie(g.in[j], g.out[j]) = pairs[j];
+    }
 }
 
 std::vector<Coord3>

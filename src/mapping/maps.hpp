@@ -2,12 +2,13 @@
  * @file
  * Input-output maps: the common currency of point cloud convolution.
  *
- * A map is a tuple (input point index, output point index, weight
- * index): "input j contributes to output k through kernel weight n"
- * (Section 2 of the paper). Every mapping operation — kernel mapping,
- * kNN, ball query — ultimately produces a MapSet, and the Memory
- * Management Unit consumes MapSets to drive gather/scatter-free matrix
- * computation.
+ * A map says "input j contributes to output k through kernel weight n"
+ * (Section 2 of the paper). Maps are consumed grouped by weight, so the
+ * weight is the index of a map's group, and a group is two columns:
+ * its map j is (in[j], out[j]). Every mapping operation — kernel
+ * mapping, kNN, ball query — ultimately produces a MapSet, and the
+ * Memory Management Unit consumes MapSets to drive gather/scatter-free
+ * matrix computation.
  */
 
 #ifndef POINTACC_MAPPING_MAPS_HPP
@@ -20,36 +21,37 @@
 
 namespace pointacc {
 
-/** One (input, output, weight) map tuple. */
-struct Map
+/** The maps of one weight, in emission order: map j is (in[j], out[j]). */
+struct MapGroup
 {
-    PointIndex in = kInvalidIndex;
-    PointIndex out = kInvalidIndex;
-    std::int32_t weight = 0;
+    std::vector<PointIndex> in, out;
 
-    friend constexpr bool
-    operator==(const Map &a, const Map &b)
+    std::size_t size() const { return in.size(); }
+    bool empty() const { return in.empty(); }
+
+    void
+    reserve(std::size_t n)
     {
-        return a.in == b.in && a.out == b.out && a.weight == b.weight;
+        in.reserve(n);
+        out.reserve(n);
     }
 
-    friend constexpr bool
-    operator!=(const Map &a, const Map &b)
+    void
+    push(PointIndex i, PointIndex o)
     {
-        return !(a == b);
+        in.push_back(i);
+        out.push_back(o);
     }
 
-    friend constexpr bool
-    operator<(const Map &a, const Map &b)
+    friend bool
+    operator==(const MapGroup &a, const MapGroup &b)
     {
-        if (a.in != b.in) return a.in < b.in;
-        if (a.out != b.out) return a.out < b.out;
-        return a.weight < b.weight;
+        return a.in == b.in && a.out == b.out;
     }
 };
 
 /**
- * All maps of one point cloud convolution layer, grouped by weight
+ * All maps of one point cloud convolution layer, one group per weight
  * index ("gather by weight" order, which is how both the GPU reference
  * flow and PointAcc iterate).
  */
@@ -64,75 +66,18 @@ class MapSet
         return static_cast<std::int32_t>(groups.size());
     }
 
-    void
-    add(const Map &m)
-    {
-        groups[m.weight].push_back(m);
-        count += 1;
-    }
-
-    /** Append the n maps (in[j], out[j], w), in order, to weight w's
-     *  group, growing it exactly once. */
-    void
-    addGroup(std::int32_t w, const PointIndex *in, const PointIndex *out,
-             std::size_t n)
-    {
-        auto &g = groups[w];
-        g.reserve(g.size() + n);
-        for (std::size_t j = 0; j < n; ++j)
-            g.push_back(Map{in[j], out[j], w});
-        count += n;
-    }
-
-    /** Pre-size every weight group. Producers that know an upper-ish
-     *  bound on matches per offset (kernel mapping: at most
-     *  min(|input|, |output|)) use this to avoid the per-group
-     *  doubling reallocations that otherwise churn the mapping hot
-     *  path; over-reservation is released by the consumer copying or
-     *  the set being short-lived. */
-    void
-    reservePerWeight(std::size_t expected)
-    {
-        for (auto &g : groups)
-            g.reserve(expected);
-    }
-
-    /** Pre-size one weight group exactly (e.g. map transposition,
-     *  where each output group's size is a source group's). */
-    void
-    reserveWeight(std::int32_t w, std::size_t expected)
-    {
-        groups[w].reserve(expected);
-    }
-
-    /** Empty every group from weight `first` on and free its storage;
-     *  numWeights() is unchanged. */
-    void
-    releaseGroupsFrom(std::int32_t first)
-    {
-        for (std::size_t w = first; w < groups.size(); ++w) {
-            count -= groups[w].size();
-            std::vector<Map>().swap(groups[w]);
-        }
-    }
-
-    const std::vector<Map> &forWeight(std::int32_t w) const
-    {
-        return groups[w];
-    }
+    const MapGroup &forWeight(std::int32_t w) const { return groups[w]; }
+    MapGroup &forWeight(std::int32_t w) { return groups[w]; }
 
     /** Total number of maps across all weights. */
-    std::size_t size() const { return count; }
+    std::size_t size() const;
 
-    /** Flatten to one weight-major vector (stable inside each weight). */
-    std::vector<Map> flattened() const;
-
-    /** Canonical ordering inside each weight group, for comparisons. */
+    /** Sort each group's (in, out) pairs: a canonical order for
+     *  comparisons. */
     void sortGroups();
 
   private:
-    std::vector<std::vector<Map>> groups;
-    std::size_t count = 0;
+    std::vector<MapGroup> groups;
 };
 
 /**

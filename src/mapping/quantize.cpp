@@ -92,12 +92,12 @@ downsampleWithMaps(const PointCloud &input, std::int32_t out_stride)
         if (const std::int32_t w = weightOf(p); w >= 0)
             ++sizes[static_cast<std::size_t>(w)];
     for (std::int32_t w = 0; w < m * m * m; ++w)
-        down.maps.reserveWeight(w, sizes[static_cast<std::size_t>(w)]);
+        down.maps.forWeight(w).reserve(sizes[static_cast<std::size_t>(w)]);
 
     down.cloud = quantizeSorted(
         input, out_stride, [&](PointIndex fine, PointIndex coarse) {
             if (const std::int32_t w = weightOf(input.coord(fine)); w >= 0)
-                down.maps.add(Map{fine, coarse, w});
+                down.maps.forWeight(w).push(fine, coarse);
         });
     return down;
 }

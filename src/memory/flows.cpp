@@ -86,8 +86,8 @@ fetchOnDemandWalk(const MapSet &maps, const SparseLayerShape &shape,
             const auto &group = maps.forWeight(w);
             std::size_t &pos = cursor[w];
             while (pos < group.size() &&
-                   static_cast<std::uint32_t>(group[pos].out) < limit) {
-                cache.access(static_cast<std::uint32_t>(group[pos].in), 0);
+                   static_cast<std::uint32_t>(group.out[pos]) < limit) {
+                cache.access(static_cast<std::uint32_t>(group.in[pos]), 0);
                 ++pos;
             }
         }

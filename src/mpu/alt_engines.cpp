@@ -75,10 +75,9 @@ HashKernelMapper::map(const PointCloud &input, const PointCloud &output,
                     Coord3Hash{}(probe) % numBanks);
                 maxPerBank = std::max(maxPerBank, ++perBank[bank]);
                 const auto it = table.find(probe);
-                if (it != table.end()) {
-                    maps.add(Map{it->second,
-                                 static_cast<PointIndex>(q + l), w});
-                }
+                if (it != table.end())
+                    maps.forWeight(w).push(it->second,
+                                           static_cast<PointIndex>(q + l));
             }
             stats.cycles += maxPerBank;
             stats.bankConflicts += maxPerBank - 1;

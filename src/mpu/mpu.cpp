@@ -77,7 +77,7 @@ MappingUnit::kernelMap(const PointCloud &input, const PointCloud &output,
         result.stats.comparisons += di.comparisons;
 
         for (const auto &[inIdx, outIdx] : matches)
-            result.maps.add(Map{inIdx, outIdx, w});
+            result.maps.forWeight(w).push(inIdx, outIdx);
         result.stats.mapsEmitted += matches.size();
         // Map FIFO writes: 12 bytes per (in, out, w) tuple.
         result.stats.sramWriteBytes += matches.size() * 12;

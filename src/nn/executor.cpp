@@ -160,7 +160,9 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
         // assigns each fine point its one map.
         StageMaps held = std::move(st.stage);
         if (held.kernel % 2 == 1)
-            held.maps.releaseGroupsFrom(held.maps.numWeights() / 2);
+            for (std::int32_t w = held.maps.numWeights() / 2;
+                 w < held.maps.numWeights(); ++w)
+                held.maps.forWeight(w) = {};
         dropStageMaps(st);
         const std::int32_t outStride =
             st.cloud.tensorStride() * d.strideMultiplier;

@@ -49,12 +49,13 @@ sparseConvForward(const PointCloud &input, const MapSet &maps,
 
     std::vector<float> out(num_outputs * weights.cout, 0.0f);
     for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
-        for (const auto &m : maps.forWeight(w)) {
+        const MapGroup &g = maps.forWeight(w);
+        for (std::size_t j = 0; j < g.size(); ++j) {
             const float *fin =
                 input.featureData().data() +
-                static_cast<std::size_t>(m.in) * weights.cin;
+                static_cast<std::size_t>(g.in[j]) * weights.cin;
             float *fout =
-                out.data() + static_cast<std::size_t>(m.out) * weights.cout;
+                out.data() + static_cast<std::size_t>(g.out[j]) * weights.cout;
             for (std::uint32_t ci = 0; ci < weights.cin; ++ci) {
                 const float x = fin[ci];
                 if (x == 0.0f)
@@ -113,13 +114,12 @@ maxPoolByOutput(const std::vector<float> &edge_features, const MapSet &maps,
 
     std::size_t row = 0;
     for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
-        for (const auto &m : maps.forWeight(w)) {
+        for (const PointIndex q : maps.forWeight(w).out) {
             const float *fin = edge_features.data() + row * channels;
-            float *fout =
-                out.data() + static_cast<std::size_t>(m.out) * channels;
+            float *fout = out.data() + static_cast<std::size_t>(q) * channels;
             for (std::uint32_t c = 0; c < channels; ++c)
                 fout[c] = std::max(fout[c], fin[c]);
-            touched[m.out] = true;
+            touched[q] = true;
             ++row;
         }
     }

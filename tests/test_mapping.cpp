@@ -570,11 +570,10 @@ TEST(NeighborsToMaps, GroupsByRank)
     lists[1].distances2 = {0};
     const auto maps = neighborsToMaps(lists, 2);
     EXPECT_EQ(maps.size(), 3u);
-    ASSERT_EQ(maps.forWeight(0).size(), 2u);
-    EXPECT_EQ(maps.forWeight(0)[0], (Map{5, 0, 0}));
-    EXPECT_EQ(maps.forWeight(0)[1], (Map{3, 1, 0}));
-    ASSERT_EQ(maps.forWeight(1).size(), 1u);
-    EXPECT_EQ(maps.forWeight(1)[0], (Map{7, 0, 1}));
+    EXPECT_EQ(maps.forWeight(0).in, (std::vector<PointIndex>{5, 3}));
+    EXPECT_EQ(maps.forWeight(0).out, (std::vector<PointIndex>{0, 1}));
+    EXPECT_EQ(maps.forWeight(1).in, (std::vector<PointIndex>{7}));
+    EXPECT_EQ(maps.forWeight(1).out, (std::vector<PointIndex>{0}));
 }
 
 TEST(KernelMap, PaperFigure9Example)
@@ -591,9 +590,8 @@ TEST(KernelMap, PaperFigure9Example)
     // Weight index for delta (-1,-1,0) in the 27-offset enumeration:
     // dx=-1 -> 0, dy=-1 -> 0, dz=0 -> 1 => index 0*9 + 0*3 + 1 = 1.
     const auto &group = maps.forWeight(1);
-    ASSERT_EQ(group.size(), 2u);
-    EXPECT_EQ(group[0], (Map{0, 1, 1}));
-    EXPECT_EQ(group[1], (Map{3, 4, 1}));
+    EXPECT_EQ(group.in, (std::vector<PointIndex>{0, 3}));
+    EXPECT_EQ(group.out, (std::vector<PointIndex>{1, 4}));
 }
 
 TEST(KernelMap, CenterWeightIsIdentityWhenStride1)
@@ -603,8 +601,7 @@ TEST(KernelMap, CenterWeightIsIdentityWhenStride1)
     const auto maps = sortKernelMap(cloud, cloud, cfg);
     const auto &center = maps.forWeight(13);
     ASSERT_EQ(center.size(), cloud.size());
-    for (const auto &m : center)
-        EXPECT_EQ(m.in, m.out);
+    EXPECT_EQ(center.in, center.out);
 }
 
 TEST(KernelMap, HashAndSortAgreeOnAllDatasets)
@@ -659,11 +656,58 @@ TEST(KernelMap, TransposeInvertsDirection)
     EXPECT_EQ(up.size(), down.size());
     // Each transposed map must appear with in/out swapped.
     std::set<std::pair<PointIndex, PointIndex>> downPairs, upPairs;
-    for (const auto &m : down.flattened())
-        downPairs.insert({m.in, m.out});
-    for (const auto &m : up.flattened())
-        upPairs.insert({m.out, m.in});
+    for (std::int32_t w = 0; w < down.numWeights(); ++w) {
+        const auto &d = down.forWeight(w);
+        const auto &u = up.forWeight(w);
+        for (std::size_t j = 0; j < d.size(); ++j)
+            downPairs.insert({d.in[j], d.out[j]});
+        for (std::size_t j = 0; j < u.size(); ++j)
+            upPairs.insert({u.out[j], u.in[j]});
+    }
     EXPECT_EQ(downPairs, upPairs);
+}
+
+/** Every group's two columns hold exactly its maps: no spare
+ *  capacity. */
+void
+expectExactGroups(const MapSet &maps, const std::string &what)
+{
+    for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
+        const auto &g = maps.forWeight(w);
+        EXPECT_EQ(g.in.capacity(), g.size()) << what << " weight " << w;
+        EXPECT_EQ(g.out.capacity(), g.size()) << what << " weight " << w;
+    }
+}
+
+TEST(MapSet, ProducersSizeGroupsExactly)
+{
+    const auto fine = makeIndoorScene(5, 1500, 60);
+    const auto coarse = quantizeDownsample(fine, 2);
+    for (const int k : {2, 3, 5}) {
+        const std::string at = " k=" + std::to_string(k);
+        KernelMapConfig cfg;
+        cfg.kernelSize = k;
+        MapSet sub = sortKernelMap(fine, fine, cfg);
+        expectExactGroups(sub, "submanifold" + at);
+        if (k % 2 == 1) {
+            for (std::int32_t w = sub.numWeights() / 2;
+                 w < sub.numWeights(); ++w)
+                sub.forWeight(w) = {};
+            mirrorSubmanifoldMaps(sub, fine.size());
+            expectExactGroups(sub, "mirrored" + at);
+        }
+        cfg.outStride = 2;
+        const MapSet strided = sortKernelMap(fine, coarse, cfg);
+        expectExactGroups(strided, "strided" + at);
+        expectExactGroups(transposeMaps(strided, k), "transposed" + at);
+    }
+    for (const std::int32_t stride : {2, 4})
+        expectExactGroups(downsampleWithMaps(fine, stride).maps,
+                          "downsample " + std::to_string(stride));
+    expectExactGroups(neighborsToMaps(kNearestNeighbors(coarse, fine, 8), 8),
+                      "knn");
+    expectExactGroups(
+        neighborsToMaps(ballQuery(fine, coarse, 16, 9), 16, 4), "ball");
 }
 
 /** Group-for-group equality, in emission order (no sortGroups()). */
@@ -683,11 +727,8 @@ void
 expectAscendingOutputs(const MapSet &maps, const std::string &what)
 {
     for (std::int32_t w = 0; w < maps.numWeights(); ++w) {
-        const auto &g = maps.forWeight(w);
-        EXPECT_TRUE(std::is_sorted(g.begin(), g.end(),
-                                   [](const Map &a, const Map &b) {
-                                       return a.out < b.out;
-                                   }))
+        const auto &out = maps.forWeight(w).out;
+        EXPECT_TRUE(std::is_sorted(out.begin(), out.end()))
             << what << " weight " << w;
     }
 }

@@ -412,11 +412,11 @@ perTileFetchOnDemand(const MapSet &maps, const SparseLayerShape &shape,
             const auto &group = maps.forWeight(w);
             std::size_t &pos = cursor[w];
             for (; pos < group.size() &&
-                   static_cast<std::uint32_t>(group[pos].out) <
+                   static_cast<std::uint32_t>(group.out[pos]) <
                        base + out_tile;
                  ++pos) {
                 for (std::uint32_t ict = 0; ict < icTiles; ++ict)
-                    cache.access(static_cast<std::uint32_t>(group[pos].in),
+                    cache.access(static_cast<std::uint32_t>(group.in[pos]),
                                  ict * ic_tile);
             }
         }

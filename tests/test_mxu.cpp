@@ -79,7 +79,7 @@ TEST(Mxu, SparseConvMacsMatchMaps)
 TEST(Mxu, SparseConvSkipsEmptyWeightGroups)
 {
     MapSet maps(27);
-    maps.add(Map{0, 0, 13}); // only the center weight has a map
+    maps.forWeight(13).push(0, 0); // only the center weight has a map
     MatrixUnit mxu(MxuConfig{64, 64});
     const auto s = mxu.sparseConv(maps, 64, 64);
     // Only one tile pass: fill + 1 + drain, not 27 passes.

@@ -13,6 +13,7 @@
 #include <utility>
 #include <variant>
 
+#include "core/rng.hpp"
 #include "datasets/synthetic.hpp"
 #include "mapping/fps.hpp"
 #include "mapping/kernel_map.hpp"
@@ -104,10 +105,13 @@ TEST(Executor, MinkUNetShapesAreConsistent)
                       w.maps->size() * static_cast<std::uint64_t>(w.cin) *
                           w.cout)
                 << w.name;
-            for (const auto &m : w.maps->flattened()) {
-                EXPECT_GE(m.in, 0);
-                EXPECT_LT(static_cast<std::uint64_t>(m.in), w.numIn);
-                EXPECT_LT(static_cast<std::uint64_t>(m.out), w.numOut);
+            for (std::int32_t g = 0; g < w.maps->numWeights(); ++g) {
+                for (const PointIndex in : w.maps->forWeight(g).in) {
+                    EXPECT_GE(in, 0);
+                    EXPECT_LT(static_cast<std::uint64_t>(in), w.numIn);
+                }
+                for (const PointIndex out : w.maps->forWeight(g).out)
+                    EXPECT_LT(static_cast<std::uint64_t>(out), w.numOut);
             }
         }
         maxStridePoints = std::max(maxStridePoints, w.numOut);
@@ -149,18 +153,28 @@ struct SubmanifoldReuse
 {
     /** Layers that shared the previous layer's maps. */
     int shared = 0;
+    /** Layers that rebuilt because the stage's kernel changed. */
+    int rebuilt = 0;
+    /** Decoder stages that took over their encoder stage's maps,
+     *  restored from the groups before the centre (odd kernel) or held
+     *  whole (even kernel). */
+    int restoredOdd = 0;
+    int restoredEven = 0;
     /** Distinct mapsIds among submanifold layers: one per map build. */
     std::size_t builds = 0;
 };
 
 /**
- * Walk a MinkowskiUNet beside the executor and check every sparse
- * layer's maps against a fresh build from that layer's own clouds:
- * sortKernelMap, transposed for up convs, with no reuse. A decoder
- * stage's maps are the encoder stage's at that stride, restored from
- * the groups before the centre, so the group-by-group comparison pins
- * the restored groups byte for byte. One full-resolution submanifold
- * layer is also cross-checked against hashKernelMap.
+ * Walk a sparse-conv network beside the executor and check every
+ * sparse layer's maps against a fresh build from that layer's own
+ * clouds: sortKernelMap, transposed for up convs, with no reuse. A
+ * submanifold layer must reuse the maps of its cloud's stage exactly
+ * when its kernel is the stage's: the same object and map storage
+ * inside a stage, and after an up conv the encoder stage's maps at that
+ * stride, so the group-by-group comparison pins the restored groups
+ * byte for byte. Any other kernel must build afresh. One
+ * full-resolution submanifold layer is also cross-checked against
+ * hashKernelMap.
  */
 SubmanifoldReuse
 expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
@@ -170,10 +184,18 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
         if (const auto *d = std::get_if<SparseConvDesc>(&layer.desc))
             convs.emplace(layer.name, *d);
 
+    /** The submanifold maps the executor keeps for one cloud. */
+    struct Stage
+    {
+        int kernel = 0;
+        std::uint64_t id = 0;
+        const PointIndex *data = nullptr;
+    };
     PointCloud cloud = input;
-    std::vector<PointCloud> fine; // open encoder levels
+    std::vector<PointCloud> fine;    // open encoder levels
+    std::vector<Stage> heldStages;   // their stages
+    Stage stage;
     const MapSet *prevSubmanifold = nullptr;
-    const Map *prevData = nullptr;
     bool hashChecked = false;
     SubmanifoldReuse reuse;
     std::set<std::uint64_t> submanifoldIds;
@@ -193,6 +215,8 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
             fresh = transposeMaps(sortKernelMap(out, cloud, kcfg),
                                   d.kernelSize);
             cloud = std::move(out);
+            stage = heldStages.back();
+            heldStages.pop_back();
         } else if (!submanifold) {
             PointCloud out = quantizeDownsample(
                 cloud, cloud.tensorStride() * d.strideMultiplier);
@@ -200,6 +224,7 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
             kcfg.outStride = out.tensorStride();
             fresh = sortKernelMap(cloud, out, kcfg);
             fine.push_back(std::exchange(cloud, std::move(out)));
+            heldStages.push_back(std::exchange(stage, Stage()));
         } else {
             kcfg.inStride = cloud.tensorStride();
             kcfg.outStride = cloud.tensorStride();
@@ -221,17 +246,30 @@ expectMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
             EXPECT_EQ(w.maps->forWeight(g), fresh.forWeight(g))
                 << w.name << " weight " << g;
 
-        // Consecutive submanifold layers of one stage see one MapSet:
-        // the same object, holding the same map storage.
-        if (submanifold && prevSubmanifold != nullptr) {
-            EXPECT_EQ(w.maps, prevSubmanifold) << w.name;
-            EXPECT_EQ(w.maps->forWeight(0).data(), prevData) << w.name;
-            ++reuse.shared;
-        }
-        if (submanifold)
+        if (submanifold) {
+            const PointIndex *data = w.maps->forWeight(0).in.data();
+            if (d.kernelSize == stage.kernel) {
+                // Same kernel over the same cloud: the stage's maps,
+                // in the same storage.
+                EXPECT_EQ(w.mapsId, stage.id) << w.name;
+                EXPECT_EQ(data, stage.data) << w.name;
+                if (prevSubmanifold != nullptr) {
+                    EXPECT_EQ(w.maps, prevSubmanifold) << w.name;
+                    ++reuse.shared;
+                } else if (d.kernelSize % 2 == 1) {
+                    ++reuse.restoredOdd;
+                } else {
+                    ++reuse.restoredEven;
+                }
+            } else {
+                EXPECT_EQ(submanifoldIds.count(w.mapsId), 0u) << w.name;
+                if (prevSubmanifold != nullptr)
+                    ++reuse.rebuilt;
+                stage = {d.kernelSize, w.mapsId, data};
+            }
             submanifoldIds.insert(w.mapsId);
+        }
         prevSubmanifold = submanifold ? w.maps : nullptr;
-        prevData = submanifold ? w.maps->forWeight(0).data() : nullptr;
     });
     EXPECT_TRUE(fine.empty());
     EXPECT_TRUE(hashChecked);
@@ -252,6 +290,7 @@ TEST(Executor, MinkUNetReusedMapsMatchFreshBuilds)
           std::make_pair(minkowskiUNetOutdoor(), &outdoor)}) {
         const SubmanifoldReuse reuse = expectMapsMatchFreshBuilds(net, *cloud);
         EXPECT_EQ(reuse.shared, 25) << net.notation;
+        EXPECT_EQ(reuse.restoredOdd, 4) << net.notation;
         EXPECT_EQ(reuse.builds, 5u) << net.notation;
     }
     // 13 submanifold convs over 7 stages: the stem and 3 encoder
@@ -259,7 +298,98 @@ TEST(Executor, MinkUNetReusedMapsMatchFreshBuilds)
     const SubmanifoldReuse mini =
         expectMapsMatchFreshBuilds(miniMinkowskiUNet(), indoor);
     EXPECT_EQ(mini.shared, 6);
+    EXPECT_EQ(mini.restoredOdd, 3);
     EXPECT_EQ(mini.builds, 4u);
+}
+
+/**
+ * A seeded random sparse-conv stack over shapes the zoo lacks: a
+ * full-resolution stem, then one to three nested levels, each a
+ * downsample of kernel 2-4 and stride multiplier 2 or 4 (mostly
+ * kernel != multiplier, runSparseConv's sortKernelMap fallback) and
+ * closed by an up conv with its downsample's kernel. Every stage holds
+ * submanifold convs of kernel 2, 3 or 5, and may change kernel
+ * between them.
+ */
+Network
+randomSparseStack(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Network net;
+    net.name = "random sparse stack";
+    net.notation = "random" + std::to_string(seed);
+    net.convClass = ConvClass::SparseConv;
+    net.inputChannels = 8;
+    const auto conv = [&](int kernel, int stride, bool transposed) {
+        net.layers.push_back(
+            makeSparseConv("l" + std::to_string(net.layers.size()), 8, 8,
+                           kernel, stride, transposed));
+    };
+    const auto stage = [&](std::uint64_t min_layers) {
+        const int kernels[] = {2, 3, 5};
+        int kernel = kernels[rng.range(3)];
+        for (std::uint64_t n = min_layers + rng.range(4); n > 0; --n) {
+            if (rng.range(3) == 0)
+                kernel = kernels[rng.range(3)];
+            conv(kernel, 1, false);
+        }
+    };
+    std::vector<std::pair<int, int>> open; // (kernel, stride multiplier)
+    stage(1);
+    for (std::uint64_t depth = 1 + rng.range(3); depth > 0; --depth) {
+        open.emplace_back(2 + static_cast<int>(rng.range(3)),
+                          rng.range(2) == 0 ? 2 : 4);
+        conv(open.back().first, open.back().second, false);
+        stage(0);
+    }
+    for (; !open.empty(); open.pop_back()) {
+        conv(open.back().first, open.back().second, true);
+        stage(0);
+    }
+    return net;
+}
+
+TEST(Executor, RandomSparseStacksMatchFreshBuilds)
+{
+    // Shapes each stack reaches, summed over the seeds: a branch no
+    // seed takes is a branch this test does not check.
+    std::map<int, int> submanifoldKernels;
+    int cellDownsamples = 0;     // kernel == multiplier: quantize maps
+    int fallbackDownsamples = 0; // kernel != multiplier: sortKernelMap
+    int nestedDownsamples = 0;   // taken with a level already open
+    SubmanifoldReuse total;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const Network net = randomSparseStack(seed);
+        int open = 0;
+        for (const auto &layer : net.layers) {
+            const auto &d = std::get<SparseConvDesc>(layer.desc);
+            if (d.transposed) {
+                --open;
+            } else if (d.strideMultiplier > 1) {
+                ++(d.kernelSize == d.strideMultiplier ? cellDownsamples
+                                                      : fallbackDownsamples);
+                nestedDownsamples += open > 0;
+                ++open;
+            } else {
+                ++submanifoldKernels[d.kernelSize];
+            }
+        }
+        const SubmanifoldReuse reuse = expectMapsMatchFreshBuilds(
+            net, makeIndoorScene(seed, 2000, 80));
+        total.shared += reuse.shared;
+        total.rebuilt += reuse.rebuilt;
+        total.restoredOdd += reuse.restoredOdd;
+        total.restoredEven += reuse.restoredEven;
+    }
+    for (const int k : {2, 3, 5})
+        EXPECT_GT(submanifoldKernels[k], 0) << "kernel " << k;
+    EXPECT_GT(cellDownsamples, 0);
+    EXPECT_GT(fallbackDownsamples, 0);
+    EXPECT_GT(nestedDownsamples, 0);
+    EXPECT_GT(total.shared, 0);
+    EXPECT_GT(total.rebuilt, 0);
+    EXPECT_GT(total.restoredOdd, 0);
+    EXPECT_GT(total.restoredEven, 0);
 }
 
 /**
@@ -283,7 +413,7 @@ expectEdgeMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
 
     PointCloud cloud = input;
     const MapSet *prevMaps = nullptr;
-    const Map *prevData = nullptr;
+    const PointIndex *prevData = nullptr;
     int prevK = 0;
     int checked = 0;
     int shared = 0;
@@ -320,11 +450,11 @@ expectEdgeMapsMatchFreshBuilds(const Network &net, const PointCloud &input)
         // object, holding the same map storage.
         if (prevMaps != nullptr && prevK == k) {
             EXPECT_EQ(w.maps, prevMaps) << w.name;
-            EXPECT_EQ(w.maps->forWeight(0).data(), prevData) << w.name;
+            EXPECT_EQ(w.maps->forWeight(0).in.data(), prevData) << w.name;
             ++shared;
         }
         prevMaps = w.maps;
-        prevData = w.maps->forWeight(0).data();
+        prevData = w.maps->forWeight(0).in.data();
         prevK = k;
     });
     EXPECT_EQ(checked, static_cast<int>(edges.size()));
@@ -600,8 +730,8 @@ TEST(Functional, ReluClampsNegatives)
 TEST(Functional, MaxPoolByOutputPicksMaxEdge)
 {
     MapSet maps(2);
-    maps.add(Map{0, 0, 0});
-    maps.add(Map{1, 0, 1});
+    maps.forWeight(0).push(0, 0);
+    maps.forWeight(1).push(1, 0);
     // Two edges into output 0, one channel each row.
     const std::vector<float> edges = {3.0f, 7.0f};
     const auto out = maxPoolByOutput(edges, maps, 1, 1);
@@ -612,7 +742,7 @@ TEST(Functional, MaxPoolByOutputPicksMaxEdge)
 TEST(Functional, MaxPoolZeroFillsUntouchedOutputs)
 {
     MapSet maps(1);
-    maps.add(Map{0, 1, 0});
+    maps.forWeight(0).push(0, 1);
     const std::vector<float> edges = {5.0f};
     const auto out = maxPoolByOutput(edges, maps, 1, 3);
     EXPECT_FLOAT_EQ(out[0], 0.0f);
