@@ -237,6 +237,7 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
     -DPOINTACC_BUILD_BENCH=ON \
     -DPOINTACC_BUILD_EXAMPLES=OFF
 
+# No test_alloc here: its counting operator new would hide ASan's new/delete checks.
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" \
     --target test_runtime test_runtime_properties test_report_golden \
              test_executor test_mapping test_mpu test_nn test_memory \

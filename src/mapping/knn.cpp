@@ -25,7 +25,8 @@ searchCellPoints(std::size_t k)
 
 /**
  * The k nearest `input` points of every query among those within
- * squared radius `radius2`, ordered by (distance, index).
+ * squared radius `radius2`, ordered by (distance, index). Each query's
+ * list is appended to the columns, which are reserved for k per query.
  *
  * Each query searches rings of grid cells outward from its own cell
  * (clamped into the grid), ring r being the cells at Chebyshev cell
@@ -40,22 +41,26 @@ searchCellPoints(std::size_t k)
  * Both comparisons are strict: a point at exactly the k-th distance can
  * still enter on a lower index.
  *
- * `innerCounts[s]` (when given) gains, over all queries, the points
- * within the squared radius `innerRadii2[s]`, each at most radius2: the
- * in-radius counts of a multi-scale ball query's smaller scales.
+ * `counts[s]` gains, over all queries, the points within the squared
+ * radius `scales[s].radius2`, each at most radius2: the in-radius
+ * counts of a ball query's scales.
  */
-std::vector<NeighborList>
+Neighbors
 nearestWithin(const PointCloud &input, const PointCloud &queries,
               std::size_t k, std::int64_t radius2,
-              const std::vector<std::int64_t> &innerRadii2 = {},
-              std::uint64_t *innerCounts = nullptr)
+              const std::vector<BallScale> &scales = {},
+              std::uint64_t *counts = nullptr)
 {
     const std::size_t n = input.size();
     k = std::min(k, n); // no list holds more than the whole input
-    std::vector<NeighborList> result(queries.size());
-    if (n == 0 || queries.empty())
+    Neighbors result;
+    if (n == 0 || queries.empty()) {
+        result.offsets.resize(queries.size() + 1, 0);
         return result;
-    const std::size_t inner = innerRadii2.size();
+    }
+    result.offsets.reserve(queries.size() + 1);
+    result.indices.reserve(queries.size() * k);
+    result.distances2.reserve(queries.size() * k);
 
     const SpatialGrid grid(input, queries, searchCellPoints(k));
     const bool countsEveryPoint =
@@ -69,7 +74,6 @@ nearestWithin(const PointCloud &input, const PointCloud &queries,
             grid.column(0, qc.x), grid.column(1, qc.y),
             grid.column(2, qc.z)};
         std::size_t m = 0;
-        std::uint64_t candidates = 0;
         std::int64_t reach = radius2;
 
         const auto visit = [&](std::size_t cell) {
@@ -84,9 +88,8 @@ nearestWithin(const PointCloud &input, const PointCloud &queries,
                 const std::int64_t d = dx * dx + dy * dy + dz * dz;
                 if (d > radius2)
                     continue;
-                ++candidates;
-                for (std::size_t s = 0; s < inner; ++s)
-                    innerCounts[s] += d <= innerRadii2[s];
+                for (std::size_t s = 0; s < scales.size(); ++s)
+                    counts[s] += d <= scales[s].radius2;
                 const PointIndex i = grid.index[j];
                 if (m == k) {
                     if (d > topD[k - 1] ||
@@ -153,17 +156,18 @@ nearestWithin(const PointCloud &input, const PointCloud &queries,
                 break;
         }
 
-        NeighborList &list = result[q];
-        list.distances2.assign(topD.begin(), topD.begin() + m);
-        list.indices.assign(topI.begin(), topI.begin() + m);
-        list.candidates = countsEveryPoint ? n : candidates;
+        result.indices.insert(result.indices.end(), topI.begin(),
+                              topI.begin() + m);
+        result.distances2.insert(result.distances2.end(), topD.begin(),
+                                 topD.begin() + m);
+        result.offsets.push_back(result.indices.size());
     }
     return result;
 }
 
 } // namespace
 
-std::vector<NeighborList>
+Neighbors
 kNearestNeighbors(const PointCloud &input, const PointCloud &queries, int k)
 {
     simAssert(k >= 1, "kNN requires k >= 1");
@@ -183,63 +187,42 @@ ballQuery(const PointCloud &input, const PointCloud &queries,
         maxK = std::max(maxK, static_cast<std::size_t>(scale.k));
         maxRadius2 = std::max(maxRadius2, scale.radius2);
     }
-    // The walk counts the largest radius per query; every smaller
-    // radius is counted over all queries beside it.
-    std::vector<std::int64_t> innerRadii2;
-    for (const auto &scale : scales)
-        if (scale.radius2 < maxRadius2)
-            innerRadii2.push_back(scale.radius2);
-    std::vector<std::uint64_t> innerCounts(innerRadii2.size(), 0);
-
     BallQueryResult result;
-    result.lists = nearestWithin(input, queries, maxK, maxRadius2,
-                                 innerRadii2, innerCounts.data());
-    std::uint64_t outer = 0;
-    for (const auto &list : result.lists)
-        outer += list.candidates;
-    std::size_t next = 0;
-    for (const auto &scale : scales)
-        result.survivors.push_back(scale.radius2 < maxRadius2
-                                       ? innerCounts[next++]
-                                       : outer);
+    result.survivors.assign(scales.size(), 0);
+    result.lists = nearestWithin(input, queries, maxK, maxRadius2, scales,
+                                 result.survivors.data());
     return result;
 }
 
-std::vector<NeighborList>
-ballQuery(const PointCloud &input, const PointCloud &queries, int k,
-          std::int64_t radius2)
-{
-    return ballQuery(input, queries, {BallScale{k, radius2}}).lists;
-}
-
 MapSet
-neighborsToMaps(const std::vector<NeighborList> &lists, int k,
-                std::int64_t radius2)
+neighborsToMaps(const Neighbors &lists, int k, std::int64_t radius2)
 {
     // Each list keeps its first `kept[q]` entries; rank n's group holds
     // one map per list that keeps more than n.
-    std::vector<std::uint32_t> kept(lists.size());
+    const std::size_t queries = lists.queries();
+    std::vector<std::uint32_t> kept(queries);
     std::vector<std::size_t> ranks(static_cast<std::size_t>(k) + 1, 0);
-    for (std::size_t q = 0; q < lists.size(); ++q) {
-        const auto &d = lists[q].distances2;
+    const std::int64_t *d = lists.distances2.data();
+    for (std::size_t q = 0; q < queries; ++q) {
+        const std::int64_t *begin = d + lists.offsets[q];
         const std::size_t inRadius = static_cast<std::size_t>(
-            std::upper_bound(d.begin(), d.end(), radius2) - d.begin());
+            std::upper_bound(begin, d + lists.offsets[q + 1], radius2) -
+            begin);
         kept[q] = static_cast<std::uint32_t>(
             std::min(inRadius, static_cast<std::size_t>(k)));
         ++ranks[kept[q]];
     }
     MapSet maps(k);
-    std::size_t longer = lists.size();
+    std::size_t longer = queries;
     for (std::int32_t n = 0; n < k; ++n) {
         longer -= ranks[static_cast<std::size_t>(n)];
         maps.forWeight(n).reserve(longer);
     }
-    for (std::size_t q = 0; q < lists.size(); ++q) {
-        const auto &list = lists[q];
+    for (std::size_t q = 0; q < queries; ++q)
         for (std::uint32_t n = 0; n < kept[q]; ++n)
             maps.forWeight(static_cast<std::int32_t>(n))
-                .push(list.indices[n], static_cast<PointIndex>(q));
-    }
+                .push(lists.indices[lists.offsets[q] + n],
+                      static_cast<PointIndex>(q));
     return maps;
 }
 

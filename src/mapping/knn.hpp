@@ -5,9 +5,12 @@
  *
  * For every output (query) point, the k closest input points are
  * selected; ball query additionally requires them to lie inside a
- * sphere of radius r. Weight index n is the neighbor's rank (0..k-1),
- * since PointNet++-style aggregation treats each neighbor slot
- * uniformly but the MapSet still needs a stable grouping.
+ * sphere of radius r. The lists of all queries are held as columns
+ * (Neighbors), so a search allocates per call, never per query.
+ * neighborsToMaps turns them into a MapSet whose weight index n is the
+ * neighbor's rank (0..k-1), since PointNet++-style aggregation treats
+ * each neighbor slot uniformly but the MapSet still needs a stable
+ * grouping.
  */
 
 #ifndef POINTACC_MAPPING_KNN_HPP
@@ -21,15 +24,26 @@
 
 namespace pointacc {
 
-/** One query's neighbor list: input indices sorted by distance. */
-struct NeighborList
+/**
+ * The neighbor lists of a query cloud, as columns: query q's list is
+ * entries [offsets[q], offsets[q + 1]) of `indices` (input points) and
+ * `distances2` (their squared distances), ordered by (distance, index).
+ */
+struct Neighbors
 {
+    /** One entry per query, plus one. */
+    std::vector<std::size_t> offsets{0};
     std::vector<PointIndex> indices;
     std::vector<std::int64_t> distances2;
-    /** Candidates examined by the selection (before top-k truncation):
-     *  the whole cloud for kNN, the in-radius subset for ball query.
-     *  Drives the hardware TopK cost model. */
-    std::uint64_t candidates = 0;
+
+    std::size_t queries() const { return offsets.size() - 1; }
+
+    friend bool
+    operator==(const Neighbors &a, const Neighbors &b)
+    {
+        return a.offsets == b.offsets && a.indices == b.indices &&
+               a.distances2 == b.distances2;
+    }
 };
 
 /**
@@ -41,8 +55,7 @@ struct NeighborList
  * of cells outward from its own until the k-th distance is strictly
  * below the distance to every unvisited cell. Ties on distance break
  * toward the lower input index so results are bit-identical to the
- * hardware sorter (stable comparisons). `candidates` is |input|, as
- * the hardware compares every input point.
+ * hardware sorter (stable comparisons).
  *
  * `input` and `queries` together may span at most 2^30 per axis, so
  * squared distances cannot overflow (asserted).
@@ -51,9 +64,8 @@ struct NeighborList
  * @param queries  query cloud
  * @param k        neighbors per query (clamped to input size)
  */
-std::vector<NeighborList> kNearestNeighbors(const PointCloud &input,
-                                            const PointCloud &queries,
-                                            int k);
+Neighbors kNearestNeighbors(const PointCloud &input,
+                            const PointCloud &queries, int k);
 
 /** One scale of a ball query: k neighbours within squared radius
  *  radius2. */
@@ -67,9 +79,8 @@ struct BallScale
 struct BallQueryResult
 {
     /** Per query: the max-k nearest input points within the largest
-     *  radius, ordered by (distance, index); `candidates` is the
-     *  in-radius count at that radius. */
-    std::vector<NeighborList> lists;
+     *  radius, ordered by (distance, index). */
+    Neighbors lists;
     /** Per scale, in order: the in-radius points at its radius, summed
      *  over queries (its TopK survivors). */
     std::vector<std::uint64_t> survivors;
@@ -91,19 +102,13 @@ struct BallQueryResult
 BallQueryResult ballQuery(const PointCloud &input, const PointCloud &queries,
                           const std::vector<BallScale> &scales);
 
-/** Single-scale ball query: the lists of the one-scale call, each
- *  with its exact in-radius `candidates`. */
-std::vector<NeighborList> ballQuery(const PointCloud &input,
-                                    const PointCloud &queries, int k,
-                                    std::int64_t radius2);
-
 /**
  * Convert neighbor lists to a MapSet with weight = neighbor rank,
  * keeping of each list the entries within squared radius `radius2`
  * and of those the first k. Each rank's group is reserved to its exact
  * size and holds its maps in ascending query order.
  */
-MapSet neighborsToMaps(const std::vector<NeighborList> &lists, int k,
+MapSet neighborsToMaps(const Neighbors &lists, int k,
                        std::int64_t radius2 =
                            std::numeric_limits<std::int64_t>::max());
 

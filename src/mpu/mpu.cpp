@@ -144,7 +144,8 @@ MappingUnit::kNearestNeighbors(const PointCloud &input,
 {
     simAssert(k >= 1, "kNN requires k >= 1");
     NeighborResult result;
-    result.lists.reserve(queries.size());
+    Neighbors &lists = result.lists;
+    lists.offsets.reserve(queries.size() + 1);
 
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
@@ -167,34 +168,40 @@ MappingUnit::kNearestNeighbors(const PointCloud &input,
                                      static_cast<std::size_t>(k));
         foldMergeStats(ms, result.stats);
 
-        NeighborList list;
         for (const auto &e : top) {
-            list.indices.push_back(e.payload);
-            list.distances2.push_back(static_cast<std::int64_t>(e.key));
+            lists.indices.push_back(e.payload);
+            lists.distances2.push_back(static_cast<std::int64_t>(e.key));
         }
-        result.stats.mapsEmitted += list.indices.size();
-        result.lists.push_back(std::move(list));
+        lists.offsets.push_back(lists.indices.size());
+        result.stats.mapsEmitted += top.size();
     }
     return result;
 }
 
 NeighborResult
 MappingUnit::ballQuery(const PointCloud &input, const PointCloud &queries,
-                       int k, std::int64_t radius2) const
+                       const BallScale &scale) const
 {
     // Ball query is kNN plus a threshold comparator on the final k
-    // elements (Section 2.1.2): same dataflow, same cycles.
-    NeighborResult result = kNearestNeighbors(input, queries, k);
-    for (auto &list : result.lists) {
-        std::size_t keep = 0;
-        while (keep < list.distances2.size() &&
-               list.distances2[keep] <= radius2) {
-            ++keep;
+    // elements (Section 2.1.2): same dataflow, same cycles. Each list
+    // keeps its in-radius prefix, moved down over the dropped entries.
+    NeighborResult result = kNearestNeighbors(input, queries, scale.k);
+    Neighbors &lists = result.lists;
+    std::size_t kept = 0;
+    std::size_t begin = 0;
+    for (std::size_t q = 0; q < lists.queries(); ++q) {
+        const std::size_t end = lists.offsets[q + 1];
+        for (std::size_t j = begin;
+             j < end && lists.distances2[j] <= scale.radius2; ++j, ++kept) {
+            lists.indices[kept] = lists.indices[j];
+            lists.distances2[kept] = lists.distances2[j];
         }
-        list.indices.resize(keep);
-        list.distances2.resize(keep);
-        result.stats.comparisons += static_cast<std::uint64_t>(k);
+        begin = end;
+        lists.offsets[q + 1] = kept;
+        result.stats.comparisons += static_cast<std::uint64_t>(scale.k);
     }
+    lists.indices.resize(kept);
+    lists.distances2.resize(kept);
     return result;
 }
 

@@ -82,7 +82,7 @@ struct SamplingResult
 /** Result of a neighbor-search run. */
 struct NeighborResult
 {
-    std::vector<NeighborList> lists;
+    Neighbors lists;
     MpuStats stats;
 };
 
@@ -113,10 +113,10 @@ class MappingUnit
                                      const PointCloud &queries,
                                      int k) const;
 
-    /** Ball query: kNN constrained to squared radius `radius2`. */
+    /** Ball query: kNN constrained to the scale's squared radius. */
     NeighborResult ballQuery(const PointCloud &input,
-                             const PointCloud &queries, int k,
-                             std::int64_t radius2) const;
+                             const PointCloud &queries,
+                             const BallScale &scale) const;
 
     /** Standalone Sort of arbitrary length (used by tests/ablations). */
     ElementVec sort(ElementVec data, MpuStats &stats) const;

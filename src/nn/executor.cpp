@@ -285,11 +285,8 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
             survivors = balls.survivors[ballIndex++];
             searchKind = MappingOpKind::BallQuery;
         } else {
-            const auto lists =
-                kNearestNeighbors(st.cloud, queryCloud, scale.k);
-            maps = neighborsToMaps(lists, scale.k);
-            for (const auto &list : lists)
-                survivors += list.candidates;
+            maps = neighborsToMaps(
+                kNearestNeighbors(st.cloud, queryCloud, scale.k), scale.k);
             searchKind = MappingOpKind::Knn;
         }
 
@@ -349,8 +346,7 @@ runFeaturePropagation(ExecState &st, const LayerDesc &layer,
     w.numOut = fine.size();
     w.cin = d.inChannels;
     w.cout = d.mlp[0];
-    const auto lists = kNearestNeighbors(st.cloud, fine, 3);
-    MapSet maps = neighborsToMaps(lists, 3);
+    MapSet maps = neighborsToMaps(kNearestNeighbors(st.cloud, fine, 3), 3);
     w.maps = &maps;
     w.mapsId = newMapsId(st);
     w.mappingOps.push_back(

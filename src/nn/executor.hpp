@@ -62,9 +62,10 @@ struct MappingOpInfo
     std::uint64_t outputPoints = 0; ///< constructed/query cloud size
     int k = 0;                      ///< neighbors (TopK) if applicable
     int kernelVolume = 0;           ///< offsets for kernel mapping
-    /** Total TopK candidates across queries (ball query pre-filters by
-     *  radius in stage CD, so only in-ball elements reach the sorter);
-     *  0 means "all inputPoints per query". */
+    /** Total TopK candidates across queries of a ball query (it
+     *  pre-filters by radius in stage CD, so only in-ball elements
+     *  reach the sorter). kNN ops leave it 0, which means "all
+     *  inputPoints per query". */
     std::uint64_t survivors = 0;
     /** Dimensionality of the distance metric: 3 for geometric search,
      *  the feature width for graph-based (feature-space) kNN, which

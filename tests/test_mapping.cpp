@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -316,13 +318,15 @@ TEST(GatherPoints, CarriesFeatures)
 /**
  * Brute-force neighbour search: every (distance, index) pair within
  * radius2, then the k smallest by partial sort. This is the selection
- * kNearestNeighbors and ballQuery are checked against.
+ * kNearestNeighbors and ballQuery are checked against; its one
+ * survivors entry is the in-radius count summed over queries.
  */
-std::vector<NeighborList>
+BallQueryResult
 bruteForceNeighbors(const PointCloud &input, const PointCloud &queries,
                     int k, std::int64_t radius2)
 {
-    std::vector<NeighborList> result;
+    BallQueryResult result;
+    result.survivors = {0};
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const Coord3 &qc = queries.coord(static_cast<PointIndex>(q));
         std::vector<std::pair<std::int64_t, PointIndex>> cands;
@@ -337,13 +341,12 @@ bruteForceNeighbors(const PointCloud &input, const PointCloud &queries,
         std::partial_sort(cands.begin(),
                           cands.begin() + static_cast<std::ptrdiff_t>(keep),
                           cands.end());
-        NeighborList list;
         for (std::size_t i = 0; i < keep; ++i) {
-            list.distances2.push_back(cands[i].first);
-            list.indices.push_back(cands[i].second);
+            result.lists.distances2.push_back(cands[i].first);
+            result.lists.indices.push_back(cands[i].second);
         }
-        list.candidates = cands.size();
-        result.push_back(std::move(list));
+        result.lists.offsets.push_back(result.lists.indices.size());
+        result.survivors[0] += cands.size();
     }
     return result;
 }
@@ -351,18 +354,12 @@ bruteForceNeighbors(const PointCloud &input, const PointCloud &queries,
 constexpr std::int64_t kNoRadius = std::numeric_limits<std::int64_t>::max();
 
 void
-expectSameNeighbors(const std::vector<NeighborList> &got,
-                    const std::vector<NeighborList> &want,
+expectSameNeighbors(const Neighbors &got, const Neighbors &want,
                     const std::string &what)
 {
-    ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t q = 0; q < want.size(); ++q) {
-        EXPECT_EQ(got[q].indices, want[q].indices) << what << " query " << q;
-        EXPECT_EQ(got[q].distances2, want[q].distances2)
-            << what << " query " << q;
-        EXPECT_EQ(got[q].candidates, want[q].candidates)
-            << what << " query " << q;
-    }
+    EXPECT_EQ(got.offsets, want.offsets) << what;
+    EXPECT_EQ(got.indices, want.indices) << what;
+    EXPECT_EQ(got.distances2, want.distances2) << what;
 }
 
 /** kNN and ball query of `input` around `queries` vs the oracle. */
@@ -370,13 +367,27 @@ void
 expectMatchesOracle(const PointCloud &input, const PointCloud &queries,
                     int k, std::int64_t radius2, const std::string &what)
 {
-    expectSameNeighbors(kNearestNeighbors(input, queries, k),
-                        bruteForceNeighbors(input, queries, k, kNoRadius),
-                        what + " knn k=" + std::to_string(k));
-    expectSameNeighbors(ballQuery(input, queries, k, radius2),
-                        bruteForceNeighbors(input, queries, k, radius2),
-                        what + " ball k=" + std::to_string(k) +
-                            " r2=" + std::to_string(radius2));
+    expectSameNeighbors(
+        kNearestNeighbors(input, queries, k),
+        bruteForceNeighbors(input, queries, k, kNoRadius).lists,
+        what + " knn k=" + std::to_string(k));
+    const std::string ball = what + " ball k=" + std::to_string(k) +
+                             " r2=" + std::to_string(radius2);
+    const BallQueryResult got = ballQuery(input, queries, {{k, radius2}});
+    const BallQueryResult want =
+        bruteForceNeighbors(input, queries, k, radius2);
+    expectSameNeighbors(got.lists, want.lists, ball);
+    EXPECT_EQ(got.survivors, want.survivors) << ball;
+}
+
+/** Query q's input indices. */
+std::vector<PointIndex>
+listOf(const Neighbors &lists, std::size_t q)
+{
+    return {lists.indices.begin() +
+                static_cast<std::ptrdiff_t>(lists.offsets[q]),
+            lists.indices.begin() +
+                static_cast<std::ptrdiff_t>(lists.offsets[q + 1])};
 }
 
 TEST(NeighborSearch, MatchesBruteForceOnRandomClouds)
@@ -466,26 +477,24 @@ TEST(NeighborSearch, KAtAndBeyondInputSize)
     for (const int k : {4, 5, 6, 50})
         expectMatchesOracle(input, queries, k, 3, "small");
     const auto lists = kNearestNeighbors(input, queries, 50);
-    for (const auto &list : lists) {
-        EXPECT_EQ(list.indices.size(), input.size());
-        EXPECT_EQ(list.candidates, input.size());
-    }
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        EXPECT_EQ(listOf(lists, q).size(), input.size());
 }
 
 TEST(NeighborSearch, EmptyCloudsAndEmptyBalls)
 {
     const auto input = makeObjectCloud(3, 200, 32);
     expectMatchesOracle(input, PointCloud(), 8, 16, "no queries");
-    EXPECT_TRUE(kNearestNeighbors(input, PointCloud(), 8).empty());
+    EXPECT_EQ(kNearestNeighbors(input, PointCloud(), 8).queries(), 0u);
     expectMatchesOracle(PointCloud(), input, 8, 16, "no input");
 
     // Queries far outside the cloud: no point lies in the ball.
     const PointCloud far({{1000, 1000, 1000}, {-1000, 0, 0}});
     expectMatchesOracle(input, far, 8, 100, "far");
-    for (const auto &list : ballQuery(input, far, 8, 100)) {
-        EXPECT_TRUE(list.indices.empty());
-        EXPECT_EQ(list.candidates, 0u);
-    }
+    const BallQueryResult balls = ballQuery(input, far, {{8, 100}});
+    EXPECT_EQ(balls.lists.queries(), far.size());
+    EXPECT_TRUE(balls.lists.indices.empty());
+    EXPECT_EQ(balls.survivors, std::vector<std::uint64_t>{0});
 }
 
 TEST(NeighborSearchDeathTest, CoordinateExtentIsChecked)
@@ -501,7 +510,7 @@ TEST(NeighborSearchDeathTest, CoordinateExtentIsChecked)
 
     const PointCloud below({{-1, 0, 0}});
     EXPECT_DEATH(kNearestNeighbors(edge, below, 1), "extent above 2\\^30");
-    EXPECT_DEATH(ballQuery(below, edge, 1, 4), "extent above 2\\^30");
+    EXPECT_DEATH((ballQuery(below, edge, {{1, 4}})), "extent above 2\\^30");
     const PointCloud over({{0, 0, 0}, {0, kEdge + 1, 0}});
     EXPECT_DEATH(farthestPointSampling(over, 2), "extent above 2\\^30");
 }
@@ -511,12 +520,12 @@ TEST(Knn, FindsExactNeighbors)
     PointCloud input({{0, 0, 0}, {2, 0, 0}, {5, 0, 0}, {100, 0, 0}});
     PointCloud queries({{1, 0, 0}});
     const auto lists = kNearestNeighbors(input, queries, 2);
-    ASSERT_EQ(lists.size(), 1u);
-    ASSERT_EQ(lists[0].indices.size(), 2u);
-    EXPECT_EQ(lists[0].indices[0], 0); // dist 1, tie-break lower index
-    EXPECT_EQ(lists[0].indices[1], 1); // dist 1
-    EXPECT_EQ(lists[0].distances2[0], 1);
-    EXPECT_EQ(lists[0].distances2[1], 1);
+    ASSERT_EQ(lists.queries(), 1u);
+    ASSERT_EQ(lists.offsets[1], 2u);
+    EXPECT_EQ(lists.indices[0], 0); // dist 1, tie-break lower index
+    EXPECT_EQ(lists.indices[1], 1); // dist 1
+    EXPECT_EQ(lists.distances2[0], 1);
+    EXPECT_EQ(lists.distances2[1], 1);
 }
 
 TEST(Knn, DistancesNonDecreasing)
@@ -524,9 +533,10 @@ TEST(Knn, DistancesNonDecreasing)
     const auto input = makeObjectCloud(6, 500, 64);
     const auto queries = makeObjectCloud(7, 40, 64);
     const auto lists = kNearestNeighbors(input, queries, 16);
-    for (const auto &list : lists) {
-        for (std::size_t i = 1; i < list.distances2.size(); ++i)
-            EXPECT_GE(list.distances2[i], list.distances2[i - 1]);
+    for (std::size_t q = 0; q < lists.queries(); ++q) {
+        for (std::size_t i = lists.offsets[q] + 1; i < lists.offsets[q + 1];
+             ++i)
+            EXPECT_GE(lists.distances2[i], lists.distances2[i - 1]);
     }
 }
 
@@ -535,11 +545,11 @@ TEST(BallQuery, RespectsRadius)
     const auto input = makeObjectCloud(8, 500, 64);
     const auto queries = makeObjectCloud(9, 30, 64);
     const std::int64_t r2 = 10 * 10;
-    const auto lists = ballQuery(input, queries, 8, r2);
-    for (const auto &list : lists) {
-        EXPECT_LE(list.indices.size(), 8u);
-        for (auto d : list.distances2)
-            EXPECT_LE(d, r2);
+    const auto lists = ballQuery(input, queries, {{8, r2}}).lists;
+    for (std::size_t q = 0; q < lists.queries(); ++q) {
+        EXPECT_LE(listOf(lists, q).size(), 8u);
+        for (std::size_t i = lists.offsets[q]; i < lists.offsets[q + 1]; ++i)
+            EXPECT_LE(lists.distances2[i], r2);
     }
 }
 
@@ -549,25 +559,133 @@ TEST(BallQuery, SubsetOfKnn)
     const auto queries = makeObjectCloud(11, 20, 64);
     const std::int64_t r2 = 64;
     const auto knn = kNearestNeighbors(input, queries, 8);
-    const auto ball = ballQuery(input, queries, 8, r2);
+    const auto ball = ballQuery(input, queries, {{8, r2}}).lists;
     for (std::size_t q = 0; q < queries.size(); ++q) {
         // Ball query results = kNN results filtered by radius.
         std::vector<PointIndex> expected;
-        for (std::size_t i = 0; i < knn[q].indices.size(); ++i) {
-            if (knn[q].distances2[i] <= r2)
-                expected.push_back(knn[q].indices[i]);
+        for (std::size_t i = knn.offsets[q]; i < knn.offsets[q + 1]; ++i) {
+            if (knn.distances2[i] <= r2)
+                expected.push_back(knn.indices[i]);
         }
-        EXPECT_EQ(ball[q].indices, expected) << "query " << q;
+        EXPECT_EQ(listOf(ball, q), expected) << "query " << q;
+    }
+}
+
+/** A lattice point, and a map of lattice points, both in int64. */
+using Point64 = std::array<std::int64_t, 3>;
+using LatticeMap = std::function<Point64(const Point64 &)>;
+
+/** `cloud` with each point p moved to f(p); point i stays point i. */
+PointCloud
+mapCoords(const PointCloud &cloud, const LatticeMap &f)
+{
+    std::vector<Coord3> coords;
+    for (const Coord3 &c : cloud.coordinates()) {
+        const Point64 p = f({c.x, c.y, c.z});
+        for (const std::int64_t v : p) {
+            EXPECT_GE(v, std::numeric_limits<std::int32_t>::min());
+            EXPECT_LE(v, std::numeric_limits<std::int32_t>::max());
+        }
+        coords.push_back({static_cast<std::int32_t>(p[0]),
+                          static_cast<std::int32_t>(p[1]),
+                          static_cast<std::int32_t>(p[2])});
+    }
+    return PointCloud(std::move(coords));
+}
+
+TEST(NeighborSearch, LatticeIsometriesLeaveResultsIdentical)
+{
+    // Distances are exact int64 and every search breaks ties by point
+    // index, so a map that preserves every pairwise distance and every
+    // index must leave kNN, multi-scale ball query (lists and
+    // survivors) and FPS bit-identical. A relation catches only a bug
+    // that breaks its symmetry, such as a wrong bound on one axis; the
+    // brute-force oracles above catch the rest.
+    using P = Point64;
+    constexpr std::int64_t kTop = std::numeric_limits<std::int32_t>::max();
+    constexpr std::int64_t kBottom = std::numeric_limits<std::int32_t>::min();
+    constexpr std::int64_t kHalf = std::int64_t{1} << 29;
+    struct Family
+    {
+        std::string name;
+        PointCloud cloud;
+        std::int64_t radius; ///< of the smallest ball scale
+    };
+    Rng wideRng(7);
+    Rng shifts(5);
+    const std::vector<Family> families = {
+        {"object", makeObjectCloud(41, 1500, 128), 6},
+        {"indoor", makeIndoorScene(42, 2500, 400), 12},
+        {"outdoor", makeOutdoorScene(43, 2500, 2000), 40},
+        // Spans the whole 2^30 search extent on every axis.
+        {"wide",
+         randomBoxCloud(wideRng, 400, {-kHalf, -kHalf, -kHalf},
+                        {1 << 30, 1 << 30, 1 << 30}),
+         kHalf / 4}};
+    const auto shift = [](const P &t) -> LatticeMap {
+        return [t](const P &p) {
+            return P{p[0] + t[0], p[1] + t[1], p[2] + t[2]};
+        };
+    };
+    const auto draw = [&] {
+        return static_cast<std::int64_t>(shifts.range(2001)) - 1000;
+    };
+    for (const Family &fam : families) {
+        const PointCloud &cloud = fam.cloud;
+        const PointCloud queries = gatherPoints(
+            cloud, farthestPointSampling(cloud, cloud.size() / 8));
+        const std::int64_t r = fam.radius;
+        const std::vector<BallScale> scales = {
+            {8, r * r}, {16, 4 * r * r}, {32, 16 * r * r}};
+        const std::size_t samples = cloud.size() / 4;
+        const auto first = static_cast<PointIndex>(cloud.size() / 3);
+        const Neighbors knn = kNearestNeighbors(cloud, queries, 16);
+        const BallQueryResult balls = ballQuery(cloud, queries, scales);
+        const auto fps = farthestPointSampling(cloud, samples, first);
+
+        const BoundingBox box = cloud.boundingBox();
+        const P lo = {box.lo.x, box.lo.y, box.lo.z};
+        const P hi = {box.hi.x, box.hi.y, box.hi.z};
+        const std::vector<std::pair<std::string, LatticeMap>> isometries = {
+            {"random shift 1", shift({draw(), draw(), draw()})},
+            {"random shift 2", shift({draw(), draw(), draw()})},
+            // To the corners of the int32 range, and by +-2^30.
+            {"shift to top",
+             shift({kTop - hi[0], kTop - hi[1], kTop - hi[2]})},
+            {"shift to bottom",
+             shift({kBottom - lo[0], kBottom - lo[1], kBottom - lo[2]})},
+            {"shift to mixed corner",
+             shift({kTop - hi[0], kBottom - lo[1], kTop - hi[2]})},
+            {"shift by 2^30", shift({1 << 30, -(1 << 30), 1 << 30})},
+            {"rotate x", [](const P &p) { return P{p[0], -p[2], p[1]}; }},
+            {"rotate y", [](const P &p) { return P{p[2], p[1], -p[0]}; }},
+            {"rotate z", [](const P &p) { return P{-p[1], p[0], p[2]}; }},
+            {"reflect x", [](const P &p) { return P{-p[0], p[1], p[2]}; }},
+            {"reflect y", [](const P &p) { return P{p[0], -p[1], p[2]}; }},
+            {"reflect z", [](const P &p) { return P{p[0], p[1], -p[2]}; }}};
+        for (const auto &[name, f] : isometries) {
+            const std::string what = fam.name + " " + name;
+            const PointCloud movedCloud = mapCoords(cloud, f);
+            const PointCloud movedQueries = mapCoords(queries, f);
+            expectSameNeighbors(
+                kNearestNeighbors(movedCloud, movedQueries, 16), knn,
+                what + " knn");
+            const BallQueryResult moved =
+                ballQuery(movedCloud, movedQueries, scales);
+            expectSameNeighbors(moved.lists, balls.lists, what + " ball");
+            EXPECT_EQ(moved.survivors, balls.survivors) << what;
+            EXPECT_EQ(farthestPointSampling(movedCloud, samples, first), fps)
+                << what << " fps";
+        }
     }
 }
 
 TEST(NeighborsToMaps, GroupsByRank)
 {
-    std::vector<NeighborList> lists(2);
-    lists[0].indices = {5, 7};
-    lists[0].distances2 = {1, 2};
-    lists[1].indices = {3};
-    lists[1].distances2 = {0};
+    Neighbors lists;
+    lists.offsets = {0, 2, 3};
+    lists.indices = {5, 7, 3};
+    lists.distances2 = {1, 2, 0};
     const auto maps = neighborsToMaps(lists, 2);
     EXPECT_EQ(maps.size(), 3u);
     EXPECT_EQ(maps.forWeight(0).in, (std::vector<PointIndex>{5, 3}));
@@ -707,7 +825,8 @@ TEST(MapSet, ProducersSizeGroupsExactly)
     expectExactGroups(neighborsToMaps(kNearestNeighbors(coarse, fine, 8), 8),
                       "knn");
     expectExactGroups(
-        neighborsToMaps(ballQuery(fine, coarse, 16, 9), 16, 4), "ball");
+        neighborsToMaps(ballQuery(fine, coarse, {{16, 9}}).lists, 16, 4),
+        "ball");
 }
 
 /** Group-for-group equality, in emission order (no sortGroups()). */

@@ -352,15 +352,12 @@ sceneAndSamples(std::uint64_t seed)
 }
 
 void
-expectSameLists(const NeighborResult &hw,
-                const std::vector<NeighborList> &ref, const char *what)
+expectSameLists(const NeighborResult &hw, const Neighbors &ref,
+                const char *what)
 {
-    ASSERT_EQ(hw.lists.size(), ref.size()) << what;
-    for (std::size_t q = 0; q < ref.size(); ++q) {
-        EXPECT_EQ(hw.lists[q].indices, ref[q].indices) << what << " q=" << q;
-        EXPECT_EQ(hw.lists[q].distances2, ref[q].distances2)
-            << what << " q=" << q;
-    }
+    EXPECT_EQ(hw.lists.offsets, ref.offsets) << what;
+    EXPECT_EQ(hw.lists.indices, ref.indices) << what;
+    EXPECT_EQ(hw.lists.distances2, ref.distances2) << what;
 }
 
 TEST(Mpu, KnnMatchesReference)
@@ -384,14 +381,15 @@ TEST(Mpu, BallQueryMatchesReference)
     const auto queries = makeObjectCloud(82, 40, 96);
     const std::int64_t r2 = 15 * 15;
     MappingUnit mpu;
-    expectSameLists(mpu.ballQuery(input, queries, 8, r2),
-                    ballQuery(input, queries, 8, r2), "object");
+    expectSameLists(mpu.ballQuery(input, queries, {8, r2}),
+                    ballQuery(input, queries, {{8, r2}}).lists, "object");
 
     // On a dataset cloud each ball meets a few of many grid cells.
     const auto [scene, samples] = sceneAndSamples(81);
     const std::int64_t sceneR2 = 30 * 30; // some lists full, some short
-    expectSameLists(mpu.ballQuery(scene, samples, 16, sceneR2),
-                    ballQuery(scene, samples, 16, sceneR2), "scene");
+    expectSameLists(mpu.ballQuery(scene, samples, {16, sceneR2}),
+                    ballQuery(scene, samples, {{16, sceneR2}}).lists,
+                    "scene");
 }
 
 TEST(Mpu, WiderMergerReducesCycles)

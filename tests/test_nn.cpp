@@ -501,8 +501,8 @@ struct FreshScale
  * Walk a network of set abstractions, feature propagations and dense
  * layers beside the executor, and check every set-abstraction scale's
  * maps and search survivors against a fresh single-scale search of that
- * scale: ballQuery, or kNearestNeighbors for radius 0. Returns how many
- * scales were checked.
+ * scale: ballQuery, or kNearestNeighbors for radius 0, whose survivors
+ * are 0. Returns how many scales were checked.
  */
 int
 expectScalesMatchFreshSearches(const Network &net, const PointCloud &input)
@@ -532,16 +532,17 @@ expectScalesMatchFreshSearches(const Network &net, const PointCloud &input)
             const std::int64_t r2 =
                 static_cast<std::int64_t>(scale.radiusGrid) *
                 scale.radiusGrid;
-            const auto lists =
-                scale.radiusGrid > 0
-                    ? ballQuery(cloud, queries, scale.k, r2)
-                    : kNearestNeighbors(cloud, queries, scale.k);
             FreshScale f{layer.name + ".s" + std::to_string(s) + ".mlp0",
-                         scale.radiusGrid > 0 ? MappingOpKind::BallQuery
-                                              : MappingOpKind::Knn,
-                         scale.k, neighborsToMaps(lists, scale.k), 0};
-            for (const auto &list : lists)
-                f.survivors += list.candidates;
+                         MappingOpKind::Knn, scale.k, {}, 0};
+            if (scale.radiusGrid > 0) {
+                const auto balls = ballQuery(cloud, queries, {{scale.k, r2}});
+                f.kind = MappingOpKind::BallQuery;
+                f.maps = neighborsToMaps(balls.lists, scale.k);
+                f.survivors = balls.survivors[0];
+            } else {
+                f.maps = neighborsToMaps(
+                    kNearestNeighbors(cloud, queries, scale.k), scale.k);
+            }
             fresh.push_back(std::move(f));
         }
         levels.push_back(std::exchange(cloud, std::move(queries)));
